@@ -34,6 +34,7 @@ from .incidence import (
     induced_substructure,
     is_geometric_hyperplane,
     is_isomorphism,
+    null_space_hyperplanes,
     perp,
 )
 from .doily import (
@@ -82,7 +83,7 @@ __all__ = [
     "CapacityError", "Hyperplane", "IncidenceStructure", "check_gamma_space",
     "check_gq", "collinear", "deep_points", "enumerate_hyperplanes",
     "find_isomorphism", "induced_substructure", "is_geometric_hyperplane",
-    "is_isomorphism", "perp",
+    "is_isomorphism", "null_space_hyperplanes", "perp",
     "DUADS", "SYNTHEMES", "DoilyHyperplane", "all_named_hyperplanes",
     "build_doily", "classify_hyperplane", "grid", "ovoid", "perp_set",
     "veldkamp_sum",

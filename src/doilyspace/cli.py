@@ -2,7 +2,9 @@
 incidence-graph exports of the highlighted sector figures.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
-errors.  The structured output is stable across runs so it can be diffed.
+errors and when an ``--out`` file cannot be written (reported on stderr as
+``error: cannot write <path>: <reason>``).  The structured output is stable
+across runs so it can be diffed.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .incidence import (
     check_gamma_space,
     check_gq,
     deep_points_mask,
-    enumerate_hyperplanes,
     find_isomorphism,
     has_triangle,
     is_isomorphism,
+    null_space_hyperplanes,
     popcount,
 )
 from .magicline import (
@@ -146,7 +148,7 @@ def _doily_checks() -> list[Check]:
         Check("triangle-free", False, has_triangle(g), PAPER),
         Check("gamma space", True, check_gamma_space(g), DERIVED),
     ]
-    hyperplanes = enumerate_hyperplanes(g)
+    hyperplanes = null_space_hyperplanes(g)
     kinds = [classify_hyperplane(h.mask).kind for h in hyperplanes]
     checks.append(Check("hyperplane census (ovoid/perp-set/grid)", [6, 15, 10],
                         [kinds.count("ovoid"), kinds.count("perp-set"),
@@ -417,9 +419,12 @@ def cmd_verify(suite: str, out: Optional[str] = None, fmt: str = "text") -> int:
 def _emit(payload: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _export_roles(figure: str, point_label: str):

@@ -9,6 +9,7 @@ their symmetric difference.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -20,6 +21,7 @@ from .incidence import (
     deep_points_mask,
     is_geometric_hyperplane,
     mask_of,
+    null_space_hyperplanes,
     points_of,
     popcount,
     veldkamp_sum_mask,
@@ -138,11 +140,34 @@ def classify_hyperplane(subset: int | Iterable) -> DoilyHyperplane:
     """Identify a point subset as an ovoid, perp-set or grid of the doily.
 
     Accepts a bitmask over point indices, an iterable of point indices, or
-    an iterable of duads.  The size-based kind is cross-checked structurally
-    (ovoid: pairwise non-collinear; perp-set: unique deep point; grid: a
-    3x3 subgeometry) and against the matching named constructor.
+    an iterable of duads.  The answer is looked up in a table of the 31
+    hyperplanes that was classified structurally and certified when built;
+    any other subset goes through the structural classification, which
+    rejects it.
     """
     mask = _coerce_mask(subset)
+    h = _classify_table().get(mask)
+    return h if h is not None else _classify_structurally(mask)
+
+
+@lru_cache(maxsize=None)
+def _classify_table() -> dict[int, DoilyHyperplane]:
+    """The structural class of each of the doily's hyperplanes, keyed by mask."""
+    table = {h.mask: _classify_structurally(h.mask)
+             for h in null_space_hyperplanes(build_doily())}
+    kinds = Counter(h.kind for h in table.values())
+    if kinds != {OVOID: 6, PERP_SET: 15, GRID: 10}:
+        raise RuntimeError(f"doily classify table has census {dict(kinds)}, "
+                           "expected 6 ovoids, 15 perp-sets and 10 grids")
+    if table != {h.mask: h for h in all_named_hyperplanes()}:
+        raise RuntimeError("doily classify table differs from the named hyperplanes")
+    return table
+
+
+def _classify_structurally(mask: int) -> DoilyHyperplane:
+    """Classify by size, cross-checked structurally (ovoid: pairwise
+    non-collinear; perp-set: unique deep point; grid: a 3x3 subgeometry) and
+    against the matching named constructor."""
     g = build_doily()
     if not is_geometric_hyperplane(g, mask):
         raise ValueError("subset is not a geometric hyperplane of the doily")

@@ -15,10 +15,13 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 HYPERPLANE_SCAN_LIMIT = 25
+# W(5,2), the largest geometry the package builds, has nullity 7; every
+# geometry of at most 16 points is within the limit.
+NULLITY_LIMIT = 16
 
 
 class CapacityError(ValueError):
-    """Raised when an exhaustive scan would be too large to be sensible."""
+    """Raised when an exhaustive enumeration would be too large to be sensible."""
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -206,6 +209,43 @@ def enumerate_hyperplanes(g: IncidenceStructure) -> list[Hyperplane]:
         if ok:
             found.append(Hyperplane(g, m))
     return found
+
+
+def null_space_hyperplanes(g: IncidenceStructure) -> list[Hyperplane]:
+    """All proper nonempty geometric hyperplanes of a geometry with 3 points per line.
+
+    A 3-point line meets a subset in 1 or 3 points exactly when it meets the
+    complement in an even number, so the hyperplanes are the complements of
+    the nonzero vectors of the GF(2) null space of the line-by-point
+    incidence matrix.  Returns the same list as ``enumerate_hyperplanes``,
+    in ascending mask order, with each member verified by ``Hyperplane``.
+    """
+    if any(len(line) != 3 for line in g.lines):
+        raise ValueError("null-space hyperplane enumeration requires 3 points per line")
+    # reduced row echelon form: pivot bit -> row holding no other pivot bit
+    rows: dict[int, int] = {}
+    for row in g.line_masks:
+        for pivot, prow in rows.items():
+            if row & pivot:
+                row ^= prow
+        if row:
+            pivot = row & -row
+            for other, orow in rows.items():
+                if orow & pivot:
+                    rows[other] = orow ^ row
+            rows[pivot] = row
+    free = [1 << p for p in points_of(g.full_mask & ~sum(rows))]  # keys are distinct bits
+    if len(free) > NULLITY_LIMIT:
+        raise CapacityError(
+            f"hyperplane null space has dimension {len(free)} on {g.point_count} points; "
+            f"enumeration is limited to dimension {NULLITY_LIMIT}")
+    null_vectors = [0]
+    for f in free:
+        basis = f | sum(pivot for pivot, prow in rows.items() if prow & f)
+        null_vectors += [v ^ basis for v in null_vectors]
+    # v = 0 gives the full point set; v = full, possible only without lines, the empty set
+    masks = sorted(g.full_mask ^ v for v in null_vectors if v and v != g.full_mask)
+    return [Hyperplane(g, m) for m in masks]
 
 
 def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:

@@ -24,7 +24,7 @@ from .doily import (
 from .incidence import (
     Hyperplane,
     IncidenceStructure,
-    enumerate_hyperplanes,
+    null_space_hyperplanes,
     veldkamp_sum_mask,
 )
 
@@ -85,22 +85,37 @@ class VeldkampSpace:
 
 
 def build_veldkamp_space(g: IncidenceStructure) -> VeldkampSpace:
-    """Enumerate all hyperplanes and all Veldkamp lines of a 3-per-line geometry."""
-    if any(len(line) != 3 for line in g.lines):
-        raise ValueError("Veldkamp space construction requires 3 points per line")
-    hyperplanes = enumerate_hyperplanes(g)
-    masks = [h.mask for h in hyperplanes]
-    mask_set = set(masks)
+    """Enumerate all hyperplanes and all Veldkamp lines of a 3-per-line geometry.
+
+    The geometry must be a partial linear space with at least one line.  The
+    hyperplane complements form a GF(2) subspace, and a 3-point line keeps
+    the full point set out of it, so the Veldkamp sum of two distinct
+    hyperplanes is again a hyperplane.
+    """
+    if not g.lines:
+        raise ValueError("Veldkamp space construction requires at least one line")
+    _require_partial_linear_space(g)
+    hyperplanes = null_space_hyperplanes(g)
     full = g.full_mask
     triples = set()
-    for m1, m2 in combinations(masks, 2):
-        m3 = veldkamp_sum_mask(full, m1, m2)
-        if m3 not in mask_set:
-            raise ValueError(
-                "Veldkamp sum left the hyperplane set; geometry is not 3-per-line closed")
-        triples.add(tuple(sorted((m1, m2, m3))))
+    for m1, m2 in combinations([h.mask for h in hyperplanes], 2):
+        triples.add(tuple(sorted((m1, m2, veldkamp_sum_mask(full, m1, m2)))))
     lines = tuple(VeldkampLine(g, t) for t in sorted(triples))
     return VeldkampSpace(g, tuple(hyperplanes), lines)
+
+
+def _require_partial_linear_space(g: IncidenceStructure) -> None:
+    """Raise ValueError naming two lines that share two points, if any do."""
+    line_of_pair: dict[tuple[int, int], int] = {}
+    for idx, line in enumerate(g.lines):
+        for pair in combinations(sorted(line), 2):
+            first = line_of_pair.setdefault(pair, idx)
+            if first != idx:
+                names = [", ".join(g.label_of(p) for p in sorted(l))
+                         for l in (g.lines[first], line)]
+                raise ValueError(
+                    f"lines {{{names[0]}}} and {{{names[1]}}} share two points; "
+                    "Veldkamp space construction requires a partial linear space")
 
 
 def _doily_members(line: VeldkampLine) -> tuple[DoilyHyperplane, ...]:

@@ -163,3 +163,17 @@ def test_export_structured_roundtrip(tmp_path):
                  "--format", "json", "--out", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "doily"],
+    ["tables", "hyperplanes"],
+    ["export", "--figure", "hyperbolic", "--point", "146"],
+], ids=["verify", "tables", "export"])
+def test_unwritable_out_is_a_one_line_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    assert main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {target}: "
+                            "No such file or directory\n")

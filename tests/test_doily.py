@@ -22,6 +22,8 @@ from doilyspace.doily import (
     ovoid,
     perp_set,
     veldkamp_sum,
+    _classify_structurally,
+    _classify_table,
 )
 from doilyspace.incidence import (
     collinear,
@@ -114,10 +116,21 @@ def test_classify_roundtrip():
 
 
 def test_classify_rejects_non_hyperplanes():
-    with pytest.raises(ValueError):
+    not_hyperplane = "^subset is not a geometric hyperplane of the doily$"
+    with pytest.raises(ValueError, match=not_hyperplane):
         classify_hyperplane({(1, 2), (3, 4), (5, 6)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=not_hyperplane):
+        classify_hyperplane(build_doily().line_masks[0])
+    with pytest.raises(ValueError, match="^no doily hyperplane has 15 points$"):
         classify_hyperplane(FULL_MASK)
+
+
+def test_classify_table_matches_structural_classification():
+    table = _classify_table()
+    assert sorted(table) == sorted(h.mask for h in all_named_hyperplanes())
+    for mask, h in table.items():
+        assert classify_hyperplane(mask) is h
+        assert h == _classify_structurally(mask)
 
 
 def test_census_and_distinctness():

@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doilyspace.doily import DUAD_INDEX, build_doily, grid, ovoid, perp_set
 from doilyspace.gf2 import parabolic_form, projective_points, standard_symplectic
@@ -20,6 +22,7 @@ from doilyspace.incidence import (
     induced_substructure,
     is_geometric_hyperplane,
     is_isomorphism,
+    null_space_hyperplanes,
     perp,
 )
 
@@ -101,6 +104,41 @@ def test_enumerate_capacity_limit():
     big = IncidenceStructure.from_lines(26, [[0, 1, 2]])
     with pytest.raises(CapacityError):
         enumerate_hyperplanes(big)
+
+
+def _pg32():
+    points = projective_points(4)
+    lines = {frozenset((i, j, (points[i] ^ points[j]).to_int() - 1))
+             for i, j in combinations(range(15), 2)}
+    return IncidenceStructure.from_lines(15, lines)
+
+
+@pytest.mark.parametrize("g", [build_doily(), GRID9, SINGLE_LINE, _pg32()],
+                         ids=["doily", "grid9", "single_line", "pg32"])
+def test_null_space_matches_scan(g):
+    expected = [h.mask for h in enumerate_hyperplanes(g)]
+    assert [h.mask for h in null_space_hyperplanes(g)] == expected
+
+
+def test_null_space_pg32_hyperplanes_are_planes():
+    hyperplanes = null_space_hyperplanes(_pg32())
+    assert len(hyperplanes) == 15
+    assert {h.size for h in hyperplanes} == {7}
+
+
+@st.composite
+def three_per_line_geometries(draw):
+    n = draw(st.integers(min_value=3, max_value=12))
+    triples = list(combinations(range(n), 3))
+    lines = draw(st.lists(st.sampled_from(triples), max_size=12))
+    return IncidenceStructure.from_lines(n, lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_per_line_geometries())
+def test_null_space_agrees_with_scan_on_random_geometries(g):
+    expected = [h.mask for h in enumerate_hyperplanes(g)]
+    assert [h.mask for h in null_space_hyperplanes(g)] == expected
 
 
 def test_hyperplane_type_rejects_non_hyperplanes():

@@ -1,5 +1,6 @@
-"""Tests for the Veldkamp space of the doily."""
+"""Tests for Veldkamp spaces: the doily's, W(5,2)'s, and input validation."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,14 @@ from doilyspace.doily import (
     ovoid,
     perp_set,
 )
-from doilyspace.incidence import IncidenceStructure, veldkamp_sum_mask
+from doilyspace.incidence import (
+    CapacityError,
+    IncidenceStructure,
+    mask_of,
+    null_space_hyperplanes,
+    veldkamp_sum_mask,
+)
+from doilyspace.magicline import build_magic_line, build_w52
 from doilyspace.veldkamp import (
     FAMILIES,
     FAMILY_OVOID_OVOID_PERP,
@@ -148,8 +156,40 @@ def test_single_line_geometry_space():
 
 def test_build_requires_three_points_per_line():
     pair_line = IncidenceStructure.from_lines(4, [[0, 1], [2, 3]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="3 points per line"):
         build_veldkamp_space(pair_line)
+
+
+def test_build_requires_a_partial_linear_space():
+    two_shared = IncidenceStructure.from_lines(4, [[0, 1, 2], [1, 2, 3]])
+    with pytest.raises(ValueError,
+                       match=r"lines \{0, 1, 2\} and \{1, 2, 3\} share two points"):
+        build_veldkamp_space(two_shared)
+
+
+def test_build_requires_a_line():
+    with pytest.raises(ValueError, match="at least one line"):
+        build_veldkamp_space(IncidenceStructure.from_lines(2, []))
+
+
+def test_build_capacity_limit():
+    big = IncidenceStructure.from_lines(26, [[0, 1, 2]])
+    with pytest.raises(CapacityError, match="dimension 25 on 26 points"):
+        build_veldkamp_space(big)
+
+
+def test_w52_veldkamp_space_has_pg62_parameters():
+    # 63 points exceed the exhaustive scan; the null space reaches them
+    vs = build_veldkamp_space(build_w52().structure)
+    assert len(vs.points) == 127
+    assert len(vs.lines) == 2667
+    assert Counter(h.size for h in vs.points) == {31: 63, 35: 36, 27: 28}
+    ml = build_magic_line()
+    constituents = (ml.q_plus, ml.q_minus, ml.cone)
+    for c in constituents:
+        assert len(null_space_hyperplanes(c.structure)) == 63
+    magic = tuple(sorted(mask_of(c.w_points) for c in constituents))
+    assert magic in {line.members for line in vs.lines}
 
 
 def test_classify_rejects_foreign_lines():
