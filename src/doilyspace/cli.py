@@ -272,6 +272,7 @@ def _veldkamp_checks() -> list[Check]:
 def _magicline_checks() -> list[Check]:
     ml = build_magic_line()
     w = ml.space.structure
+    constituents = ml.constituents.values()
     checks = [
         Check("W(5,2) point count", 63, w.point_count, DERIVED),
         Check("W(5,2) line count", 315, len(w.lines), DERIVED),
@@ -279,14 +280,11 @@ def _magicline_checks() -> list[Check]:
               sorted({w.degree(p) for p in range(w.point_count)}), DERIVED),
         Check("W(5,2) gamma space", True, check_gamma_space(w), DERIVED),
         Check("constituent sizes (Q+/Q-/cone/core)", [35, 27, 31, 15],
-              [len(ml.q_plus.w_points), len(ml.q_minus.w_points),
-               len(ml.cone.w_points), len(ml.core_w)], PAPER),
+              [len(c.w_points) for c in constituents] + [len(ml.core_w)], PAPER),
         Check("sector sizes (hyperbolic/elliptic/cone)", [20, 12, 16],
-              [len(ml.q_plus.w_points) - 15, len(ml.q_minus.w_points) - 15,
-               len(ml.cone.w_points) - 15], PAPER),
+              [len(c.w_points) - 15 for c in constituents], PAPER),
         Check("constituent line counts (Q+/Q-/cone)", [105, 45, 75],
-              [len(ml.q_plus.structure.lines), len(ml.q_minus.structure.lines),
-               len(ml.cone.structure.lines)], DERIVED),
+              [len(c.structure.lines) for c in constituents], DERIVED),
     ]
 
     core_images = {
@@ -305,28 +303,21 @@ def _magicline_checks() -> list[Check]:
     checks.append(Check("nucleus is the cone radical and unique deep point", True,
                         nucleus_ok, PAPER))
 
-    hyp_off = [v for v in ml.q_plus.w_points if v not in ml.core_set]
-    ell_off = [v for v in ml.q_minus.w_points if v not in ml.core_set]
-    cone_off = [v for v in ml.cone.w_points
-                if v not in ml.core_set and v != ml.nucleus_w]
-    checks.append(Check("hyperbolic off-point line count", [9],
-                        sorted({ml.q_plus.structure.degree(ml.q_plus.local_index(v))
-                                for v in hyp_off}), PAPER))
-    checks.append(Check("elliptic off-point line count", [5],
-                        sorted({ml.q_minus.structure.degree(ml.q_minus.local_index(v))
-                                for v in ell_off}), PAPER))
-    checks.append(Check("cone off-point line count", [7],
-                        sorted({ml.cone.structure.degree(ml.cone.local_index(v))
-                                for v in cone_off}), DERIVED))
+    off = [[v for v in c.w_points if v not in ml.core_set and v != ml.nucleus_w]
+           for c in constituents]
+    hyp_off, ell_off, cone_off = off
+    for c, c_off, degree, source in zip(constituents, off, (9, 5, 7), (PAPER, PAPER, DERIVED)):
+        checks.append(Check(f"{c.name} off-point line count", [degree],
+                            sorted({c.structure.degree(c.local_index(v)) for v in c_off}),
+                            source))
     checks.append(Check("nucleus line count", 15,
                         ml.cone.structure.degree(ml.cone.local_index(ml.nucleus_w)),
                         DERIVED))
 
     checks.append(Check("trace sizes per sector (hyperbolic/elliptic/cone)",
                         [[9], [5], [7]],
-                        [sorted({doily_trace(ml, v).size for v in hyp_off}),
-                         sorted({doily_trace(ml, v).size for v in ell_off}),
-                         sorted({doily_trace(ml, v).size for v in cone_off})], PAPER))
+                        [sorted({doily_trace(ml, v).size for v in c_off}) for c_off in off],
+                        PAPER))
 
     grid_b = (sorted(ml.pairs.grid_pairs) ==
               sorted({grid(*t).index for t in combinations(S_ELEMENTS, 3)})
@@ -429,9 +420,7 @@ def _emit(payload: str, out: Optional[str]) -> None:
 
 def _export_roles(figure: str, point_label: str):
     ml = build_magic_line()
-    constituent = {HYPERBOLIC_SECTOR: ml.q_plus,
-                   ELLIPTIC_SECTOR: ml.q_minus,
-                   CONE_SECTOR: ml.cone}[figure]
+    constituent = ml.constituents[figure]
     valid = sorted(
         ml.label_of[v] for v in constituent.w_points
         if v not in ml.core_set and v != ml.nucleus_w)

@@ -97,8 +97,15 @@ class DoilyHyperplane:
         return self.name
 
 
+def _duad_index(pair) -> int:
+    index = DUAD_INDEX.get(tuple(sorted(pair)))
+    if index is None:
+        raise ValueError(f"{pair!r} is not a duad of {{1,...,6}}")
+    return index
+
+
 def _mask_from_duads(duads: Iterable[tuple[int, int]]) -> int:
-    return mask_of(DUAD_INDEX[tuple(sorted(d))] for d in duads)
+    return mask_of(_duad_index(d) for d in duads)
 
 
 def ovoid(i: int) -> DoilyHyperplane:
@@ -222,12 +229,18 @@ def _grid_triple(mask: int) -> tuple[int, int, int]:
 
 
 def _coerce_mask(subset: int | Iterable) -> int:
+    """A bitmask from a mask, point indices or duads; ValueError names a bad value."""
     if isinstance(subset, int):
+        if not 0 <= subset <= FULL_MASK:
+            raise ValueError(f"mask {subset} is outside 0..{FULL_MASK}")
         return subset
     items = list(subset)
     if items and isinstance(items[0], int):
+        for p in items:
+            if not (isinstance(p, int) and 0 <= p < len(DUADS)):
+                raise ValueError(f"point index {p!r} is not in 0..{len(DUADS) - 1}")
         return mask_of(items)
-    return _mask_from_duads(tuple(sorted(d)) for d in items)
+    return _mask_from_duads(items)
 
 
 def veldkamp_sum(h1: DoilyHyperplane, h2: DoilyHyperplane) -> DoilyHyperplane:

@@ -12,7 +12,7 @@ any structural invariant fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
@@ -52,15 +52,7 @@ from .incidence import (
     popcount,
     veldkamp_sum_mask,
 )
-from .veldkamp import (
-    FAMILY_OVOID_OVOID_PERP,
-    FAMILY_OVOID_PERP_GRID,
-    FAMILY_PERP_GRID_GRID,
-    FAMILY_PERP_TRIPLE_DISJOINT,
-    FAMILY_PERP_TRIPLE_TRIANGLE,
-    VeldkampLine,
-    classify_veldkamp_line,
-)
+from .veldkamp import VeldkampLine, classify_veldkamp_line, fits_family
 
 CORE = "core"
 HYPERBOLIC_SECTOR = "hyperbolic"
@@ -68,6 +60,9 @@ ELLIPTIC_SECTOR = "elliptic"
 CONE_SECTOR = "cone"
 
 NUCLEUS_LABEL = "123456"
+
+# the kind of doily hyperplane an off point of each sector traces on the core
+SECTOR_KIND = {HYPERBOLIC_SECTOR: GRID, ELLIPTIC_SECTOR: OVOID, CONE_SECTOR: PERP_SET}
 
 
 class ConsistencyError(RuntimeError):
@@ -172,38 +167,40 @@ class MagicLine:
     def core_set(self) -> frozenset[int]:
         return frozenset(self.core_w)
 
+    @cached_property
+    def constituents(self) -> Mapping[str, Constituent]:
+        """Sector name -> constituent, in the order hyperbolic, elliptic, cone."""
+        return MappingProxyType({c.name: c for c in (self.q_plus, self.q_minus, self.cone)})
+
     def sector_of(self, w: int) -> str:
         if not 0 <= w < len(self.space.points):
             raise IndexError(f"point index {w} out of range")
         if w in self.core_set:
             return CORE
-        for constituent in (self.q_plus, self.q_minus, self.cone):
+        for sector, constituent in self.constituents.items():
             if w in constituent.w_set:
-                return constituent.name
+                return sector
         raise ConsistencyError(f"point {w} lies in no constituent")
 
     def constituent_of(self, w: int) -> Constituent:
         sector = self.sector_of(w)
         if sector == CORE:
             raise ValueError("core points belong to all three constituents")
-        return {HYPERBOLIC_SECTOR: self.q_plus,
-                ELLIPTIC_SECTOR: self.q_minus,
-                CONE_SECTOR: self.cone}[sector]
+        return self.constituents[sector]
 
     def __repr__(self) -> str:
         return "MagicLine(hyperbolic/elliptic/cone over W(5,2))"
 
 
-def _constituent(space: SymplecticSpace, name: str, w_points,
-                 label_of: Optional[Mapping[int, str]] = None) -> Constituent:
-    labels = None if label_of is None else [label_of[w] for w in sorted(w_points)]
-    structure, original = induced_substructure(space.structure, w_points, labels=labels)
+def _constituent(space: SymplecticSpace, name: str, w_points) -> Constituent:
+    structure, original = induced_substructure(space.structure, w_points)
     return Constituent(name, original, structure)
 
 
 def _trace_hyperplane(constituent: Constituent, w: int,
                       core_duads: Mapping[int, tuple[int, int]]) -> DoilyHyperplane:
-    """Core points cut out by the constituent's lines through an off point."""
+    """Core points cut out by the constituent's lines through an off point,
+    which must be a hyperplane of the constituent's SECTOR_KIND."""
     local = constituent.local_index(w)
     struct = constituent.structure
     duads = []
@@ -214,7 +211,10 @@ def _trace_hyperplane(constituent: Constituent, w: int,
                  f"line through off point must meet the core exactly once, got {len(core_members)}")
         duads.append(core_duads[constituent.w_points[core_members[0]]])
     _require(len(set(duads)) == len(duads), "trace points of an off point must be distinct")
-    return classify_hyperplane(duads)
+    h = classify_hyperplane(duads)
+    kind = SECTOR_KIND[constituent.name]
+    _require(h.kind == kind, f"{constituent.name} trace must be of kind {kind}, got {h.kind}")
+    return h
 
 
 def _split_line(constituent: Constituent, line: frozenset[int],
@@ -237,11 +237,7 @@ def _hyperbolic_labels(space: SymplecticSpace, qp: Constituent,
     """
     off = [w for w in qp.w_points if w not in core_duads]
     _require(len(off) == 20, f"hyperbolic sector must have 20 points, got {len(off)}")
-    traces = {}
-    for w in off:
-        h = _trace_hyperplane(qp, w, core_duads)
-        _require(h.kind == GRID, f"hyperbolic trace must be a grid, got {h.kind}")
-        traces[w] = h
+    traces = {w: _trace_hyperplane(qp, w, core_duads) for w in off}
     groups: dict[tuple[int, int, int], list[int]] = {}
     for w, h in traces.items():
         groups.setdefault(h.index, []).append(w)
@@ -293,11 +289,7 @@ def _elliptic_labels(space: SymplecticSpace, qm: Constituent,
     """
     off = [w for w in qm.w_points if w not in core_duads]
     _require(len(off) == 12, f"elliptic sector must have 12 points, got {len(off)}")
-    traces = {}
-    for w in off:
-        h = _trace_hyperplane(qm, w, core_duads)
-        _require(h.kind == OVOID, f"elliptic trace must be an ovoid, got {h.kind}")
-        traces[w] = h
+    traces = {w: _trace_hyperplane(qm, w, core_duads) for w in off}
     groups: dict[int, list[int]] = {}
     for w, h in traces.items():
         groups.setdefault(h.index[0], []).append(w)
@@ -361,9 +353,7 @@ def _cone_labels(space: SymplecticSpace, cone: Constituent,
     labels = {nucleus_w: NUCLEUS_LABEL}
     perp_points: dict[tuple[int, int], int] = {}
     for w in off:
-        h = _trace_hyperplane(cone, w, core_duads)
-        _require(h.kind == PERP_SET, f"cone trace must be a perp-set, got {h.kind}")
-        duad = h.index
+        duad = _trace_hyperplane(cone, w, core_duads).index
         _require(duad not in perp_points, "cone points must hit distinct perp-sets")
         perp_points[duad] = w
         labels[w] = subset_label(S_SET - set(duad))
@@ -432,21 +422,21 @@ def build_magic_line() -> MagicLine:
     _require(deep_points_mask(space.structure, cone_mask) == 1 << nucleus_w,
              "nucleus must be the unique deep point of the cone hyperplane")
 
-    qp0 = _constituent(space, HYPERBOLIC_SECTOR, points_of(qp_mask))
-    qm0 = _constituent(space, ELLIPTIC_SECTOR, points_of(qm_mask))
-    cone0 = _constituent(space, CONE_SECTOR, cone_points)
+    qp = _constituent(space, HYPERBOLIC_SECTOR, points_of(qp_mask))
+    qm = _constituent(space, ELLIPTIC_SECTOR, points_of(qm_mask))
+    cone = _constituent(space, CONE_SECTOR, cone_points)
 
-    core_structure0, core_w = induced_substructure(space.structure, points_of(core_mask))
-    _require(len(core_structure0.lines) == 15, "core must carry 15 induced lines")
-    iso = find_isomorphism(core_structure0, build_doily())
+    core_structure, core_w = induced_substructure(space.structure, points_of(core_mask))
+    _require(len(core_structure.lines) == 15, "core must carry 15 induced lines")
+    iso = find_isomorphism(core_structure, build_doily())
     _require(iso is not None, "core must be isomorphic to the duad-syntheme doily")
     core_duads = {core_w[local]: DUADS[image] for local, image in iso.items()}
     duad_to_w = {d: w for w, d in core_duads.items()}
 
     label_of: dict[int, str] = {w: duad_label(d) for w, d in core_duads.items()}
-    hyp_labels, grid_pairs = _hyperbolic_labels(space, qp0, core_duads)
-    ell_labels, ovoid_pairs = _elliptic_labels(space, qm0, core_duads)
-    cone_labels, perp_points = _cone_labels(space, cone0, core_duads, nucleus_w)
+    hyp_labels, grid_pairs = _hyperbolic_labels(space, qp, core_duads)
+    ell_labels, ovoid_pairs = _elliptic_labels(space, qm, core_duads)
+    cone_labels, perp_points = _cone_labels(space, cone, core_duads, nucleus_w)
     label_of.update(hyp_labels)
     label_of.update(ell_labels)
     label_of.update(cone_labels)
@@ -454,20 +444,19 @@ def build_magic_line() -> MagicLine:
     _require(len(set(label_of.values())) == n, "labels must be pairwise distinct")
     w_of_label = {lab: w for w, lab in label_of.items()}
 
-    core_structure, _ = induced_substructure(
-        space.structure, points_of(core_mask),
-        labels=[label_of[w] for w in core_w])
+    def labelled(structure: IncidenceStructure, w_points) -> IncidenceStructure:
+        return replace(structure, labels=tuple(label_of[w] for w in w_points))
 
     return MagicLine(
         space=space,
         q_plus_form=q_plus_form,
         q_minus_form=q_minus_form,
         cone_form=cone_form,
-        q_plus=_constituent(space, HYPERBOLIC_SECTOR, points_of(qp_mask), label_of),
-        q_minus=_constituent(space, ELLIPTIC_SECTOR, points_of(qm_mask), label_of),
-        cone=_constituent(space, CONE_SECTOR, cone_points, label_of),
+        q_plus=replace(qp, structure=labelled(qp.structure, qp.w_points)),
+        q_minus=replace(qm, structure=labelled(qm.structure, qm.w_points)),
+        cone=replace(cone, structure=labelled(cone.structure, cone.w_points)),
         core_w=core_w,
-        core_structure=core_structure,
+        core_structure=labelled(core_structure, core_w),
         core_duads=MappingProxyType(dict(core_duads)),
         duad_to_w=MappingProxyType(dict(duad_to_w)),
         nucleus_w=nucleus_w,
@@ -498,12 +487,7 @@ def doily_trace(ml: MagicLine, w: int) -> Optional[DoilyHyperplane]:
         raise ValueError(f"point {w} lies on the core doily and has no trace")
     if w == ml.nucleus_w:
         return None
-    constituent = ml.constituent_of(w)
-    h = _trace_hyperplane(constituent, w, ml.core_duads)
-    expected = {HYPERBOLIC_SECTOR: GRID, ELLIPTIC_SECTOR: OVOID, CONE_SECTOR: PERP_SET}
-    _require(h.kind == expected[sector],
-             f"{sector} trace must be a {expected[sector]}, got {h.kind}")
-    return h
+    return _trace_hyperplane(ml.constituent_of(w), w, ml.core_duads)
 
 
 def complementary_point(ml: MagicLine, w: int) -> Optional[int]:
@@ -572,62 +556,25 @@ def veldkamp_line_image(ml: MagicLine, line: VeldkampLine) -> LineImage:
 def image_matches_family(image: LineImage) -> bool:
     """Check the label arithmetic of a line image against its family pattern.
 
+    Labels are read as the subsets of S their members stand for (i/i' as
+    {i}, klmn as S \\ klmn, ijk/lmn as both triples) and checked by the
+    same rule table that classifies doily lines:
+
     perp-grid-grid        -> {klmn, ikl/jmn, jkl/imn}
     perp triple disjoint  -> {klmn, ijmn, ijkl}
     perp triple triangle  -> {klmn, jlmn, ilmn}
     ovoid-perp-grid       -> {i/i', ilmn, ijk/lmn}
     ovoid-ovoid-perp      -> {i/i', j/j', klmn}
     """
-    singles = [m for m in image.members if m.sector == CONE_SECTOR]
-    epairs = [m for m in image.members if m.sector == ELLIPTIC_SECTOR]
-    hpairs = [m for m in image.members if m.sector == HYPERBOLIC_SECTOR]
-
-    def quad(member: SectorImage) -> frozenset[int]:
-        return label_elements(member.labels[0])
-
-    def epair_index(member: SectorImage) -> int:
-        return int(member.labels[0])
-
-    if image.family == FAMILY_PERP_GRID_GRID:
-        if len(singles) != 1 or len(hpairs) != 2:
-            return False
-        duad = S_SET - quad(singles[0])
-        reps1 = [label_elements(lab) for lab in hpairs[0].labels]
-        reps2 = [label_elements(lab) for lab in hpairs[1].labels]
-        return any(u ^ v == duad for u in reps1 for v in reps2)
-
-    if image.family == FAMILY_PERP_TRIPLE_DISJOINT:
-        if len(singles) != 3:
-            return False
-        duads = [S_SET - quad(m) for m in singles]
-        return (all(not (a & b) for a, b in combinations(duads, 2))
-                and duads[0] | duads[1] | duads[2] == S_SET)
-
-    if image.family == FAMILY_PERP_TRIPLE_TRIANGLE:
-        if len(singles) != 3:
-            return False
-        duads = [S_SET - quad(m) for m in singles]
-        union = duads[0] | duads[1] | duads[2]
-        return len(union) == 3 and all(len(a & b) == 1
-                                       for a, b in combinations(duads, 2))
-
-    if image.family == FAMILY_OVOID_PERP_GRID:
-        if len(epairs) != 1 or len(singles) != 1 or len(hpairs) != 1:
-            return False
-        i = epair_index(epairs[0])
-        reps = [label_elements(lab) for lab in hpairs[0].labels]
-        with_i = [t for t in reps if i in t]
-        if len(with_i) != 1:
-            return False
-        return quad(singles[0]) == {i} | (S_SET - with_i[0])
-
-    if image.family == FAMILY_OVOID_OVOID_PERP:
-        if len(epairs) != 2 or len(singles) != 1:
-            return False
-        i, j = epair_index(epairs[0]), epair_index(epairs[1])
-        return quad(singles[0]) == S_SET - {i, j}
-
-    return False
+    by_kind = {OVOID: [], PERP_SET: [], GRID: []}
+    for m in image.members:
+        if m.sector == ELLIPTIC_SECTOR:
+            by_kind[OVOID].append(frozenset((int(m.labels[0]),)))
+        elif m.sector == CONE_SECTOR:
+            by_kind[PERP_SET].append(S_SET - label_elements(m.labels[0]))
+        elif m.sector == HYPERBOLIC_SECTOR:
+            by_kind[GRID].append(tuple(label_elements(lab) for lab in m.labels))
+    return fits_family(image.family, by_kind[OVOID], by_kind[PERP_SET], by_kind[GRID])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .doily import (
-    DoilyHyperplane,
     GRID,
     OVOID,
     PERP_SET,
@@ -118,52 +117,52 @@ def _require_partial_linear_space(g: IncidenceStructure) -> None:
                     "Veldkamp space construction requires a partial linear space")
 
 
-def _doily_members(line: VeldkampLine) -> tuple[DoilyHyperplane, ...]:
-    if line.geometry != build_doily():
-        raise ValueError("not a Veldkamp line of the doily")
-    return tuple(classify_hyperplane(m) for m in line.members)
+# A member of a doily Veldkamp line stands for subsets of S: an ovoid o_i for
+# {i}, a perp-set p_ij for its deep duad {i,j}, and a grid for its two
+# complementary triples.  Each family is fixed by its member counts
+# (ovoids, perp-sets, grids) and a rule on those subsets; the same table
+# classifies doily lines and checks their magic-line sector images.
+FAMILY_RULES = {
+    # {p_ij, g, g'}: a triple of g and one of g' differ exactly in {i,j}
+    FAMILY_PERP_GRID_GRID: ((0, 1, 2), lambda o, p, g: any(
+        u ^ v == p[0] for u in g[0] for v in g[1])),
+    # three deep duads partitioning S
+    FAMILY_PERP_TRIPLE_DISJOINT: ((0, 3, 0), lambda o, p, g: len(p[0] | p[1] | p[2]) == 6),
+    # three deep duads forming the triangle on a triple
+    FAMILY_PERP_TRIPLE_TRIANGLE: ((0, 3, 0), lambda o, p, g: (
+        len(p[0] | p[1] | p[2]) == 3
+        and len(p[0] & p[1]) == len(p[0] & p[2]) == len(p[1] & p[2]) == 1)),
+    # {o_i, p_jk, g_ijk} with i outside {j,k}
+    FAMILY_OVOID_PERP_GRID: ((1, 1, 1), lambda o, p, g: (
+        not (o[0] & p[0]) and (o[0] | p[0]) in g[0])),
+    # {o_i, o_j, p_ij}
+    FAMILY_OVOID_OVOID_PERP: ((2, 1, 0), lambda o, p, g: o[0] | o[1] == p[0]),
+}
+
+
+def fits_family(family: str, ovoids: list, perp_sets: list, grids: list) -> bool:
+    """Whether members given by their subsets of S (see FAMILY_RULES) form
+    a line of the family: ovoids as {i}, perp-sets as deep duads, grids as
+    pairs of complementary triples."""
+    counts, rule = FAMILY_RULES[family]
+    return (counts == (len(ovoids), len(perp_sets), len(grids))
+            and rule(ovoids, perp_sets, grids))
 
 
 def classify_veldkamp_line(line: VeldkampLine) -> str:
-    """Assign one of the five doily families, validating the label arithmetic."""
-    members = _doily_members(line)
-    kinds = Counter(h.kind for h in members)
-    by_kind = {k: [h for h in members if h.kind == k] for k in (OVOID, PERP_SET, GRID)}
-
-    if kinds == {PERP_SET: 1, GRID: 2}:
-        deep = set(by_kind[PERP_SET][0].index)
-        g1, g2 = by_kind[GRID]
-        for u in (set(g1.index), S_SET - set(g1.index)):
-            for v in (set(g2.index), S_SET - set(g2.index)):
-                if u ^ v == deep:
-                    return FAMILY_PERP_GRID_GRID
-        raise ValueError("perp/grid/grid triple with inconsistent labels")
-
-    if kinds == {PERP_SET: 3}:
-        duads = [set(h.index) for h in by_kind[PERP_SET]]
-        union = duads[0] | duads[1] | duads[2]
-        if all(not (a & b) for a, b in combinations(duads, 2)) and union == S_SET:
-            return FAMILY_PERP_TRIPLE_DISJOINT
-        if len(union) == 3 and all(len(a & b) == 1 for a, b in combinations(duads, 2)):
-            return FAMILY_PERP_TRIPLE_TRIANGLE
-        raise ValueError("perp-set triple with inconsistent deep points")
-
-    if kinds == {OVOID: 1, PERP_SET: 1, GRID: 1}:
-        i = by_kind[OVOID][0].index[0]
-        deep = set(by_kind[PERP_SET][0].index)
-        triple = {i} | deep
-        grid_pair = (set(by_kind[GRID][0].index), S_SET - set(by_kind[GRID][0].index))
-        if i not in deep and triple in grid_pair:
-            return FAMILY_OVOID_PERP_GRID
-        raise ValueError("ovoid/perp/grid triple with inconsistent labels")
-
-    if kinds == {OVOID: 2, PERP_SET: 1}:
-        indices = {h.index[0] for h in by_kind[OVOID]}
-        if set(by_kind[PERP_SET][0].index) == indices:
-            return FAMILY_OVOID_OVOID_PERP
-        raise ValueError("ovoid/ovoid/perp triple with inconsistent labels")
-
-    raise ValueError(f"no Veldkamp line family has member kinds {dict(kinds)}")
+    """The first of the five doily families whose rule the members fit."""
+    if line.geometry != build_doily():
+        raise ValueError("not a Veldkamp line of the doily")
+    members = [classify_hyperplane(m) for m in line.members]
+    by_kind = {OVOID: [], PERP_SET: [], GRID: []}
+    for h in members:
+        t = frozenset(h.index)
+        by_kind[h.kind].append((t, S_SET - t) if h.kind == GRID else t)
+    for family in FAMILIES:
+        if fits_family(family, by_kind[OVOID], by_kind[PERP_SET], by_kind[GRID]):
+            return family
+    raise ValueError("no Veldkamp line family fits the members "
+                     + ", ".join(h.name for h in members))
 
 
 def family_census(lines) -> dict[str, int]:

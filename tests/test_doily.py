@@ -125,6 +125,17 @@ def test_classify_rejects_non_hyperplanes():
         classify_hyperplane(FULL_MASK)
 
 
+def test_classify_names_bad_input():
+    with pytest.raises(ValueError, match=r"^\(1, 7\) is not a duad of \{1,\.\.\.,6\}$"):
+        classify_hyperplane([(1, 7)])
+    with pytest.raises(ValueError, match="^mask -1 is outside 0..32767$"):
+        classify_hyperplane(-1)
+    with pytest.raises(ValueError, match="^mask 32799 is outside 0..32767$"):
+        classify_hyperplane(ovoid(1).mask | 1 << 15)
+    with pytest.raises(ValueError, match="^point index 15 is not in 0..14$"):
+        classify_hyperplane([0, 1, 15])
+
+
 def test_classify_table_matches_structural_classification():
     table = _classify_table()
     assert sorted(table) == sorted(h.mask for h in all_named_hyperplanes())

@@ -1,5 +1,6 @@
 """Tests for W(5,2), the magic Veldkamp line, and the sector correspondences."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from doilyspace.incidence import (
 from doilyspace.magicline import (
     CONE_SECTOR,
     CORE,
+    ConsistencyError,
     ELLIPTIC_SECTOR,
     HYPERBOLIC_SECTOR,
     NUCLEUS_LABEL,
@@ -39,8 +41,14 @@ from doilyspace.magicline import (
     polar_pair_check,
     sector_image,
     veldkamp_line_image,
+    _trace_hyperplane,
 )
-from doilyspace.veldkamp import VeldkampLine, build_veldkamp_space
+from doilyspace.veldkamp import (
+    FAMILIES,
+    VeldkampLine,
+    build_veldkamp_space,
+    classify_veldkamp_line,
+)
 
 
 def w_off(ml, constituent):
@@ -336,6 +344,36 @@ def test_sector_images_of_all_155_lines():
         assert image_matches_family(image)
 
 
+def test_line_images_fit_exactly_their_own_family():
+    ml = build_magic_line()
+    vs = build_veldkamp_space(build_doily())
+    for line in vs.lines:
+        image = veldkamp_line_image(ml, line)
+        family = classify_veldkamp_line(line)
+        assert image.family == family
+        fitting = [f for f in FAMILIES if image_matches_family(replace(image, family=f))]
+        assert fitting == [family]
+
+
+def test_trace_rejects_a_wrong_sector_kind():
+    ml = build_magic_line()
+    w = w_off(ml, ml.q_plus)[0]
+    renamed = replace(ml.q_plus, name=ELLIPTIC_SECTOR)
+    with pytest.raises(ConsistencyError,
+                       match="^elliptic trace must be of kind ovoid, got grid$"):
+        _trace_hyperplane(renamed, w, ml.core_duads)
+
+
+def test_trace_needs_every_off_line_to_meet_the_core():
+    ml = build_magic_line()
+    w = w_off(ml, ml.q_minus)[0]
+    trace = doily_trace(ml, w)
+    missing = ml.duad_to_w[trace.duads[0]]
+    core_duads = {v: d for v, d in ml.core_duads.items() if v != missing}
+    with pytest.raises(ConsistencyError, match="must meet the core exactly once, got 0$"):
+        _trace_hyperplane(ml.q_minus, w, core_duads)
+
+
 def test_sector_image_spot_values():
     ml = build_magic_line()
     g = build_doily()
@@ -410,6 +448,10 @@ def test_sector_of():
     assert ml.sector_of(ml.w_of_label["3'"]) == ELLIPTIC_SECTOR
     with pytest.raises(IndexError):
         ml.sector_of(63)
+    assert list(ml.constituents) == [HYPERBOLIC_SECTOR, ELLIPTIC_SECTOR, CONE_SECTOR]
+    for sector, constituent in ml.constituents.items():
+        assert constituent.name == sector
+        assert all(ml.constituent_of(w) is constituent for w in w_off(ml, constituent))
 
 
 def test_construction_is_deterministic():

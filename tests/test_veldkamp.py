@@ -1,11 +1,12 @@
 """Tests for Veldkamp spaces: the doily's, W(5,2)'s, and input validation."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from doilyspace.doily import (
+    S_ELEMENTS,
     apply_duad_permutation,
     build_doily,
     grid,
@@ -27,10 +28,12 @@ from doilyspace.veldkamp import (
     FAMILY_PERP_GRID_GRID,
     FAMILY_PERP_TRIPLE_DISJOINT,
     FAMILY_PERP_TRIPLE_TRIANGLE,
+    FAMILY_RULES,
     VeldkampLine,
     build_veldkamp_space,
     classify_veldkamp_line,
     family_census,
+    fits_family,
 )
 
 # pinned from the enumeration oracle on its first run
@@ -144,6 +147,33 @@ def test_census_invariant_under_relabelling():
                                          for m in line.members)))
             for line in vs.lines]
         assert family_census(permuted) == base
+
+
+def test_each_line_keeps_its_family_under_all_of_s6():
+    vs = build_veldkamp_space(build_doily())
+    family_of = {line.members: classify_veldkamp_line(line) for line in vs.lines}
+    for images in permutations(S_ELEMENTS):
+        perm = dict(zip(S_ELEMENTS, images))
+        moved = {h.mask: apply_duad_permutation(h.mask, perm) for h in vs.points}
+        for members, family in family_of.items():
+            assert family_of[tuple(sorted(moved[m] for m in members))] == family
+
+
+def test_family_rule_table():
+    assert tuple(FAMILY_RULES) == FAMILIES
+    d12, d13, d15, d23, d34, d56 = (frozenset(d) for d in
+                                    ((1, 2), (1, 3), (1, 5), (2, 3), (3, 4), (5, 6)))
+    assert fits_family(FAMILY_PERP_TRIPLE_TRIANGLE, [], [d12, d13, d23], [])
+    assert not fits_family(FAMILY_PERP_TRIPLE_DISJOINT, [], [d12, d13, d23], [])
+    assert fits_family(FAMILY_PERP_TRIPLE_DISJOINT, [], [d12, d34, d56], [])
+    assert not any(fits_family(f, [], [d12, d34, d15], []) for f in FAMILIES)
+    # a repeated deep duad is no triangle, though its union has 3 elements
+    assert not fits_family(FAMILY_PERP_TRIPLE_TRIANGLE, [], [d12, d12, d13], [])
+    o1, o2 = frozenset({1}), frozenset({2})
+    assert fits_family(FAMILY_OVOID_OVOID_PERP, [o1, o2], [d12], [])
+    assert not fits_family(FAMILY_OVOID_OVOID_PERP, [o1, o2], [d13], [])
+    # the member counts are compared before the rule runs
+    assert not fits_family(FAMILY_OVOID_OVOID_PERP, [o1], [d12], [])
 
 
 def test_single_line_geometry_space():
