@@ -2,8 +2,9 @@
 incidence-graph exports of the highlighted sector figures.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
-errors and when an ``--out`` file cannot be written (reported on stderr as
-``error: cannot write <path>: <reason>``).  The structured output is stable
+errors and when an ``--out`` file or standard output cannot be written
+(reported on stderr as ``error: cannot write <path>: <reason>``, the path
+being ``<stdout>`` for standard output).  The structured output is stable
 across runs so it can be diffed.
 """
 
@@ -408,14 +409,16 @@ def cmd_verify(suite: str, out: Optional[str] = None, fmt: str = "text") -> int:
 
 
 def _emit(payload: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(payload)
-        return
     try:
+        if out is None:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+            return
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        target = "<stdout>" if out is None else out
+        raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
 def _export_roles(figure: str, point_label: str):

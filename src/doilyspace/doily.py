@@ -252,11 +252,23 @@ def veldkamp_sum(h1: DoilyHyperplane, h2: DoilyHyperplane) -> DoilyHyperplane:
 
 def apply_duad_permutation(mask: int, perm: dict[int, int]) -> int:
     """Point-set image of a duad subset under a permutation of {1,...,6}."""
+    if not 0 <= mask <= FULL_MASK:
+        raise ValueError(f"mask {mask} is outside 0..{FULL_MASK}")
+    images = tuple(perm.get(i) for i in S_ELEMENTS)
+    if len(perm) != len(S_ELEMENTS) or set(images) != S_SET:
+        raise ValueError(f"{perm!r} is not a permutation of {{1,...,6}}")
+    point_images = _duad_point_images(images)
     out = 0
     for p in points_of(mask):
-        i, j = DUADS[p]
-        out |= 1 << DUAD_INDEX[tuple(sorted((perm[i], perm[j])))]
+        out |= point_images[p]
     return out
+
+
+@lru_cache(maxsize=None)  # at most 720 keys: apply_duad_permutation validates them
+def _duad_point_images(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The bit of each duad's image under the permutation i -> images[i - 1]."""
+    return tuple(1 << DUAD_INDEX[tuple(sorted((images[i - 1], images[j - 1])))]
+                 for i, j in DUADS)
 
 
 def all_named_hyperplanes() -> tuple[DoilyHyperplane, ...]:

@@ -2,11 +2,15 @@
 
 Coordinate convention used throughout the package: coordinate x_k (1-based,
 as written in the standard form equations) is stored at bit position k - 1.
+The forms evaluate such int coordinate masks; a ``BinaryVector`` argument is
+converted to its mask once, so there is one arithmetic path, and the vector
+type serves display (``str``) and compatibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 HYPERBOLIC = "hyperbolic"
@@ -66,6 +70,17 @@ class BinaryVector:
         return "".join(str(b) for b in self.bits)
 
 
+def _coordinates(x: int | BinaryVector, dim: int) -> int:
+    """The coordinate mask of x (x_k at bit k - 1); ValueError names a bad input."""
+    if isinstance(x, BinaryVector):
+        if x.dim != dim:
+            raise ValueError(f"dimension mismatch: form is {dim}, got {x.dim}")
+        return x.to_int()
+    if not 0 <= x < 1 << dim:
+        raise ValueError(f"coordinate mask {x} out of range for dimension {dim}")
+    return x
+
+
 def zero_vector(dim: int) -> BinaryVector:
     return BinaryVector((0,) * dim)
 
@@ -96,13 +111,13 @@ class SymplecticForm:
         if self.dim < 2 or self.dim % 2:
             raise ValueError(f"symplectic dimension must be a positive even integer: {self.dim}")
 
-    def evaluate(self, x: BinaryVector, y: BinaryVector) -> int:
-        if x.dim != self.dim or y.dim != self.dim:
-            raise ValueError(f"dimension mismatch: form is {self.dim}, got {x.dim} and {y.dim}")
-        acc = 0
-        for k in range(0, self.dim, 2):
-            acc ^= (x.bits[k] & y.bits[k + 1]) ^ (x.bits[k + 1] & y.bits[k])
-        return acc
+    def evaluate(self, x: int | BinaryVector, y: int | BinaryVector) -> int:
+        """theta(x, y) = popcount(x & swap_pairs(y)) mod 2, where swap_pairs
+        exchanges the coordinates of each pair (x1,x2), (x3,x4), ..."""
+        x = _coordinates(x, self.dim)
+        y = _coordinates(y, self.dim)
+        evens = (1 << self.dim) // 3  # the bits 0, 2, 4, ... below dim
+        return (x & ((y & evens) << 1 | (y >> 1) & evens)).bit_count() & 1
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
         rows = []
@@ -112,7 +127,7 @@ class SymplecticForm:
         return tuple(rows)
 
 
-def symplectic_eval(form: SymplecticForm, x: BinaryVector, y: BinaryVector) -> int:
+def symplectic_eval(form: SymplecticForm, x: int | BinaryVector, y: int | BinaryVector) -> int:
     return form.evaluate(x, y)
 
 
@@ -129,17 +144,27 @@ class QuadraticForm:
             if not (0 <= i <= j < self.dim):
                 raise ValueError(f"monomial ({i},{j}) out of range for dimension {self.dim}")
 
-    def evaluate(self, x: BinaryVector) -> int:
-        if x.dim != self.dim:
-            raise ValueError(f"dimension mismatch: form is {self.dim}, got {x.dim}")
-        acc = 0
+    @cached_property
+    def _rows(self) -> tuple[int, ...]:
+        """Row i: the mask of the j with x_i x_j a monomial."""
+        rows = [0] * self.dim
         for i, j in self.monomials:
-            acc ^= x.bits[i] & x.bits[j]
-        return acc
+            rows[i] |= 1 << j
+        return tuple(rows)
+
+    def evaluate(self, x: int | BinaryVector) -> int:
+        """Q(x): the parity of the monomials x_i x_j that x sets."""
+        x = _coordinates(x, self.dim)
+        acc = 0
+        for i, row in enumerate(self._rows):
+            if x >> i & 1:
+                acc += (x & row).bit_count()
+        return acc & 1
 
     def zero_points(self) -> tuple[BinaryVector, ...]:
         """All projective points on the quadric Q(x) = 0."""
-        return tuple(v for v in projective_points(self.dim) if self.evaluate(v) == 0)
+        return tuple(BinaryVector.from_int(v, self.dim)
+                     for v in range(1, 1 << self.dim) if self.evaluate(v) == 0)
 
     def __add__(self, other: QuadraticForm) -> QuadraticForm:
         if self.dim != other.dim:
@@ -151,7 +176,7 @@ class QuadraticForm:
         return classify_form(self)
 
 
-def quad_eval(form: QuadraticForm, x: BinaryVector) -> int:
+def quad_eval(form: QuadraticForm, x: int | BinaryVector) -> int:
     return form.evaluate(x)
 
 
@@ -165,24 +190,23 @@ class BilinearForm:
     def dim(self) -> int:
         return len(self.gram)
 
-    def evaluate(self, x: BinaryVector, y: BinaryVector) -> int:
-        if x.dim != self.dim or y.dim != self.dim:
-            raise ValueError("dimension mismatch")
+    @cached_property
+    def _rows(self) -> tuple[int, ...]:
+        return tuple(sum(b << j for j, b in enumerate(row)) for row in self.gram)
+
+    def evaluate(self, x: int | BinaryVector, y: int | BinaryVector) -> int:
+        x = _coordinates(x, self.dim)
+        y = _coordinates(y, self.dim)
         acc = 0
-        for i in range(self.dim):
-            if x.bits[i]:
-                row = self.gram[i]
-                for j in range(self.dim):
-                    acc ^= row[j] & y.bits[j]
-        return acc
+        for i, row in enumerate(self._rows):
+            if x >> i & 1:
+                acc += (row & y).bit_count()
+        return acc & 1
 
     def radical(self) -> tuple[BinaryVector, ...]:
         """Nonzero vectors orthogonal to the whole space, by exhaustion."""
-        out = []
-        for v in projective_points(self.dim):
-            if all(self.evaluate(v, basis_vector(j, self.dim)) == 0 for j in range(self.dim)):
-                out.append(v)
-        return tuple(out)
+        return tuple(BinaryVector.from_int(v, self.dim) for v in range(1, 1 << self.dim)
+                     if all(self.evaluate(v, 1 << j) == 0 for j in range(self.dim)))
 
     def is_alternating(self) -> bool:
         if any(self.gram[i][i] for i in range(self.dim)):
@@ -194,18 +218,11 @@ class BilinearForm:
 def polarize(form: QuadraticForm) -> BilinearForm:
     """The bilinear form B(x,y) = Q(x+y) + Q(x) + Q(y)."""
     dim = form.dim
-    basis = [basis_vector(k, dim) for k in range(dim)]
-    vals = [form.evaluate(e) for e in basis]
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i == j:
-                row.append(0)
-            else:
-                row.append(form.evaluate(basis[i] ^ basis[j]) ^ vals[i] ^ vals[j])
-        rows.append(tuple(row))
-    return BilinearForm(tuple(rows))
+    vals = [form.evaluate(1 << k) for k in range(dim)]
+    return BilinearForm(tuple(
+        tuple(0 if i == j else form.evaluate(1 << i | 1 << j) ^ vals[i] ^ vals[j]
+              for j in range(dim))
+        for i in range(dim)))
 
 
 def classify_form(form: QuadraticForm) -> str:

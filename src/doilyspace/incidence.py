@@ -3,7 +3,9 @@ collinearity, perps, geometric hyperplanes, generalized-quadrangle and
 gamma-space axiom checks, and incidence-preserving isomorphism search.
 
 Point subsets are handled as bitmasks indexed by point index, so that the
-Veldkamp sum (complement of symmetric difference) is a single word operation.
+Veldkamp sum (complement of symmetric difference) is a single word operation;
+the axiom checks and the isomorphism search work on the line and perp masks
+each structure caches.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Optional
 
 HYPERPLANE_SCAN_LIMIT = 25
@@ -32,13 +33,14 @@ def mask_of(points: Iterable[int]) -> int:
 
 
 def points_of(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits, ascending; the cost is the popcount."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
-    p = 0
     while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -172,8 +174,8 @@ def is_geometric_hyperplane(g: IncidenceStructure, subset: int | Iterable[int]) 
     """Every line is contained in the subset or meets it in exactly one point."""
     m = _as_mask(subset)
     for lm in g.line_masks:
-        hit = popcount(lm & m)
-        if hit != 1 and hit != popcount(lm):
+        hit = lm & m
+        if hit != lm and (not hit or hit & (hit - 1)):  # neither all nor one point
             return False
     return True
 
@@ -248,6 +250,20 @@ def null_space_hyperplanes(g: IncidenceStructure) -> list[Hyperplane]:
     return [Hyperplane(g, m) for m in masks]
 
 
+def _perp_counts(g: IncidenceStructure, line: Iterable[int]) -> tuple[int, int, int]:
+    """How many points of the line each point is collinear with, bit-sliced
+    over the line's perps: the masks of the points collinear with at least
+    one, at least two and all of them."""
+    ones = twos = 0
+    every = g.full_mask
+    for q in line:
+        pm = g.perp_masks[q]
+        twos |= ones & pm
+        ones |= pm
+        every &= pm
+    return ones, twos, every
+
+
 def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
     """Generalized-quadrangle test for order (s, t).
 
@@ -259,28 +275,33 @@ def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
         return False
     if any(g.degree(p) != t + 1 for p in range(g.point_count)):
         return False
-    for m1, m2 in combinations(g.line_masks, 2):
-        if popcount(m1 & m2) >= 2:
-            return False
+    # no digons: the lines through each point meet only there
+    for p in range(g.point_count):
+        seen = 0
+        for idx in g.lines_through[p]:
+            rest = g.line_masks[idx] & ~(1 << p)
+            if seen & rest:
+                return False
+            seen |= rest
     if _has_triangle(g):
         return False
-    for p in range(g.point_count):
-        pm = g.perp_masks[p]
-        for lm in g.line_masks:
-            if (lm >> p) & 1:
-                continue
-            if popcount(lm & pm) != 1:
-                return False
+    for line, lm in zip(g.lines, g.line_masks):
+        ones, twos, _ = _perp_counts(g, line)
+        if g.full_mask & ~lm & ~(ones & ~twos):
+            return False
     return True
 
 
 def _has_triangle(g: IncidenceStructure) -> bool:
     """Three pairwise-collinear points not all on one common line."""
-    for p, q, r in combinations(range(g.point_count), 3):
-        if ((g.perp_masks[p] >> q) & 1 and (g.perp_masks[p] >> r) & 1
-                and (g.perp_masks[q] >> r) & 1):
-            m = (1 << p) | (1 << q) | (1 << r)
-            if not any(lm & m == m for lm in g.line_masks):
+    for p in range(g.point_count):
+        joined: dict[int, int] = {}  # q > p -> union of the lines through p and q
+        for idx in g.lines_through[p]:
+            lm = g.line_masks[idx]
+            for q in points_of(lm & (-2 << p)):
+                joined[q] = joined.get(q, 0) | lm
+        for q, lm in joined.items():
+            if g.perp_masks[p] & g.perp_masks[q] & ~lm:
                 return True
     return False
 
@@ -291,21 +312,25 @@ def has_triangle(g: IncidenceStructure) -> bool:
 
 def check_gamma_space(g: IncidenceStructure) -> bool:
     """True iff every point's perp is a subspace: each line meets it in 0, 1 or all points."""
-    for p in range(g.point_count):
-        pm = g.perp_masks[p]
-        for lm in g.line_masks:
-            hit = popcount(lm & pm)
-            if hit not in (0, 1, popcount(lm)):
-                return False
+    for line in g.lines:
+        _, twos, every = _perp_counts(g, line)
+        if twos & ~every:
+            return False
     return True
 
 
 def _point_invariants(g: IncidenceStructure) -> list[tuple]:
-    degs = [g.degree(p) for p in range(g.point_count)]
+    """(degree, neighbour-degree multiset) of each point, the multiset given
+    as ascending (degree, count) pairs counted on the masks of equal degree."""
+    by_degree: dict[int, int] = {}
+    for p in range(g.point_count):
+        by_degree[g.degree(p)] = by_degree.get(g.degree(p), 0) | 1 << p
+    classes = sorted(by_degree.items())
     invs = []
     for p in range(g.point_count):
-        nbrs = points_of(g.perp_masks[p] & ~(1 << p))
-        invs.append((degs[p], tuple(sorted(degs[q] for q in nbrs))))
+        nbrs = g.perp_masks[p] & ~(1 << p)
+        invs.append((g.degree(p), tuple((d, c) for d, m in classes
+                                        if (c := (nbrs & m).bit_count()))))
     return invs
 
 
@@ -328,63 +353,63 @@ def find_isomorphism(g1: IncidenceStructure,
         return None
 
     n = g1.point_count
+    perp1, perp2 = g1.perp_masks, g2.perp_masks
+    # points whose invariant has the same frequency, rarest first
     freq = Counter(inv1)
+    by_freq: dict[int, int] = {}
+    for p, inv in enumerate(inv1):
+        by_freq[freq[inv]] = by_freq.get(freq[inv], 0) | 1 << p
+    freq_masks = [m for _, m in sorted(by_freq.items())]
     order: list[int] = []
-    placed_mask = 0
-    remaining = set(range(n))
-    while remaining:
-        adjacent = [p for p in remaining if g1.perp_masks[p] & placed_mask]
-        pool = adjacent if adjacent else sorted(remaining)
-        nxt = min(pool, key=lambda p: (freq[inv1[p]], p))
+    placed = reach = 0
+    while placed != g1.full_mask:
+        # the rarest unplaced point collinear with a placed one, if any,
+        # lowest index first
+        pool = reach & ~placed or g1.full_mask & ~placed
+        pick = next(pool & m for m in freq_masks if pool & m)
+        nxt = (pick & -pick).bit_length() - 1
         order.append(nxt)
-        remaining.remove(nxt)
-        placed_mask |= 1 << nxt
+        placed |= 1 << nxt
+        reach |= perp1[nxt]
 
     by_inv: dict[tuple, list[int]] = {}
     for q in range(n):
         by_inv.setdefault(inv2[q], []).append(q)
 
-    line_set2 = set(g2.lines)
-    mapping: dict[int, int] = {}
-    used = [False] * n
+    line_masks2 = set(g2.line_masks)
+    image = [0] * n  # image[p] = 1 << (the image of p), valid for placed points
 
-    def lines_ready(p: int) -> list[frozenset[int]]:
-        ready = []
-        for idx in g1.lines_through[p]:
-            line = g1.lines[idx]
-            if all(pt in mapping for pt in line):
-                ready.append(line)
-        return ready
-
-    def extend(k: int) -> bool:
+    def extend(k: int, placed: int, used: int) -> bool:
         if k == n:
             return True
         p = order[k]
+        # q keeps collinearity with every placed point exactly when the
+        # placed part of its perp is the image of the placed part of p's
+        want = 0
+        m = perp1[p] & placed
+        while m:
+            low = m & -m
+            want |= image[low.bit_length() - 1]
+            m ^= low
+        placed |= 1 << p
+        ready = [g1.lines[idx] for idx in g1.lines_through[p]
+                 if g1.line_masks[idx] & ~placed == 0]
         for q in by_inv.get(inv1[p], ()):
-            if used[q]:
+            bit = 1 << q
+            if used & bit or perp2[q] & used != want:
                 continue
-            ok = True
-            for p2, q2 in mapping.items():
-                if bool((g1.perp_masks[p] >> p2) & 1) != bool((g2.perp_masks[q] >> q2) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[p] = q
-            used[q] = True
-            if all(frozenset(mapping[pt] for pt in line) in line_set2
-                   for line in lines_ready(p)):
-                if extend(k + 1):
-                    return True
-            del mapping[p]
-            used[q] = False
+            image[p] = bit
+            if (all(sum(image[pt] for pt in line) in line_masks2 for line in ready)
+                    and extend(k + 1, placed, used | bit)):
+                return True
         return False
 
-    if not extend(0):
+    if not extend(0, 0, 0):
         return None
-    if {frozenset(mapping[p] for p in line) for line in g1.lines} != line_set2:
+    mapping = {p: image[p].bit_length() - 1 for p in order}
+    if {frozenset(mapping[p] for p in line) for line in g1.lines} != set(g2.lines):
         return None
-    return dict(mapping)
+    return mapping
 
 
 def is_isomorphism(g1: IncidenceStructure, g2: IncidenceStructure,

@@ -85,7 +85,11 @@ def label_elements(label: str) -> frozenset[int]:
 
 @dataclass(frozen=True, eq=False)
 class SymplecticSpace:
-    """PG(5,2) with the totally isotropic lines of the standard alternating form."""
+    """PG(5,2) with the totally isotropic lines of the standard alternating form.
+
+    Point index w has the coordinate mask w + 1 (x_k at bit k - 1);
+    ``points`` holds the same coordinates as vectors, for display.
+    """
 
     form: SymplecticForm
     points: tuple[BinaryVector, ...]
@@ -101,10 +105,9 @@ def build_w52() -> SymplecticSpace:
     form = standard_symplectic(6)
     points = projective_points(6)
     lines = set()
-    for i, j in combinations(range(len(points)), 2):
-        if form.evaluate(points[i], points[j]) == 0:
-            k = (points[i] ^ points[j]).to_int() - 1
-            lines.add(frozenset((i, j, k)))
+    for x, y in combinations(range(1, 1 << form.dim), 2):
+        if form.evaluate(x, y) == 0:
+            lines.add(frozenset((x - 1, y - 1, (x ^ y) - 1)))
     structure = IncidenceStructure.from_lines(
         len(points), lines, labels=[str(v) for v in points])
     return SymplecticSpace(form, points, structure)
@@ -390,14 +393,15 @@ def build_magic_line() -> MagicLine:
 
     n = len(space.points)
     full = space.structure.full_mask
-    qp_mask = mask_of(i for i in range(n) if q_plus_form.evaluate(space.points[i]) == 0)
-    qm_mask = mask_of(i for i in range(n) if q_minus_form.evaluate(space.points[i]) == 0)
+    # point index w has the coordinate mask w + 1
+    qp_mask = mask_of(w for w in range(n) if q_plus_form.evaluate(w + 1) == 0)
+    qm_mask = mask_of(w for w in range(n) if q_minus_form.evaluate(w + 1) == 0)
     _require(popcount(qp_mask) == 35, "hyperbolic quadric must have 35 points")
     _require(popcount(qm_mask) == 27, "elliptic quadric must have 27 points")
 
     cone_mask = veldkamp_sum_mask(full, qp_mask, qm_mask)
     _require(popcount(cone_mask) == 31, "cone must have 31 points")
-    zero_mask = mask_of(i for i in range(n) if cone_form.evaluate(space.points[i]) == 0)
+    zero_mask = mask_of(w for w in range(n) if cone_form.evaluate(w + 1) == 0)
     _require(zero_mask == cone_mask, "cone must be the zero set of the summed form")
 
     core_mask = qp_mask & qm_mask
@@ -407,14 +411,12 @@ def build_magic_line() -> MagicLine:
 
     cone_points = points_of(cone_mask)
     # the cone's span: its point set together with 0 is closed under addition
-    cone_set = set(cone_points)
     for i, j in combinations(cone_points, 2):
-        s = (space.points[i] ^ space.points[j]).to_int() - 1
-        _require(s in cone_set, "cone point set must be a linear hyperplane")
+        _require(cone_mask >> (((i + 1) ^ (j + 1)) - 1) & 1,
+                 "cone point set must be a linear hyperplane")
     nucleus_candidates = [
         i for i in cone_points
-        if all(space.form.evaluate(space.points[i], space.points[j]) == 0
-               for j in cone_points)]
+        if all(space.form.evaluate(i + 1, j + 1) == 0 for j in cone_points)]
     _require(len(nucleus_candidates) == 1,
              "radical of the form restricted to the cone span must be one point")
     nucleus_w = nucleus_candidates[0]

@@ -51,9 +51,9 @@ class VeldkampLine:
 
     def __post_init__(self) -> None:
         m1, m2, m3 = self.members
-        if len({m1, m2, m3}) != 3:
-            raise ValueError("Veldkamp line members must be distinct")
-        if tuple(sorted(self.members)) != self.members:
+        if not m1 < m2 < m3:
+            if len({m1, m2, m3}) != 3:
+                raise ValueError("Veldkamp line members must be distinct")
             raise ValueError("members must be in ascending mask order")
         full = self.geometry.full_mask
         if veldkamp_sum_mask(full, m1, m2) != m3:
@@ -96,11 +96,15 @@ def build_veldkamp_space(g: IncidenceStructure) -> VeldkampSpace:
     _require_partial_linear_space(g)
     hyperplanes = null_space_hyperplanes(g)
     full = g.full_mask
-    triples = set()
-    for m1, m2 in combinations([h.mask for h in hyperplanes], 2):
-        triples.add(tuple(sorted((m1, m2, veldkamp_sum_mask(full, m1, m2)))))
-    lines = tuple(VeldkampLine(g, t) for t in sorted(triples))
-    return VeldkampSpace(g, tuple(hyperplanes), lines)
+    masks = [h.mask for h in hyperplanes]  # ascending
+    # each line {m1 < m2 < m3} is kept once, from its two smallest members,
+    # and the lines come out in ascending order
+    lines = []
+    for m1, m2 in combinations(masks, 2):
+        m3 = veldkamp_sum_mask(full, m1, m2)
+        if m2 < m3:
+            lines.append(VeldkampLine(g, (m1, m2, m3)))
+    return VeldkampSpace(g, tuple(hyperplanes), tuple(lines))
 
 
 def _require_partial_linear_space(g: IncidenceStructure) -> None:

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
+import errno
 import json
+import os
+import sys
 
 import pytest
 
@@ -177,3 +180,33 @@ def test_unwritable_out_is_a_one_line_error(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: cannot write {target}: "
                             "No such file or directory\n")
+
+
+class _FullStdout:
+    """A standard output on a full disk: every write or flush fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullOnFlush(_FullStdout):
+    """Writes land in a buffer; the failure shows when it is flushed."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("stdout", [_FullStdout, _FullOnFlush], ids=["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--format", "structured"],
+    ["tables", "hyperplanes"],
+    ["export", "--figure", "hyperbolic", "--point", "146"],
+], ids=["verify", "tables", "export"])
+def test_unwritable_stdout_is_a_one_line_error(argv, stdout, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", stdout())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n")

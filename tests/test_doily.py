@@ -1,7 +1,7 @@
 """Tests for the duad-syntheme doily and its named hyperplanes."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -195,3 +195,26 @@ def test_apply_duad_permutation():
     assert apply_duad_permutation(ovoid(1).mask, swap12) == ovoid(2).mask
     assert apply_duad_permutation(perp_set(1, 3).mask, swap12) == perp_set(2, 3).mask
     assert apply_duad_permutation(grid(1, 2, 3).mask, swap12) == grid(1, 2, 3).mask
+
+
+def test_apply_duad_permutation_matches_the_duad_by_duad_image():
+    for images in permutations(S_ELEMENTS):
+        perm = dict(zip(S_ELEMENTS, images))
+        for h in all_named_hyperplanes():
+            expected = 0
+            for i, j in h.duads:
+                expected |= 1 << DUADS.index(tuple(sorted((perm[i], perm[j]))))
+            assert apply_duad_permutation(h.mask, perm) == expected
+
+
+@pytest.mark.parametrize("mask, perm, message", [
+    (1, {1: 2, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}, "is not a permutation of"),
+    (1, {1: 7, 2: 1, 3: 3, 4: 4, 5: 5, 6: 6}, "is not a permutation of"),
+    (1, {1: 1, 2: 2, 3: 3}, "is not a permutation of"),
+    (1, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}, "is not a permutation of"),
+    (1 << 15, {i: i for i in S_ELEMENTS}, "mask 32768 is outside 0..32767"),
+    (-1, {i: i for i in S_ELEMENTS}, "mask -1 is outside 0..32767"),
+])
+def test_apply_duad_permutation_rejects_bad_input(mask, perm, message):
+    with pytest.raises(ValueError, match=message):
+        apply_duad_permutation(mask, perm)

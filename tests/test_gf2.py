@@ -179,3 +179,59 @@ def test_form_sum_is_gf2_sum_of_monomials():
     cone = hyperbolic_form(6) + elliptic_form(6)
     assert cone.monomials == frozenset({(0, 0), (1, 1)})
     assert cone.kind == DEGENERATE
+
+
+# Reference evaluations over the coordinate tuple, as the forms computed
+# them before they evaluated int coordinate masks.
+
+def ref_symplectic(x: BinaryVector, y: BinaryVector) -> int:
+    acc = 0
+    for k in range(0, x.dim, 2):
+        acc ^= (x.bits[k] & y.bits[k + 1]) ^ (x.bits[k + 1] & y.bits[k])
+    return acc
+
+
+def ref_quadratic(form: QuadraticForm, x: BinaryVector) -> int:
+    acc = 0
+    for i, j in form.monomials:
+        acc ^= x.bits[i] & x.bits[j]
+    return acc
+
+
+@pytest.mark.parametrize("form", [
+    hyperbolic_form(6), elliptic_form(6), hyperbolic_form(6) + elliptic_form(6),
+    parabolic_form(5), hyperbolic_form(4), elliptic_form(4),
+], ids=["hyperbolic", "elliptic", "cone", "parabolic", "hyperbolic4", "elliptic4"])
+def test_quadratic_int_evaluation_is_exhaustively_the_vector_one(form):
+    for v in range(1, 1 << form.dim):
+        vector = BinaryVector.from_int(v, form.dim)
+        assert form.evaluate(v) == form.evaluate(vector) == ref_quadratic(form, vector)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_symplectic_int_evaluation_is_exhaustively_the_vector_one(dim):
+    theta = standard_symplectic(dim)
+    for x in range(1, 1 << dim):
+        vx = BinaryVector.from_int(x, dim)
+        for y in range(1, 1 << dim):
+            vy = BinaryVector.from_int(y, dim)
+            assert theta.evaluate(x, y) == theta.evaluate(vx, vy) == ref_symplectic(vx, vy)
+
+
+def test_bilinear_int_evaluation_matches_the_vector_one():
+    b = polarize(QuadraticForm(6, {(0, 1), (2, 3), (1, 4), (5, 5)}))
+    for x in range(64):
+        for y in range(64):
+            vx, vy = BinaryVector.from_int(x, 6), BinaryVector.from_int(y, 6)
+            expected = sum(vx.bits[i] & b.gram[i][j] & vy.bits[j]
+                           for i in range(6) for j in range(6)) & 1
+            assert b.evaluate(x, y) == b.evaluate(vx, vy) == expected
+
+
+def test_int_coordinates_out_of_range_are_rejected():
+    with pytest.raises(ValueError, match="coordinate mask 64 out of range for dimension 6"):
+        hyperbolic_form(6).evaluate(64)
+    with pytest.raises(ValueError, match="coordinate mask -1 out of range"):
+        standard_symplectic(6).evaluate(1, -1)
+    with pytest.raises(ValueError, match="dimension mismatch: form is 6, got 4"):
+        standard_symplectic(6).evaluate(3, e(0, 4))

@@ -17,7 +17,13 @@ from doilyspace.doily import (
     ovoid,
     perp_set,
 )
-from doilyspace.gf2 import elliptic_form, hyperbolic_form, polarize, standard_symplectic
+from doilyspace.gf2 import (
+    elliptic_form,
+    hyperbolic_form,
+    polarize,
+    projective_points,
+    standard_symplectic,
+)
 from doilyspace.incidence import (
     check_gamma_space,
     deep_points_mask,
@@ -67,6 +73,22 @@ def test_w52_lines_totally_isotropic():
     for line in space.structure.lines:
         for p, q in combinations(sorted(line), 2):
             assert space.form.evaluate(space.points[p], space.points[q]) == 0
+
+
+def test_w52_matches_the_vector_construction():
+    # the line set and labels as built before the forms evaluated int masks:
+    # from BinaryVector sums and the coordinate-tuple symplectic form
+    space = build_w52()
+    points = projective_points(6)
+    lines = set()
+    for i, j in combinations(range(len(points)), 2):
+        x, y = points[i].bits, points[j].bits
+        if sum(x[k] & y[k ^ 1] for k in range(6)) % 2 == 0:
+            lines.add(frozenset((i, j, (points[i] ^ points[j]).to_int() - 1)))
+    assert len(lines) == 315
+    assert set(space.structure.lines) == lines
+    assert space.points == points
+    assert space.structure.labels == tuple(str(v) for v in points)
 
 
 def test_w52_gamma_space():

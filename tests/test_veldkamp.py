@@ -101,6 +101,37 @@ def test_line_validation():
         VeldkampLine(g, (ovoid(1).mask, ovoid(1).mask, ovoid(2).mask))
 
 
+def test_line_validation_messages():
+    g = build_doily()
+    a, b, c = doily_line(ovoid(1), ovoid(2)).members
+    cases = [
+        ((a, a, b), "Veldkamp line members must be distinct"),
+        ((b, a, a), "Veldkamp line members must be distinct"),
+        ((b, a, c), "members must be in ascending mask order"),
+        ((a, c, b), "members must be in ascending mask order"),
+        (tuple(sorted((ovoid(1).mask, ovoid(2).mask, ovoid(3).mask))),
+         "members are not closed under the Veldkamp sum"),
+    ]
+    for members, message in cases:
+        with pytest.raises(ValueError, match=message):
+            VeldkampLine(g, members)
+    # within the point set the sum check implies equal intersections; a
+    # member with a bit outside it reaches the last check
+    with pytest.raises(ValueError, match="pairwise intersections of the members differ"):
+        VeldkampLine(IncidenceStructure.from_lines(3, [[0, 1, 2]]), (0b0001, 0b1010, 0b1100))
+
+
+@pytest.mark.parametrize("name", ["doily", "single_line", "w52"])
+def test_lines_match_the_pairwise_sum_construction(name):
+    g = {"doily": build_doily(), "single_line": IncidenceStructure.from_lines(3, [[0, 1, 2]]),
+         "w52": build_w52().structure}[name]
+    space = build_veldkamp_space(g)
+    masks = [h.mask for h in space.points]
+    triples = {tuple(sorted((m1, m2, veldkamp_sum_mask(g.full_mask, m1, m2))))
+               for m1, m2 in combinations(masks, 2)}
+    assert [line.members for line in space.lines] == sorted(triples)
+
+
 def test_classify_representatives():
     assert classify_veldkamp_line(
         doily_line(perp_set(1, 2), grid(1, 3, 4))) == FAMILY_PERP_GRID_GRID
