@@ -17,9 +17,7 @@ from .gf2 import (
     hyperbolic_form,
     parabolic_form,
     polarize,
-    quad_eval,
     standard_symplectic,
-    symplectic_eval,
 )
 from .incidence import (
     CapacityError,
@@ -79,7 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryVector", "BilinearForm", "QuadraticForm", "SymplecticForm",
     "classify_form", "elliptic_form", "hyperbolic_form", "parabolic_form",
-    "polarize", "quad_eval", "standard_symplectic", "symplectic_eval",
+    "polarize", "standard_symplectic",
     "CapacityError", "Hyperplane", "IncidenceStructure", "check_gamma_space",
     "check_gq", "collinear", "deep_points", "enumerate_hyperplanes",
     "find_isomorphism", "induced_substructure", "is_geometric_hyperplane",

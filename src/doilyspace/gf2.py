@@ -2,9 +2,9 @@
 
 Coordinate convention used throughout the package: coordinate x_k (1-based,
 as written in the standard form equations) is stored at bit position k - 1.
-The forms evaluate such int coordinate masks; a ``BinaryVector`` argument is
-converted to its mask once, so there is one arithmetic path, and the vector
-type serves display (``str``) and compatibility.
+Points are such int coordinate masks: the forms evaluate them, and
+``zero_points`` and ``radical`` return them.  ``BinaryVector`` only spells
+coordinates (``str`` gives x1...x6 as 0s and 1s, the W(5,2) labels).
 """
 
 from __future__ import annotations
@@ -55,12 +55,6 @@ class BinaryVector:
     def dim(self) -> int:
         return len(self.bits)
 
-    def is_zero(self) -> bool:
-        return not any(self.bits)
-
-    def weight(self) -> int:
-        return sum(self.bits)
-
     def __xor__(self, other: BinaryVector) -> BinaryVector:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -70,30 +64,13 @@ class BinaryVector:
         return "".join(str(b) for b in self.bits)
 
 
-def _coordinates(x: int | BinaryVector, dim: int) -> int:
-    """The coordinate mask of x (x_k at bit k - 1); ValueError names a bad input."""
-    if isinstance(x, BinaryVector):
-        if x.dim != dim:
-            raise ValueError(f"dimension mismatch: form is {dim}, got {x.dim}")
-        return x.to_int()
+def _coordinates(x: int, dim: int) -> int:
+    """x itself if it is a coordinate mask (x_k at bit k - 1) of a dim-vector."""
+    if not isinstance(x, int):
+        raise TypeError(f"coordinates must be an int mask, got {type(x).__name__}")
     if not 0 <= x < 1 << dim:
         raise ValueError(f"coordinate mask {x} out of range for dimension {dim}")
     return x
-
-
-def zero_vector(dim: int) -> BinaryVector:
-    return BinaryVector((0,) * dim)
-
-
-def basis_vector(position: int, dim: int) -> BinaryVector:
-    """Standard basis vector with a 1 at ``position`` (0-based)."""
-    if not 0 <= position < dim:
-        raise ValueError(f"position {position} out of range for dimension {dim}")
-    return BinaryVector(tuple(1 if k == position else 0 for k in range(dim)))
-
-
-def all_vectors(dim: int) -> tuple[BinaryVector, ...]:
-    return tuple(BinaryVector.from_int(v, dim) for v in range(1 << dim))
 
 
 def projective_points(dim: int) -> tuple[BinaryVector, ...]:
@@ -111,7 +88,7 @@ class SymplecticForm:
         if self.dim < 2 or self.dim % 2:
             raise ValueError(f"symplectic dimension must be a positive even integer: {self.dim}")
 
-    def evaluate(self, x: int | BinaryVector, y: int | BinaryVector) -> int:
+    def evaluate(self, x: int, y: int) -> int:
         """theta(x, y) = popcount(x & swap_pairs(y)) mod 2, where swap_pairs
         exchanges the coordinates of each pair (x1,x2), (x3,x4), ..."""
         x = _coordinates(x, self.dim)
@@ -125,10 +102,6 @@ class SymplecticForm:
             partner = i + 1 if i % 2 == 0 else i - 1
             rows.append(tuple(1 if j == partner else 0 for j in range(self.dim)))
         return tuple(rows)
-
-
-def symplectic_eval(form: SymplecticForm, x: int | BinaryVector, y: int | BinaryVector) -> int:
-    return form.evaluate(x, y)
 
 
 @dataclass(frozen=True)
@@ -152,7 +125,7 @@ class QuadraticForm:
             rows[i] |= 1 << j
         return tuple(rows)
 
-    def evaluate(self, x: int | BinaryVector) -> int:
+    def evaluate(self, x: int) -> int:
         """Q(x): the parity of the monomials x_i x_j that x sets."""
         x = _coordinates(x, self.dim)
         acc = 0
@@ -161,10 +134,9 @@ class QuadraticForm:
                 acc += (x & row).bit_count()
         return acc & 1
 
-    def zero_points(self) -> tuple[BinaryVector, ...]:
-        """All projective points on the quadric Q(x) = 0."""
-        return tuple(BinaryVector.from_int(v, self.dim)
-                     for v in range(1, 1 << self.dim) if self.evaluate(v) == 0)
+    def zero_points(self) -> tuple[int, ...]:
+        """The coordinate masks of the projective points on the quadric Q(x) = 0."""
+        return tuple(v for v in range(1, 1 << self.dim) if self.evaluate(v) == 0)
 
     def __add__(self, other: QuadraticForm) -> QuadraticForm:
         if self.dim != other.dim:
@@ -174,10 +146,6 @@ class QuadraticForm:
     @property
     def kind(self) -> str:
         return classify_form(self)
-
-
-def quad_eval(form: QuadraticForm, x: int | BinaryVector) -> int:
-    return form.evaluate(x)
 
 
 @dataclass(frozen=True)
@@ -194,7 +162,7 @@ class BilinearForm:
     def _rows(self) -> tuple[int, ...]:
         return tuple(sum(b << j for j, b in enumerate(row)) for row in self.gram)
 
-    def evaluate(self, x: int | BinaryVector, y: int | BinaryVector) -> int:
+    def evaluate(self, x: int, y: int) -> int:
         x = _coordinates(x, self.dim)
         y = _coordinates(y, self.dim)
         acc = 0
@@ -203,9 +171,9 @@ class BilinearForm:
                 acc += (row & y).bit_count()
         return acc & 1
 
-    def radical(self) -> tuple[BinaryVector, ...]:
-        """Nonzero vectors orthogonal to the whole space, by exhaustion."""
-        return tuple(BinaryVector.from_int(v, self.dim) for v in range(1, 1 << self.dim)
+    def radical(self) -> tuple[int, ...]:
+        """Nonzero coordinate masks orthogonal to the whole space, by exhaustion."""
+        return tuple(v for v in range(1, 1 << self.dim)
                      if all(self.evaluate(v, 1 << j) == 0 for j in range(self.dim)))
 
     def is_alternating(self) -> bool:

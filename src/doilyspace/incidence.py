@@ -130,11 +130,11 @@ class Hyperplane:
 
     geometry: IncidenceStructure = field(repr=False)
     mask: int
-    kind: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not is_geometric_hyperplane(self.geometry, self.mask):
-            raise ValueError("subset is not a geometric hyperplane")
+            raise ValueError(f"mask {self.mask} is not a geometric hyperplane of the "
+                             f"{self.geometry.point_count}-point geometry")
 
     @property
     def points(self) -> frozenset[int]:
@@ -145,7 +145,7 @@ class Hyperplane:
         return popcount(self.mask)
 
     def __repr__(self) -> str:
-        return f"Hyperplane({sorted(self.points)}, kind={self.kind!r})"
+        return f"Hyperplane({sorted(self.points)})"
 
 
 def _check_index(g: IncidenceStructure, p: int) -> None:
@@ -166,13 +166,11 @@ def perp(g: IncidenceStructure, p: int) -> frozenset[int]:
     return frozenset(points_of(g.perp_masks[p]))
 
 
-def _as_mask(subset: int | Iterable[int]) -> int:
-    return subset if isinstance(subset, int) else mask_of(subset)
-
-
 def is_geometric_hyperplane(g: IncidenceStructure, subset: int | Iterable[int]) -> bool:
-    """Every line is contained in the subset or meets it in exactly one point."""
-    m = _as_mask(subset)
+    """Inside the point set, with every line contained in it or met once."""
+    m = subset if isinstance(subset, int) else mask_of(subset)
+    if m & ~g.full_mask:  # also true of every negative mask
+        return False
     for lm in g.line_masks:
         hit = lm & m
         if hit != lm and (not hit or hit & (hit - 1)):  # neither all nor one point
@@ -283,7 +281,7 @@ def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
             if seen & rest:
                 return False
             seen |= rest
-    if _has_triangle(g):
+    if has_triangle(g):
         return False
     for line, lm in zip(g.lines, g.line_masks):
         ones, twos, _ = _perp_counts(g, line)
@@ -292,7 +290,7 @@ def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
     return True
 
 
-def _has_triangle(g: IncidenceStructure) -> bool:
+def has_triangle(g: IncidenceStructure) -> bool:
     """Three pairwise-collinear points not all on one common line."""
     for p in range(g.point_count):
         joined: dict[int, int] = {}  # q > p -> union of the lines through p and q
@@ -304,10 +302,6 @@ def _has_triangle(g: IncidenceStructure) -> bool:
             if g.perp_masks[p] & g.perp_masks[q] & ~lm:
                 return True
     return False
-
-
-def has_triangle(g: IncidenceStructure) -> bool:
-    return _has_triangle(g)
 
 
 def check_gamma_space(g: IncidenceStructure) -> bool:

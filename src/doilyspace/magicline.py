@@ -19,6 +19,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .doily import (
+    DUAD_INDEX,
     DUADS,
     DoilyHyperplane,
     GRID,
@@ -32,7 +33,6 @@ from .doily import (
     duad_label,
 )
 from .gf2 import (
-    BinaryVector,
     QuadraticForm,
     SymplecticForm,
     elliptic_form,
@@ -87,12 +87,12 @@ def label_elements(label: str) -> frozenset[int]:
 class SymplecticSpace:
     """PG(5,2) with the totally isotropic lines of the standard alternating form.
 
-    Point index w has the coordinate mask w + 1 (x_k at bit k - 1);
-    ``points`` holds the same coordinates as vectors, for display.
+    Point index w has the coordinate mask ``points[w] == w + 1`` (x_k at
+    bit k - 1); its label spells x1...x6 as 0s and 1s.
     """
 
     form: SymplecticForm
-    points: tuple[BinaryVector, ...]
+    points: tuple[int, ...]
     structure: IncidenceStructure
 
     def __repr__(self) -> str:
@@ -103,13 +103,13 @@ class SymplecticSpace:
 def build_w52() -> SymplecticSpace:
     """63 points; lines are the triples {x, y, x+y} with theta(x, y) = 0."""
     form = standard_symplectic(6)
-    points = projective_points(6)
+    points = tuple(range(1, 1 << form.dim))
     lines = set()
-    for x, y in combinations(range(1, 1 << form.dim), 2):
+    for x, y in combinations(points, 2):
         if form.evaluate(x, y) == 0:
             lines.add(frozenset((x - 1, y - 1, (x ^ y) - 1)))
     structure = IncidenceStructure.from_lines(
-        len(points), lines, labels=[str(v) for v in points])
+        len(points), lines, labels=[str(v) for v in projective_points(form.dim)])
     return SymplecticSpace(form, points, structure)
 
 
@@ -203,20 +203,26 @@ def _constituent(space: SymplecticSpace, name: str, w_points) -> Constituent:
 def _trace_hyperplane(constituent: Constituent, w: int,
                       core_duads: Mapping[int, tuple[int, int]]) -> DoilyHyperplane:
     """Core points cut out by the constituent's lines through an off point,
-    which must be a hyperplane of the constituent's SECTOR_KIND."""
+    which must be a hyperplane of the constituent's SECTOR_KIND.  Failures
+    name the point by its label in the constituent (its coordinates while the
+    magic line is being built) and its W(5,2) index."""
     local = constituent.local_index(w)
     struct = constituent.structure
-    duads = []
+    point = f"{constituent.name} point {struct.label_of(local)} (W(5,2) index {w})"
+    mask = 0
     for idx in struct.lines_through[local]:
-        core_members = [q for q in struct.lines[idx]
-                        if constituent.w_points[q] in core_duads]
-        _require(len(core_members) == 1,
-                 f"line through off point must meet the core exactly once, got {len(core_members)}")
-        duads.append(core_duads[constituent.w_points[core_members[0]]])
-    _require(len(set(duads)) == len(duads), "trace points of an off point must be distinct")
-    h = classify_hyperplane(duads)
+        core = [v for q in struct.lines[idx] if (v := constituent.w_points[q]) in core_duads]
+        _require(len(core) == 1,
+                 f"{point}: a line through it must meet the core exactly once, got {len(core)}")
+        bit = 1 << DUAD_INDEX[core_duads[core[0]]]
+        _require(not mask & bit, f"{point}: its trace points must be distinct")
+        mask |= bit
+    try:
+        h = classify_hyperplane(mask)
+    except ValueError as err:
+        raise ConsistencyError(f"{point}: its trace is not a hyperplane of the doily") from err
     kind = SECTOR_KIND[constituent.name]
-    _require(h.kind == kind, f"{constituent.name} trace must be of kind {kind}, got {h.kind}")
+    _require(h.kind == kind, f"{point}: its trace must be of kind {kind}, got {h.kind}")
     return h
 
 
@@ -234,7 +240,7 @@ def _hyperbolic_labels(space: SymplecticSpace, qp: Constituent,
 
     The labels of a complementary pair are forced only up to swapping the
     pair's two members globally, so one seed is fixed (the lexicographically
-    smallest coordinate vector gets its trace grid's 1-containing triple) and
+    smallest coordinate label gets its trace grid's 1-containing triple) and
     every other label is propagated through the lines: on a line {X, Y, d}
     joining two off points and a duad, d = (X n Y) u (S \\ (X u Y)).
     """
@@ -247,7 +253,7 @@ def _hyperbolic_labels(space: SymplecticSpace, qp: Constituent,
     _require(len(groups) == 10 and all(len(g) == 2 for g in groups.values()),
              "hyperbolic points must pair up onto the 10 grids")
 
-    seed = min(off, key=lambda w: space.points[w].bits)
+    seed = min(off, key=space.structure.label_of)
     labels: dict[int, frozenset[int]] = {seed: frozenset(traces[seed].index)}
     queue = [seed]
     while queue:
@@ -288,7 +294,7 @@ def _elliptic_labels(space: SymplecticSpace, qm: Constituent,
 
     Off-collinearity is bipartite with the six unprimed points pairwise
     non-collinear; the class containing the lexicographically smallest
-    coordinate vector is taken unprimed, which fixes the one free choice.
+    coordinate label is taken unprimed, which fixes the one free choice.
     """
     off = [w for w in qm.w_points if w not in core_duads]
     _require(len(off) == 12, f"elliptic sector must have 12 points, got {len(off)}")
@@ -310,7 +316,7 @@ def _elliptic_labels(space: SymplecticSpace, qm: Constituent,
         adjacency[a].add(b)
         adjacency[b].add(a)
 
-    start = min(off, key=lambda w: space.points[w].bits)
+    start = min(off, key=space.structure.label_of)
     color = {start: 0}
     queue = [start]
     while queue:

@@ -66,9 +66,6 @@ class VeldkampLine:
     def core_mask(self) -> int:
         return self.members[0] & self.members[1]
 
-    def member_hyperplanes(self) -> tuple[Hyperplane, Hyperplane, Hyperplane]:
-        return tuple(Hyperplane(self.geometry, m) for m in self.members)
-
     def __repr__(self) -> str:
         return f"VeldkampLine(members={self.members})"
 

@@ -10,27 +10,24 @@ from doilyspace.gf2 import (
     BinaryVector,
     QuadraticForm,
     SymplecticForm,
-    basis_vector,
     classify_form,
     elliptic_form,
     hyperbolic_form,
     parabolic_form,
     polarize,
     projective_points,
-    quad_eval,
     standard_symplectic,
-    symplectic_eval,
-    zero_vector,
 )
 
 
-def e(k, dim=6):
-    return basis_vector(k, dim)
+def bits(x, dim):
+    """The coordinate tuple (x1, ..., x_dim) of a mask holding x_k at bit k - 1."""
+    return BinaryVector.from_int(x, dim).bits
 
 
 def test_vector_is_its_own_inverse():
     for v in projective_points(4):
-        assert (v ^ v).is_zero()
+        assert (v ^ v).to_int() == 0
 
 
 def test_vector_validation():
@@ -39,7 +36,7 @@ def test_vector_validation():
     with pytest.raises(ValueError):
         BinaryVector(())
     with pytest.raises(ValueError):
-        e(0, 6) ^ e(0, 4)
+        BinaryVector.from_int(1, 6) ^ BinaryVector.from_int(1, 4)
 
 
 def test_from_int_roundtrip():
@@ -50,15 +47,14 @@ def test_from_int_roundtrip():
 
 def test_symplectic_examples():
     theta = standard_symplectic(6)
-    assert symplectic_eval(theta, e(0), e(1)) == 1
-    assert symplectic_eval(theta, e(0), e(2)) == 0
-    ones = BinaryVector((1,) * 6)
-    assert symplectic_eval(theta, ones, ones) == 0
+    assert theta.evaluate(0b1, 0b10) == 1
+    assert theta.evaluate(0b1, 0b100) == 0
+    assert theta.evaluate(0b111111, 0b111111) == 0
 
 
 def test_symplectic_alternating_and_nondegenerate():
     theta = standard_symplectic(6)
-    points = projective_points(6)
+    points = range(1, 64)
     for x in points:
         assert theta.evaluate(x, x) == 0
         assert any(theta.evaluate(x, y) == 1 for y in points)
@@ -66,7 +62,7 @@ def test_symplectic_alternating_and_nondegenerate():
 
 def test_symplectic_symmetric_over_gf2():
     theta = standard_symplectic(4)
-    points = projective_points(4)
+    points = range(1, 16)
     for x in points:
         for y in points:
             assert theta.evaluate(x, y) == theta.evaluate(y, x)
@@ -76,20 +72,20 @@ def test_symplectic_errors():
     with pytest.raises(ValueError):
         SymplecticForm(5)
     with pytest.raises(ValueError):
-        standard_symplectic(6).evaluate(e(0, 4), e(1, 4))
+        standard_symplectic(4).evaluate(1 << 4, 1)
 
 
 def test_quad_eval_examples():
     q = hyperbolic_form(6)
-    assert quad_eval(q, BinaryVector((1, 0, 0, 0, 0, 0))) == 0
-    assert quad_eval(q, BinaryVector((1, 1, 0, 0, 0, 0))) == 1
+    assert q.evaluate(0b1) == 0
+    assert q.evaluate(0b11) == 1
     # f(1,1) = 1 + 1 + 1 = 1 for the irreducible f on the first two coordinates
-    assert quad_eval(elliptic_form(6), BinaryVector((1, 1, 0, 0, 0, 0))) == 1
+    assert elliptic_form(6).evaluate(0b11) == 1
 
 
 def test_quad_errors():
     with pytest.raises(ValueError):
-        hyperbolic_form(6).evaluate(e(0, 4))
+        hyperbolic_form(4).evaluate(1 << 4)
     with pytest.raises(ValueError):
         QuadraticForm(4, {(2, 1)})
     with pytest.raises(ValueError):
@@ -98,14 +94,14 @@ def test_quad_errors():
 
 def test_quad_vanishes_on_zero():
     for q in (hyperbolic_form(6), elliptic_form(6), parabolic_form(5)):
-        assert q.evaluate(zero_vector(q.dim)) == 0
+        assert q.evaluate(0) == 0
 
 
 def test_polarize_identity_exhaustive():
     # oracle: the defining identity B(x,y) = Q(x+y)+Q(x)+Q(y) on every pair
     for q in (hyperbolic_form(6), elliptic_form(6)):
         b = polarize(q)
-        points = projective_points(6)
+        points = range(1, 64)
         for x in points:
             for y in points:
                 assert b.evaluate(x, y) == (
@@ -122,7 +118,7 @@ def test_polarize_standard_forms_give_the_symplectic_form():
 def test_polarize_parabolic_radical_is_the_nucleus_direction():
     q = parabolic_form(5)
     rad = polarize(q).radical()
-    assert rad == (basis_vector(4, 5),)
+    assert rad == (1 << 4,)
     assert q.evaluate(rad[0]) == 1
 
 
@@ -130,8 +126,7 @@ def test_polarize_rank_deficient_radical():
     # x1x2 + x3x4 in dimension 6: the radical is spanned by e5 and e6
     q = QuadraticForm(6, {(0, 1), (2, 3)})
     rad = set(polarize(q).radical())
-    assert rad == {BinaryVector.from_int(16, 6), BinaryVector.from_int(32, 6),
-                   BinaryVector.from_int(48, 6)}
+    assert rad == {16, 32, 48}
 
 
 def test_classify_standard_forms():
@@ -184,17 +179,17 @@ def test_form_sum_is_gf2_sum_of_monomials():
 # Reference evaluations over the coordinate tuple, as the forms computed
 # them before they evaluated int coordinate masks.
 
-def ref_symplectic(x: BinaryVector, y: BinaryVector) -> int:
+def ref_symplectic(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     acc = 0
-    for k in range(0, x.dim, 2):
-        acc ^= (x.bits[k] & y.bits[k + 1]) ^ (x.bits[k + 1] & y.bits[k])
+    for k in range(0, len(x), 2):
+        acc ^= (x[k] & y[k + 1]) ^ (x[k + 1] & y[k])
     return acc
 
 
-def ref_quadratic(form: QuadraticForm, x: BinaryVector) -> int:
+def ref_quadratic(form: QuadraticForm, x: tuple[int, ...]) -> int:
     acc = 0
     for i, j in form.monomials:
-        acc ^= x.bits[i] & x.bits[j]
+        acc ^= x[i] & x[j]
     return acc
 
 
@@ -204,28 +199,25 @@ def ref_quadratic(form: QuadraticForm, x: BinaryVector) -> int:
 ], ids=["hyperbolic", "elliptic", "cone", "parabolic", "hyperbolic4", "elliptic4"])
 def test_quadratic_int_evaluation_is_exhaustively_the_vector_one(form):
     for v in range(1, 1 << form.dim):
-        vector = BinaryVector.from_int(v, form.dim)
-        assert form.evaluate(v) == form.evaluate(vector) == ref_quadratic(form, vector)
+        assert form.evaluate(v) == ref_quadratic(form, bits(v, form.dim))
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_symplectic_int_evaluation_is_exhaustively_the_vector_one(dim):
     theta = standard_symplectic(dim)
     for x in range(1, 1 << dim):
-        vx = BinaryVector.from_int(x, dim)
         for y in range(1, 1 << dim):
-            vy = BinaryVector.from_int(y, dim)
-            assert theta.evaluate(x, y) == theta.evaluate(vx, vy) == ref_symplectic(vx, vy)
+            assert theta.evaluate(x, y) == ref_symplectic(bits(x, dim), bits(y, dim))
 
 
 def test_bilinear_int_evaluation_matches_the_vector_one():
     b = polarize(QuadraticForm(6, {(0, 1), (2, 3), (1, 4), (5, 5)}))
     for x in range(64):
         for y in range(64):
-            vx, vy = BinaryVector.from_int(x, 6), BinaryVector.from_int(y, 6)
-            expected = sum(vx.bits[i] & b.gram[i][j] & vy.bits[j]
+            bx, by = bits(x, 6), bits(y, 6)
+            expected = sum(bx[i] & b.gram[i][j] & by[j]
                            for i in range(6) for j in range(6)) & 1
-            assert b.evaluate(x, y) == b.evaluate(vx, vy) == expected
+            assert b.evaluate(x, y) == expected
 
 
 def test_int_coordinates_out_of_range_are_rejected():
@@ -233,5 +225,18 @@ def test_int_coordinates_out_of_range_are_rejected():
         hyperbolic_form(6).evaluate(64)
     with pytest.raises(ValueError, match="coordinate mask -1 out of range"):
         standard_symplectic(6).evaluate(1, -1)
-    with pytest.raises(ValueError, match="dimension mismatch: form is 6, got 4"):
-        standard_symplectic(6).evaluate(3, e(0, 4))
+    with pytest.raises(ValueError, match="coordinate mask 16 out of range for dimension 4"):
+        polarize(hyperbolic_form(4)).evaluate(1, 16)
+
+
+def test_forms_take_int_masks_only():
+    vector = BinaryVector.from_int(3, 6)
+    message = "^coordinates must be an int mask, got BinaryVector$"
+    with pytest.raises(TypeError, match=message):
+        hyperbolic_form(6).evaluate(vector)
+    with pytest.raises(TypeError, match=message):
+        standard_symplectic(6).evaluate(3, vector)
+    with pytest.raises(TypeError, match=message):
+        polarize(hyperbolic_form(6)).evaluate(vector, 3)
+    with pytest.raises(TypeError, match="^coordinates must be an int mask, got tuple$"):
+        hyperbolic_form(6).evaluate(vector.bits)

@@ -77,6 +77,18 @@ def test_is_geometric_hyperplane():
     assert is_geometric_hyperplane(g, [DUAD_INDEX[(1, j)] for j in range(2, 7)])
 
 
+def test_subsets_outside_the_point_set_are_not_hyperplanes():
+    # every line lies inside a mask with bits beyond the points or a negative one
+    g = build_doily()
+    for mask in (-1, g.full_mask | 1 << 20):
+        assert not is_geometric_hyperplane(g, mask)
+        with pytest.raises(ValueError, match=f"^mask {mask} is not a geometric hyperplane "
+                                             "of the 15-point geometry$"):
+            Hyperplane(g, mask)
+    assert not is_geometric_hyperplane(g, [99])
+    assert not is_geometric_hyperplane(g, ovoid(1).points | {99})
+
+
 def test_enumerate_hyperplanes_doily():
     g = build_doily()
     hyperplanes = enumerate_hyperplanes(g)
@@ -143,7 +155,8 @@ def test_null_space_agrees_with_scan_on_random_geometries(g):
 
 def test_hyperplane_type_rejects_non_hyperplanes():
     g = build_doily()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^mask {g.line_masks[0]} is not a geometric "
+                                         "hyperplane of the 15-point geometry$"):
         Hyperplane(g, g.line_masks[0])
 
 
@@ -209,7 +222,7 @@ def test_induced_substructure():
 
 
 def _quadric_model(form):
-    points = [v for v in projective_points(form.dim) if form.evaluate(v) == 0]
+    points = form.zero_points()
     index = {v: k for k, v in enumerate(points)}
     lines = set()
     for a, b in combinations(points, 2):
@@ -228,12 +241,12 @@ def test_doily_isomorphic_to_parabolic_quadric_model():
 
 
 def test_doily_isomorphic_to_w32_model():
+    # point index p has the coordinate mask p + 1
     theta = standard_symplectic(4)
-    points = projective_points(4)
     lines = set()
-    for i, j in combinations(range(15), 2):
-        if theta.evaluate(points[i], points[j]) == 0:
-            lines.add(frozenset((i, j, (points[i] ^ points[j]).to_int() - 1)))
+    for x, y in combinations(range(1, 16), 2):
+        if theta.evaluate(x, y) == 0:
+            lines.add(frozenset((x - 1, y - 1, (x ^ y) - 1)))
     model = IncidenceStructure.from_lines(15, lines)
     assert len(model.lines) == 15
     mapping = find_isomorphism(model, build_doily())

@@ -47,6 +47,10 @@ from doilyspace.magicline import (
     polar_pair_check,
     sector_image,
     veldkamp_line_image,
+    _cone_labels,
+    _constituent,
+    _elliptic_labels,
+    _hyperbolic_labels,
     _trace_hyperplane,
 )
 from doilyspace.veldkamp import (
@@ -87,7 +91,7 @@ def test_w52_matches_the_vector_construction():
             lines.add(frozenset((i, j, (points[i] ^ points[j]).to_int() - 1)))
     assert len(lines) == 315
     assert set(space.structure.lines) == lines
-    assert space.points == points
+    assert space.points == tuple(v.to_int() for v in points)
     assert space.structure.labels == tuple(str(v) for v in points)
 
 
@@ -260,7 +264,7 @@ def test_complement_is_translation_by_the_nucleus():
     ml = build_magic_line()
     nucleus = ml.space.points[ml.nucleus_w]
     for w in w_off(ml, ml.q_plus) + w_off(ml, ml.q_minus):
-        shifted = (ml.space.points[w] ^ nucleus).to_int() - 1
+        shifted = (ml.space.points[w] ^ nucleus) - 1
         assert complementary_point(ml, w) == shifted
 
 
@@ -381,8 +385,9 @@ def test_trace_rejects_a_wrong_sector_kind():
     ml = build_magic_line()
     w = w_off(ml, ml.q_plus)[0]
     renamed = replace(ml.q_plus, name=ELLIPTIC_SECTOR)
-    with pytest.raises(ConsistencyError,
-                       match="^elliptic trace must be of kind ovoid, got grid$"):
+    message = (rf"^elliptic point {ml.label_of[w]} \(W\(5,2\) index {w}\): "
+               "its trace must be of kind ovoid, got grid$")
+    with pytest.raises(ConsistencyError, match=message):
         _trace_hyperplane(renamed, w, ml.core_duads)
 
 
@@ -392,8 +397,33 @@ def test_trace_needs_every_off_line_to_meet_the_core():
     trace = doily_trace(ml, w)
     missing = ml.duad_to_w[trace.duads[0]]
     core_duads = {v: d for v, d in ml.core_duads.items() if v != missing}
-    with pytest.raises(ConsistencyError, match="must meet the core exactly once, got 0$"):
+    message = (rf"^elliptic point {ml.label_of[w]} \(W\(5,2\) index {w}\): "
+               "a line through it must meet the core exactly once, got 0$")
+    with pytest.raises(ConsistencyError, match=message):
         _trace_hyperplane(ml.q_minus, w, core_duads)
+
+
+@pytest.mark.parametrize("sector, label, w", [
+    (HYPERBOLIC_SECTOR, "101000", 4),
+    (ELLIPTIC_SECTOR, "101100", 12),
+    (CONE_SECTOR, "111000", 6),
+])
+def test_labelling_reports_a_corrupted_core_map(sector, label, w):
+    # each labelling pass traces its off points over the coordinate-labelled
+    # constituent, as build_magic_line does; the first broken trace is named
+    ml = build_magic_line()
+    constituent = _constituent(ml.space, sector, ml.constituents[sector].w_points)
+    core_duads = dict(ml.core_duads)  # with the duads 12 and 13 exchanged
+    core_duads[ml.duad_to_w[(1, 2)]], core_duads[ml.duad_to_w[(1, 3)]] = (1, 3), (1, 2)
+    passes = {
+        HYPERBOLIC_SECTOR: lambda: _hyperbolic_labels(ml.space, constituent, core_duads),
+        ELLIPTIC_SECTOR: lambda: _elliptic_labels(ml.space, constituent, core_duads),
+        CONE_SECTOR: lambda: _cone_labels(ml.space, constituent, core_duads, ml.nucleus_w),
+    }
+    message = (rf"^{sector} point {label} \(W\(5,2\) index {w}\): "
+               "its trace is not a hyperplane of the doily$")
+    with pytest.raises(ConsistencyError, match=message):
+        passes[sector]()
 
 
 def test_sector_image_spot_values():
