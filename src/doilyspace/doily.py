@@ -112,8 +112,7 @@ def ovoid(i: int) -> DoilyHyperplane:
     """The five duads containing i."""
     if i not in S_SET:
         raise ValueError(f"ovoid label must be in 1..6: {i}")
-    mask = _mask_from_duads((i, j) for j in S_ELEMENTS if j != i)
-    return DoilyHyperplane(mask, OVOID, (i,))
+    return _named_table()[OVOID, (i,)]
 
 
 def perp_set(i: int, j: int) -> DoilyHyperplane:
@@ -122,9 +121,7 @@ def perp_set(i: int, j: int) -> DoilyHyperplane:
         raise ValueError(f"perp-set labels must be in 1..6: {i}, {j}")
     if i == j:
         raise ValueError("perp-set needs two distinct labels")
-    rest = sorted(S_SET - {i, j})
-    duads = [(i, j)] + list(combinations(rest, 2))
-    return DoilyHyperplane(_mask_from_duads(duads), PERP_SET, tuple(sorted((i, j))))
+    return _named_table()[PERP_SET, tuple(sorted((i, j)))]
 
 
 def grid(i: int, j: int, k: int) -> DoilyHyperplane:
@@ -136,11 +133,22 @@ def grid(i: int, j: int, k: int) -> DoilyHyperplane:
     triple = {i, j, k}
     if len(triple) != 3 or not triple <= S_SET:
         raise ValueError(f"grid needs three distinct labels in 1..6: {i}, {j}, {k}")
-    other = S_SET - triple
-    mask = _mask_from_duads((a, b) if a < b else (b, a)
-                            for a in triple for b in other)
-    canon = triple if 1 in triple else other
-    return DoilyHyperplane(mask, GRID, tuple(sorted(canon)))
+    canon = triple if 1 in triple else S_SET - triple
+    return _named_table()[GRID, tuple(sorted(canon))]
+
+
+@lru_cache(maxsize=None)
+def _named_table() -> dict[tuple[str, tuple[int, ...]], DoilyHyperplane]:
+    """The 31 named hyperplanes keyed by (kind, canonical index), in canonical order."""
+    duads = {}
+    for i in S_ELEMENTS:
+        duads[OVOID, (i,)] = [e for e in DUADS if i in e]
+    for d in DUADS:
+        duads[PERP_SET, d] = [e for e in DUADS if e == d or not set(d) & set(e)]
+    for j, k in combinations(range(2, 7), 2):
+        duads[GRID, (1, j, k)] = [e for e in DUADS if len({1, j, k} & set(e)) == 1]
+    return {key: DoilyHyperplane(mask_of(DUAD_INDEX[e] for e in members), *key)
+            for key, members in duads.items()}
 
 
 def classify_hyperplane(subset: int | Iterable) -> DoilyHyperplane:
@@ -273,7 +281,4 @@ def _duad_point_images(images: tuple[int, ...]) -> tuple[int, ...]:
 
 def all_named_hyperplanes() -> tuple[DoilyHyperplane, ...]:
     """The 31 hyperplanes in canonical order: 6 ovoids, 15 perp-sets, 10 grids."""
-    out = [ovoid(i) for i in S_ELEMENTS]
-    out.extend(perp_set(i, j) for i, j in DUADS)
-    out.extend(grid(1, j, k) for j, k in combinations(range(2, 7), 2))
-    return tuple(out)
+    return tuple(_named_table().values())

@@ -273,10 +273,64 @@ def _relabelled(g: IncidenceStructure, rng: random.Random) -> IncidenceStructure
         g.point_count, ([perm[p] for p in line] for line in g.lines))
 
 
-@pytest.mark.parametrize("name", ["doily", "pg32", "q_minus"])
+SEARCHED = {
+    "doily": NAMED["doily"][0],
+    "pg32": NAMED["pg32"][0],
+    "q_minus": NAMED["q_minus"][0],
+    "cone": build_magic_line().cone.structure,
+    "q_plus": build_magic_line().q_plus.structure,
+    "w52": NAMED["w52"][0],
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCHED))
 def test_relabelled_search_matches_reference(name):
-    g = NAMED[name][0]
+    g = SEARCHED[name]
     rng = random.Random(f"relabel-{name}")
     for _ in range(50):
         _same_result(_relabelled(g, rng), g)
+
+
+def test_search_into_a_geometry_with_digons_matches_reference():
+    # g2 has two points on two common lines ({3,4} lies on 345 and 347), so
+    # the image of a half-mapped line is not forced by two of its points
+    g1 = IncidenceStructure.from_lines(8, [
+        [0, 2, 6], [0, 2, 7], [0, 3, 5], [0, 3, 6], [0, 4, 6],
+        [0, 6, 7], [1, 6, 7], [2, 3, 6], [2, 3, 7], [2, 4, 6]])
+    g2 = IncidenceStructure.from_lines(8, [
+        [0, 5, 7], [1, 3, 6], [2, 4, 7], [2, 6, 7], [3, 4, 5],
+        [3, 4, 7], [3, 6, 7], [4, 5, 6], [4, 6, 7], [5, 6, 7]])
+    mapping = _same_result(g1, g2)
+    assert list(mapping.items()) == [(0, 6), (2, 4), (4, 2), (5, 1), (6, 7),
+                                     (1, 0), (3, 3), (7, 5)]
+
+
+@st.composite
+def geometry_pairs(draw):
+    """A random geometry and either a relabelling of it, possibly with one
+    line redrawn, or an independent geometry on as many points."""
+    g1 = draw(small_geometries())
+    n = g1.point_count
+    kind = draw(st.sampled_from(["relabelled", "perturbed", "independent"]))
+    if kind == "independent":
+        subsets = st.sets(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=4)
+        return g1, IncidenceStructure.from_lines(n, draw(st.lists(subsets, max_size=14)))
+    perm = draw(st.permutations(range(n)))
+    lines = [[perm[p] for p in line] for line in g1.lines]
+    if kind == "perturbed" and lines:
+        size = len(lines[0])
+        lines[0] = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                 min_size=size, max_size=size, unique=True))
+    return g1, IncidenceStructure.from_lines(n, lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(geometry_pairs())
+def test_search_matches_reference_on_random_pairs(pair):
+    g1, g2 = pair
+    mapping = find_isomorphism(g1, g2)
+    expected = ref_find_isomorphism(g1, g2)
+    assert mapping == expected
+    if expected is not None:
+        assert list(mapping.items()) == list(expected.items())
 

@@ -1,5 +1,6 @@
 """Tests for the duad-syntheme doily and its named hyperplanes."""
 
+import re
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -89,6 +90,25 @@ def test_grid_examples():
     assert grid(2, 5, 6).name == "g_134"
     with pytest.raises(ValueError):
         grid(1, 1, 2)
+
+
+def test_named_constructors_look_up_one_table():
+    named = {h.name: h for h in all_named_hyperplanes()}
+    for i in S_ELEMENTS:
+        assert ovoid(i) is named[f"o_{i}"]
+    for i, j in permutations(S_ELEMENTS, 2):
+        assert perp_set(i, j) is named[f"p_{min(i, j)}{max(i, j)}"]
+    for triple in permutations(S_ELEMENTS, 3):
+        assert grid(*triple).mask == grid(*sorted(set(S_ELEMENTS) - set(triple))).mask
+        assert grid(*triple) is named[grid(*triple).name]
+    for call, message in [
+            (lambda: ovoid(0), "ovoid label must be in 1..6: 0"),
+            (lambda: perp_set(1, 7), "perp-set labels must be in 1..6: 1, 7"),
+            (lambda: perp_set(3, 3), "perp-set needs two distinct labels"),
+            (lambda: grid(1, 2, 2), "grid needs three distinct labels in 1..6: 1, 2, 2"),
+            (lambda: grid(1, 2, 7), "grid needs three distinct labels in 1..6: 1, 2, 7")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_veldkamp_sum_identities():

@@ -1,11 +1,13 @@
 """Tests for the generic incidence machinery."""
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doilyspace import incidence
 from doilyspace.doily import DUAD_INDEX, build_doily, grid, ovoid, perp_set
 from doilyspace.gf2 import parabolic_form, projective_points, standard_symplectic
 from doilyspace.incidence import (
@@ -22,6 +24,7 @@ from doilyspace.incidence import (
     induced_substructure,
     is_geometric_hyperplane,
     is_isomorphism,
+    mask_of,
     null_space_hyperplanes,
     perp,
 )
@@ -87,6 +90,13 @@ def test_subsets_outside_the_point_set_are_not_hyperplanes():
             Hyperplane(g, mask)
     assert not is_geometric_hyperplane(g, [99])
     assert not is_geometric_hyperplane(g, ovoid(1).points | {99})
+
+
+def test_negative_point_indices_are_named():
+    with pytest.raises(ValueError, match="^point index -1 is negative$"):
+        is_geometric_hyperplane(build_doily(), [-1])
+    with pytest.raises(ValueError, match="^point index -3 is negative$"):
+        mask_of([2, -3])
 
 
 def test_enumerate_hyperplanes_doily():
@@ -203,6 +213,26 @@ def test_find_isomorphism_negative():
     lopsided = IncidenceStructure.from_lines(
         9, [[0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 3, 6], [1, 4, 7], [0, 4, 8]])
     assert find_isomorphism(GRID9, lopsided) is None
+
+
+def test_find_isomorphism_is_bounded(monkeypatch):
+    monkeypatch.setattr(incidence, "SEARCH_NODE_LIMIT", 10)
+    with pytest.raises(CapacityError,
+                       match="^isomorphism search passed 10 nodes on 15 points$"):
+        find_isomorphism(build_doily(), build_doily())
+
+
+def test_pg32_relabellings_stay_far_below_the_node_limit(monkeypatch):
+    # pins PG(3,2)'s search tail: line closure keeps every relabelling
+    # below 30 nodes, where the perp filter alone prunes nothing
+    monkeypatch.setattr(incidence, "SEARCH_NODE_LIMIT", 200)
+    g = _pg32()
+    rng = random.Random("pg32-tail")
+    for _ in range(200):
+        perm = rng.sample(range(15), 15)
+        h = IncidenceStructure.from_lines(15, ([perm[p] for p in line] for line in g.lines))
+        mapping = find_isomorphism(h, g)
+        assert mapping is not None and is_isomorphism(h, g, mapping)
 
 
 def test_find_isomorphism_result_verified_independently():
