@@ -60,7 +60,6 @@ from .magicline import (
     MagicLine,
     PolarPairReport,
     SectorModels,
-    assign_labels,
     build_magic_line,
     build_sector_models,
     build_w52,
@@ -88,7 +87,7 @@ __all__ = [
     "FAMILIES", "VeldkampLine", "VeldkampSpace", "build_veldkamp_space",
     "classify_veldkamp_line", "family_census",
     "ConsistencyError", "MagicLine", "PolarPairReport", "SectorModels",
-    "assign_labels", "build_magic_line", "build_sector_models", "build_w52",
+    "build_magic_line", "build_sector_models", "build_w52",
     "complementary_point", "doily_trace", "image_matches_family",
     "polar_pair_check", "sector_image", "veldkamp_line_image",
 ]

@@ -371,7 +371,7 @@ def _magicline_checks() -> list[Check]:
                          check_gamma_space(ml.q_minus.structure),
                          check_gamma_space(ml.core_structure)], DERIVED))
 
-    models = build_sector_models(ml)
+    models = build_sector_models()
     model_ok = []
     for model, constituent in ((models.hyperbolic, ml.q_plus),
                                (models.elliptic, ml.q_minus),

@@ -8,13 +8,18 @@ pairs of the elliptic sector to ovoids, and the non-nucleus points of the
 cone sector to perp-sets.  Everything is constructed from the standard forms
 and certified by exhaustive checks; construction raises ConsistencyError if
 any structural invariant fails.
+
+Each sector's lines are stated once, as a rule in build_sector_models.  The
+labellers only assign labels from the traces and one seed per sector, and
+build_magic_line certifies each labelled constituent by checking that its
+lines, spelled in labels, are exactly its model's lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -37,7 +42,6 @@ from .gf2 import (
     SymplecticForm,
     elliptic_form,
     hyperbolic_form,
-    projective_points,
     standard_symplectic,
 )
 from .incidence import (
@@ -109,7 +113,7 @@ def build_w52() -> SymplecticSpace:
         if form.evaluate(x, y) == 0:
             lines.add(frozenset((x - 1, y - 1, (x ^ y) - 1)))
     structure = IncidenceStructure.from_lines(
-        len(points), lines, labels=[str(v) for v in projective_points(form.dim)])
+        len(points), lines, labels=[format(v, "06b")[::-1] for v in points])
     return SymplecticSpace(form, points, structure)
 
 
@@ -226,161 +230,76 @@ def _trace_hyperplane(constituent: Constituent, w: int,
     return h
 
 
-def _split_line(constituent: Constituent, line: frozenset[int],
-                core_duads: Mapping[int, tuple[int, int]]):
-    w_members = [constituent.w_points[q] for q in line]
-    core = [w for w in w_members if w in core_duads]
-    off = [w for w in w_members if w not in core_duads]
-    return core, off
+def _off_traces(constituent: Constituent, core_duads: Mapping[int, tuple[int, int]],
+                skip: Optional[int] = None) -> dict[int, DoilyHyperplane]:
+    """The traces of the constituent's off points other than ``skip``, in
+    point order; the first broken trace raises."""
+    return {w: _trace_hyperplane(constituent, w, core_duads) for w in constituent.w_points
+            if w not in core_duads and w != skip}
 
 
-def _hyperbolic_labels(space: SymplecticSpace, qp: Constituent,
-                       core_duads: Mapping[int, tuple[int, int]]):
+def _seed(constituent: Constituent, traces: Mapping[int, DoilyHyperplane]) -> int:
+    """The off point with the lexicographically smallest coordinate label."""
+    return min(traces, key=lambda w: constituent.structure.label_of(constituent.local_index(w)))
+
+
+def _hyperbolic_labels(qp: Constituent, traces: Mapping[int, DoilyHyperplane]) -> dict[int, str]:
     """Label the 20 off points by 3-subsets of S.
 
-    The labels of a complementary pair are forced only up to swapping the
-    pair's two members globally, so one seed is fixed (the lexicographically
-    smallest coordinate label gets its trace grid's 1-containing triple) and
-    every other label is propagated through the lines: on a line {X, Y, d}
-    joining two off points and a duad, d = (X n Y) u (S \\ (X u Y)).
+    The labels are forced by the traces up to swapping every complementary
+    pair at once, so the seed gets its trace grid's 1-containing triple T.
+    In the hyperbolic model two triples meet in 3 elements (the same point),
+    1 (collinear points), 2 (non-collinear) or 0 (the seed's partner), so of
+    the two triples {t, S \\ t} of a trace grid, the one meeting T in an odd
+    number of elements labels the point exactly when that point is the seed
+    or collinear with it.  build_magic_line certifies the result against the
+    model.
     """
-    off = [w for w in qp.w_points if w not in core_duads]
-    _require(len(off) == 20, f"hyperbolic sector must have 20 points, got {len(off)}")
-    traces = {w: _trace_hyperplane(qp, w, core_duads) for w in off}
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for w, h in traces.items():
-        groups.setdefault(h.index, []).append(w)
-    _require(len(groups) == 10 and all(len(g) == 2 for g in groups.values()),
-             "hyperbolic points must pair up onto the 10 grids")
-
-    seed = min(off, key=space.structure.label_of)
-    labels: dict[int, frozenset[int]] = {seed: frozenset(traces[seed].index)}
-    queue = [seed]
-    while queue:
-        w = queue.pop(0)
-        current = labels[w]
-        local = qp.local_index(w)
-        for idx in qp.structure.lines_through[local]:
-            core, line_off = _split_line(qp, qp.structure.lines[idx], core_duads)
-            _require(len(core) == 1 and len(line_off) == 2,
-                     "hyperbolic off-line must carry one duad and two off points")
-            duad = set(core_duads[core[0]])
-            other = line_off[0] if line_off[1] == w else line_off[1]
-            t = frozenset(traces[other].index)
-            valid = [y for y in (t, S_SET - t)
-                     if (current & y) | (S_SET - (current | y)) == duad]
-            _require(len(valid) == 1, "off-line duad must determine the neighbour label")
-            if other in labels:
-                _require(labels[other] == valid[0], "inconsistent propagated label")
-            else:
-                labels[other] = valid[0]
-                queue.append(other)
-    _require(len(labels) == 20, "label propagation must reach every hyperbolic point")
-
-    grid_pairs: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for t, (w1, w2) in groups.items():
-        _require(labels[w1] == S_SET - labels[w2],
-                 "pair labels must be complementary 3-subsets")
-        canonical = frozenset(t)
-        first, second = (w1, w2) if labels[w1] == canonical else (w2, w1)
-        _require(labels[first] == canonical, "one pair member must carry the canonical triple")
-        grid_pairs[t] = (first, second)
-    return {w: subset_label(l) for w, l in labels.items()}, grid_pairs
-
-
-def _elliptic_labels(space: SymplecticSpace, qm: Constituent,
-                     core_duads: Mapping[int, tuple[int, int]]):
-    """Label the 12 off points as 1..6 and 1'..6'.
-
-    Off-collinearity is bipartite with the six unprimed points pairwise
-    non-collinear; the class containing the lexicographically smallest
-    coordinate label is taken unprimed, which fixes the one free choice.
-    """
-    off = [w for w in qm.w_points if w not in core_duads]
-    _require(len(off) == 12, f"elliptic sector must have 12 points, got {len(off)}")
-    traces = {w: _trace_hyperplane(qm, w, core_duads) for w in off}
-    groups: dict[int, list[int]] = {}
-    for w, h in traces.items():
-        groups.setdefault(h.index[0], []).append(w)
-    _require(len(groups) == 6 and all(len(g) == 2 for g in groups.values()),
-             "elliptic points must pair up onto the 6 ovoids")
-
-    adjacency: dict[int, set[int]] = {w: set() for w in off}
-    for line in qm.structure.lines:
-        core, line_off = _split_line(qm, line, core_duads)
-        if len(line_off) == 0:
-            continue
-        _require(len(core) == 1 and len(line_off) == 2,
-                 "elliptic off-line must carry one duad and two off points")
-        a, b = line_off
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-
-    start = min(off, key=space.structure.label_of)
-    color = {start: 0}
-    queue = [start]
-    while queue:
-        w = queue.pop(0)
-        for v in adjacency[w]:
-            if v in color:
-                _require(color[v] != color[w], "elliptic off-collinearity must be bipartite")
-            else:
-                color[v] = 1 - color[w]
-                queue.append(v)
-    _require(len(color) == 12, "elliptic off-collinearity graph must be connected")
-    _require(sum(1 for w in off if color[w] == 0) == 6, "bipartition classes must have size 6")
-
+    seed = _seed(qp, traces)
+    local = qp.local_index(seed)
+    big_t = frozenset(traces[seed].index)
     labels = {}
-    ovoid_pairs: dict[int, tuple[int, int]] = {}
-    for i, (w1, w2) in groups.items():
-        _require(color[w1] != color[w2], "an ovoid pair must straddle the bipartition")
-        _require(w2 not in adjacency[w1], "complementary elliptic points must be non-collinear")
-        unprimed, primed = (w1, w2) if color[w1] == 0 else (w2, w1)
-        labels[unprimed] = f"{i}"
-        labels[primed] = f"{i}'"
-        ovoid_pairs[i] = (unprimed, primed)
-
-    # every off-line must have the shape {i, j', ij}
-    for line in qm.structure.lines:
-        core, line_off = _split_line(qm, line, core_duads)
-        if not line_off:
-            continue
-        a, b = line_off
-        i = traces[a].index[0]
-        j = traces[b].index[0]
-        _require(i != j and set(core_duads[core[0]]) == {i, j},
-                 "elliptic line must join i, j' and the duad ij")
-    return labels, ovoid_pairs
+    for w, h in traces.items():
+        t = frozenset(h.index)
+        odd = len(t & big_t) % 2 == 1
+        labels[w] = subset_label(
+            t if odd == collinear(qp.structure, local, qp.local_index(w)) else S_SET - t)
+    return labels
 
 
-def _cone_labels(space: SymplecticSpace, cone: Constituent,
-                 core_duads: Mapping[int, tuple[int, int]], nucleus_w: int):
-    """Label the nucleus 123456 and each remaining off point by the 4-subset
-    complementary to the deep duad of its perp-set trace."""
-    off = [w for w in cone.w_points if w not in core_duads and w != nucleus_w]
-    _require(len(off) == 15, f"cone sector must have 15 non-nucleus points, got {len(off)}")
-    labels = {nucleus_w: NUCLEUS_LABEL}
-    perp_points: dict[tuple[int, int], int] = {}
-    for w in off:
-        duad = _trace_hyperplane(cone, w, core_duads).index
-        _require(duad not in perp_points, "cone points must hit distinct perp-sets")
-        perp_points[duad] = w
-        labels[w] = subset_label(S_SET - set(duad))
+def _elliptic_labels(qm: Constituent, traces: Mapping[int, DoilyHyperplane]) -> dict[int, str]:
+    """Label the 12 off points as 1..6 and 1'..6' by their ovoid traces.
 
-    # vertex lines {123456, klmn, ij} with {i,j} complementary to klmn
-    local = cone.local_index(nucleus_w)
-    seen_duads = set()
-    for idx in cone.structure.lines_through[local]:
-        core, line_off = _split_line(cone, cone.structure.lines[idx], core_duads)
-        _require(len(core) == 1 and len(line_off) == 2,
-                 "vertex line must join the nucleus, an off point and a duad")
-        other = line_off[0] if line_off[1] == nucleus_w else line_off[1]
-        duad = core_duads[core[0]]
-        _require(set(duad) == S_SET - label_elements(labels[other]),
-                 "vertex line duad must complement the off point's 4-subset")
-        seen_duads.add(duad)
-    _require(len(seen_duads) == 15, "vertex lines must reach every duad of the core")
-    return labels, perp_points
+    In the elliptic model the unprimed points are pairwise non-collinear, and
+    i is collinear with every j' but i'.  So the unprimed class is the seed
+    together with the off points not collinear with it, leaving out the
+    seed's partner (the other point of its trace); this fixes the one free
+    choice.  build_magic_line certifies the result against the model.
+    """
+    seed = _seed(qm, traces)
+    local = qm.local_index(seed)
+    labels = {}
+    for w, h in traces.items():
+        unprimed = w == seed or (h.mask != traces[seed].mask and not collinear(
+            qm.structure, local, qm.local_index(w)))
+        labels[w] = f"{h.index[0]}" if unprimed else f"{h.index[0]}'"
+    return labels
+
+
+def _certify(constituent: Constituent, label_of: Mapping[int, str],
+             model: IncidenceStructure) -> None:
+    """The constituent's lines, spelled in labels, must be exactly its model's
+    lines.  Every model point lies on a line and the point counts agree, so
+    this also makes the labelling a bijection onto the model's points."""
+    labelled = {frozenset(label_of[constituent.w_points[q]] for q in line)
+                for line in constituent.structure.lines}
+    expected = {frozenset(model.labels[q] for q in line) for line in model.lines}
+    extra, missing = labelled - expected, expected - labelled
+    if extra or missing:
+        line = ", ".join(sorted(min(extra or missing, key=sorted)))
+        where = ("is not a line of its sector model" if extra
+                 else "of the sector model is missing from the labelled quadric")
+        raise ConsistencyError(f"{constituent.name} line {{{line}}} {where}")
 
 
 @lru_cache(maxsize=None)
@@ -390,7 +309,8 @@ def build_magic_line() -> MagicLine:
     The hyperbolic form is x1x2 + x3x4 + x5x6 and the elliptic form adds the
     irreducible x1^2 + x1x2 + x2^2 on the first two coordinates; both
     polarize to the standard alternating form, and their Veldkamp sum is the
-    cone.  Every structural invariant is verified, not assumed.
+    cone.  Every structural invariant is verified, not assumed: each sector's
+    labelling is certified against its rule-built sector model.
     """
     space = build_w52()
     q_plus_form = hyperbolic_form(6)
@@ -441,15 +361,19 @@ def build_magic_line() -> MagicLine:
     core_duads = {core_w[local]: DUADS[image] for local, image in iso.items()}
     duad_to_w = {d: w for w, d in core_duads.items()}
 
+    hyp_traces = _off_traces(qp, core_duads)
+    ell_traces = _off_traces(qm, core_duads)
+    cone_traces = _off_traces(cone, core_duads, skip=nucleus_w)
     label_of: dict[int, str] = {w: duad_label(d) for w, d in core_duads.items()}
-    hyp_labels, grid_pairs = _hyperbolic_labels(space, qp, core_duads)
-    ell_labels, ovoid_pairs = _elliptic_labels(space, qm, core_duads)
-    cone_labels, perp_points = _cone_labels(space, cone, core_duads, nucleus_w)
-    label_of.update(hyp_labels)
-    label_of.update(ell_labels)
-    label_of.update(cone_labels)
-    _require(len(label_of) == n, "every point of W(5,2) must receive a label")
-    _require(len(set(label_of.values())) == n, "labels must be pairwise distinct")
+    label_of.update(_hyperbolic_labels(qp, hyp_traces))
+    label_of.update(_elliptic_labels(qm, ell_traces))
+    # a cone point is the 4-subset complementary to its trace's deep duad
+    label_of.update((w, subset_label(S_SET - set(h.index))) for w, h in cone_traces.items())
+    label_of[nucleus_w] = NUCLEUS_LABEL
+    models = build_sector_models()
+    for constituent, model in ((qp, models.hyperbolic), (qm, models.elliptic),
+                               (cone, models.cone)):
+        _certify(constituent, label_of, model)
     w_of_label = {lab: w for w, lab in label_of.items()}
 
     def labelled(structure: IncidenceStructure, w_points) -> IncidenceStructure:
@@ -471,16 +395,15 @@ def build_magic_line() -> MagicLine:
         label_of=MappingProxyType(dict(label_of)),
         w_of_label=MappingProxyType(dict(w_of_label)),
         pairs=SectorCorrespondence(
-            grid_pairs=MappingProxyType(dict(grid_pairs)),
-            ovoid_pairs=MappingProxyType(dict(ovoid_pairs)),
-            perp_points=MappingProxyType(dict(perp_points)),
+            grid_pairs=MappingProxyType({h.index: (
+                w_of_label[subset_label(h.index)],
+                w_of_label[subset_label(S_SET - set(h.index))]) for h in hyp_traces.values()}),
+            ovoid_pairs=MappingProxyType({h.index[0]: (
+                w_of_label[f"{h.index[0]}"],
+                w_of_label[f"{h.index[0]}'"]) for h in ell_traces.values()}),
+            perp_points=MappingProxyType({h.index: w for w, h in cone_traces.items()}),
         ),
     )
-
-
-def assign_labels(ml: MagicLine) -> dict[int, str]:
-    """The certified bijection from W(5,2) point indices to sector labels."""
-    return dict(ml.label_of)
 
 
 def doily_trace(ml: MagicLine, w: int) -> Optional[DoilyHyperplane]:
@@ -655,72 +578,51 @@ def polar_pair_check(ml: MagicLine, p: int, q: int) -> PolarPairReport:
 
 @dataclass(frozen=True, eq=False)
 class SectorModels:
-    """Coordinate-free models of the three constituents, built from labels."""
+    """Coordinate-free models of the three constituents, built by rule."""
 
     hyperbolic: IncidenceStructure
     elliptic: IncidenceStructure
     cone: IncidenceStructure
 
 
-def build_sector_models(ml: Optional[MagicLine] = None) -> SectorModels:
-    """Assemble the combinatorial models around the duad-syntheme doily.
+def _sector_model(labels: list[str], off_lines: list[list[str]]) -> IncidenceStructure:
+    """The 15 duads and the given off-point labels, with the 15 synthemes and
+    the given off-lines, every line spelled in labels."""
+    labels = [duad_label(d) for d in DUADS] + labels
+    index = {lab: k for k, lab in enumerate(labels)}
+    lines = [[duad_label(d) for d in syn] for syn in SYNTHEMES] + off_lines
+    return IncidenceStructure.from_lines(
+        len(labels), ([index[lab] for lab in line] for line in lines), labels)
 
-    Hyperbolic: 15 duads + 20 triples, synthemes plus the 90 lines
-    {abc, aij, ak}.  Elliptic: duads + 1..6 and 1'..6', synthemes plus the 30
-    lines {i, j', ij}.  Cone: duads + 15 4-subsets + the nucleus label,
-    synthemes plus the 15 vertex lines {123456, klmn, ij} plus the remaining
-    induced lines imported from the coordinate cone through the labelling.
+
+@lru_cache(maxsize=None)
+def build_sector_models() -> SectorModels:
+    """The combinatorial models around the duad-syntheme doily, each sector's
+    lines given by one rule; build_magic_line certifies its labelling against
+    them, and verify finds their isomorphisms onto the coordinate quadrics.
+
+    Hyperbolic: 20 triples; two triples X, Y meeting in one element lie on a
+    line with the duad (X n Y) u (S \\ (X u Y)), the 90 lines {abc, aij, ak}.
+    Elliptic: 1..6 and 1'..6', with the 30 lines {i, j', ij}.  Cone: the
+    15 4-subsets and the nucleus label, with the 15 vertex lines
+    {123456, S \\ ij, ij} and, for each syntheme {ij, kl, mn} and each choice
+    of its core duad mn, the line {S \\ ij, S \\ kl, mn}: 45 lines.
     """
-    if ml is None:
-        ml = build_magic_line()
-    duad_labels = [duad_label(d) for d in DUADS]
-    syntheme_labels = [frozenset(duad_label(d) for d in syn) for syn in SYNTHEMES]
+    triples = [frozenset(t) for t in combinations(S_ELEMENTS, 3)]
+    hyperbolic = _sector_model(
+        [subset_label(t) for t in triples],
+        [[subset_label(x), subset_label(y), subset_label((x & y) | (S_SET - (x | y)))]
+         for x, y in combinations(triples, 2) if len(x & y) == 1])
+    elliptic = _sector_model(
+        [f"{i}" for i in S_ELEMENTS] + [f"{i}'" for i in S_ELEMENTS],
+        [[f"{i}", f"{j}'", subset_label((i, j))] for i, j in permutations(S_ELEMENTS, 2)])
 
-    # hyperbolic model
-    triple_labels = [subset_label(t) for t in combinations(S_ELEMENTS, 3)]
-    hyp_labels = duad_labels + triple_labels
-    hyp_index = {lab: k for k, lab in enumerate(hyp_labels)}
-    hyp_lines = {frozenset(hyp_index[lab] for lab in syn) for syn in syntheme_labels}
-    for t in combinations(S_ELEMENTS, 3):
-        rest = S_SET - set(t)
-        for x in t:
-            for u, v in combinations(sorted(rest), 2):
-                (k,) = rest - {u, v}
-                hyp_lines.add(frozenset((
-                    hyp_index[subset_label(t)],
-                    hyp_index[subset_label((x, u, v))],
-                    hyp_index[duad_label(tuple(sorted((x, k))))],
-                )))
-    hyperbolic = IncidenceStructure.from_lines(len(hyp_labels), hyp_lines, hyp_labels)
+    def quad(d):
+        return subset_label(S_SET - set(d))
 
-    # elliptic model
-    ell_labels = duad_labels + [f"{i}" for i in S_ELEMENTS] + [f"{i}'" for i in S_ELEMENTS]
-    ell_index = {lab: k for k, lab in enumerate(ell_labels)}
-    ell_lines = {frozenset(ell_index[lab] for lab in syn) for syn in syntheme_labels}
-    for i in S_ELEMENTS:
-        for j in S_ELEMENTS:
-            if i != j:
-                ell_lines.add(frozenset((
-                    ell_index[f"{i}"],
-                    ell_index[f"{j}'"],
-                    ell_index[duad_label(tuple(sorted((i, j))))],
-                )))
-    elliptic = IncidenceStructure.from_lines(len(ell_labels), ell_lines, ell_labels)
-
-    # cone model
-    quad_labels = sorted(subset_label(S_SET - set(d)) for d in DUADS)
-    cone_labels = duad_labels + quad_labels + [NUCLEUS_LABEL]
-    cone_index = {lab: k for k, lab in enumerate(cone_labels)}
-    cone_lines = {frozenset(cone_index[lab] for lab in syn) for syn in syntheme_labels}
-    for d in DUADS:
-        cone_lines.add(frozenset((
-            cone_index[NUCLEUS_LABEL],
-            cone_index[subset_label(S_SET - set(d))],
-            cone_index[duad_label(d)],
-        )))
-    for line in ml.cone.structure.lines:
-        labs = {ml.label_of[ml.cone.w_points[q]] for q in line}
-        cone_lines.add(frozenset(cone_index[lab] for lab in labs))
-    cone = IncidenceStructure.from_lines(len(cone_labels), cone_lines, cone_labels)
-
+    cone = _sector_model(
+        sorted(quad(d) for d in DUADS) + [NUCLEUS_LABEL],
+        [[NUCLEUS_LABEL, quad(d), duad_label(d)] for d in DUADS]
+        + [[quad(a), quad(b), duad_label(c)] for syn in SYNTHEMES
+           for a, b, c in permutations(syn)])
     return SectorModels(hyperbolic, elliptic, cone)

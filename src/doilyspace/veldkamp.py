@@ -23,6 +23,7 @@ from .doily import (
 from .incidence import (
     Hyperplane,
     IncidenceStructure,
+    is_partial_linear_space,
     null_space_hyperplanes,
     veldkamp_sum_mask,
 )
@@ -106,6 +107,8 @@ def build_veldkamp_space(g: IncidenceStructure) -> VeldkampSpace:
 
 def _require_partial_linear_space(g: IncidenceStructure) -> None:
     """Raise ValueError naming two lines that share two points, if any do."""
+    if is_partial_linear_space(g):
+        return
     line_of_pair: dict[tuple[int, int], int] = {}
     for idx, line in enumerate(g.lines):
         for pair in combinations(sorted(line), 2):

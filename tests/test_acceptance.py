@@ -265,7 +265,7 @@ def test_criterion_11_sector_images():
 
 def test_criterion_12_combinatorial_vs_coordinate():
     ml = build_magic_line()
-    models = build_sector_models(ml)
+    models = build_sector_models()
     for model, constituent in ((models.hyperbolic, ml.q_plus),
                                (models.elliptic, ml.q_minus),
                                (models.cone, ml.cone)):

@@ -261,7 +261,7 @@ def test_core_isomorphism_matches_reference():
 
 def test_sector_model_isomorphisms_match_reference():
     ml = build_magic_line()
-    models = build_sector_models(ml)
+    models = build_sector_models()
     for model, constituent in zip((models.hyperbolic, models.elliptic, models.cone),
                                   ml.constituents.values()):
         _same_result(model, constituent.structure)

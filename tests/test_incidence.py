@@ -1,6 +1,7 @@
 """Tests for the generic incidence machinery."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -28,6 +29,7 @@ from doilyspace.incidence import (
     null_space_hyperplanes,
     perp,
 )
+from doilyspace.magicline import build_magic_line, build_w52
 
 SINGLE_LINE = IncidenceStructure.from_lines(3, [[0, 1, 2]])
 GRID9 = IncidenceStructure.from_lines(
@@ -161,6 +163,42 @@ def three_per_line_geometries(draw):
 def test_null_space_agrees_with_scan_on_random_geometries(g):
     expected = [h.mask for h in enumerate_hyperplanes(g)]
     assert [h.mask for h in null_space_hyperplanes(g)] == expected
+
+
+# hyperplane count and sizes {size: how many}: the doily's 6 ovoids, 15
+# perp-sets and 10 grids; W(5,2)'s 28 elliptic quadrics, 63 perp-sets and
+# 36 hyperbolic quadrics
+HYPERPLANE_SIZES = {
+    "doily": (31, {5: 6, 7: 15, 9: 10}),
+    "w52": (127, {27: 28, 31: 63, 35: 36}),
+    "q_plus": (63, {15: 28, 19: 35}),
+    "q_minus": (63, {11: 27, 15: 36}),
+    "cone": (63, {11: 6, 15: 47, 19: 10}),
+}
+
+
+def _named_geometry(name: str) -> IncidenceStructure:
+    if name == "doily":
+        return build_doily()
+    if name == "w52":
+        return build_w52().structure
+    ml = build_magic_line()
+    return {"q_plus": ml.q_plus, "q_minus": ml.q_minus, "cone": ml.cone}[name].structure
+
+
+@pytest.mark.parametrize("name", list(HYPERPLANE_SIZES))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_hyperplane_census_is_invariant_under_relabelling(name, data):
+    g = _named_geometry(name)
+    perm = data.draw(st.permutations(range(g.point_count)))
+    relabelled = IncidenceStructure.from_lines(
+        g.point_count, ([perm[p] for p in line] for line in g.lines))
+    count, sizes = HYPERPLANE_SIZES[name]
+    for geometry in (g, relabelled):
+        hyperplanes = null_space_hyperplanes(geometry)
+        assert len(hyperplanes) == count
+        assert Counter(h.size for h in hyperplanes) == sizes
 
 
 def test_hyperplane_type_rejects_non_hyperplanes():

@@ -25,6 +25,7 @@ from doilyspace.gf2 import (
     standard_symplectic,
 )
 from doilyspace.incidence import (
+    IncidenceStructure,
     check_gamma_space,
     deep_points_mask,
     perp,
@@ -37,8 +38,8 @@ from doilyspace.magicline import (
     ELLIPTIC_SECTOR,
     HYPERBOLIC_SECTOR,
     NUCLEUS_LABEL,
-    assign_labels,
     build_magic_line,
+    build_sector_models,
     build_w52,
     complementary_point,
     doily_trace,
@@ -47,10 +48,9 @@ from doilyspace.magicline import (
     polar_pair_check,
     sector_image,
     veldkamp_line_image,
-    _cone_labels,
+    _certify,
     _constituent,
-    _elliptic_labels,
-    _hyperbolic_labels,
+    _off_traces,
     _trace_hyperplane,
 )
 from doilyspace.veldkamp import (
@@ -195,7 +195,7 @@ def test_nucleus_identification():
 
 def test_labels_cover_everything():
     ml = build_magic_line()
-    labels = assign_labels(ml)
+    labels = ml.label_of
     assert len(labels) == 63
     assert len(set(labels.values())) == 63
     sizes = sorted(len(lab.rstrip("'")) for lab in labels.values())
@@ -416,14 +416,58 @@ def test_labelling_reports_a_corrupted_core_map(sector, label, w):
     core_duads = dict(ml.core_duads)  # with the duads 12 and 13 exchanged
     core_duads[ml.duad_to_w[(1, 2)]], core_duads[ml.duad_to_w[(1, 3)]] = (1, 3), (1, 2)
     passes = {
-        HYPERBOLIC_SECTOR: lambda: _hyperbolic_labels(ml.space, constituent, core_duads),
-        ELLIPTIC_SECTOR: lambda: _elliptic_labels(ml.space, constituent, core_duads),
-        CONE_SECTOR: lambda: _cone_labels(ml.space, constituent, core_duads, ml.nucleus_w),
+        HYPERBOLIC_SECTOR: lambda: _off_traces(constituent, core_duads),
+        ELLIPTIC_SECTOR: lambda: _off_traces(constituent, core_duads),
+        CONE_SECTOR: lambda: _off_traces(constituent, core_duads, skip=ml.nucleus_w),
     }
     message = (rf"^{sector} point {label} \(W\(5,2\) index {w}\): "
                "its trace is not a hyperplane of the doily$")
     with pytest.raises(ConsistencyError, match=message):
         passes[sector]()
+
+
+def test_seeds_fix_the_free_choices():
+    # swapping every complementary pair at once, or the primed and unprimed
+    # classes, keeps each model; the off point with the smallest coordinate
+    # label fixes the choice
+    ml = build_magic_line()
+    coordinates = ml.space.structure.label_of
+    seed = min(w_off(ml, ml.q_plus), key=coordinates)
+    assert ml.label_of[seed] == "".join(str(e) for e in doily_trace(ml, seed).index)
+    assert ml.label_of[seed].startswith("1")
+    seed = min(w_off(ml, ml.q_minus), key=coordinates)
+    assert not ml.label_of[seed].endswith("'")
+
+
+@pytest.mark.parametrize("sector, swapped, line", [
+    (HYPERBOLIC_SECTOR, ("146", "235"), "12, 135, 235"),
+    (ELLIPTIC_SECTOR, ("3", "3'"), "1, 13, 3"),
+    (CONE_SECTOR, ("3456", "1234"), "12, 1234, 123456"),
+])
+def test_certificate_names_a_labelled_line_off_the_model(sector, swapped, line):
+    ml = build_magic_line()
+    model = getattr(build_sector_models(), sector)
+    constituent = ml.constituents[sector]
+    _certify(constituent, ml.label_of, model)
+    label_of = dict(ml.label_of)  # with two labels of the sector exchanged
+    a, b = swapped
+    label_of[ml.w_of_label[a]], label_of[ml.w_of_label[b]] = b, a
+    message = rf"^{sector} line \{{{line}\}} is not a line of its sector model$"
+    with pytest.raises(ConsistencyError, match=message):
+        _certify(constituent, label_of, model)
+
+
+def test_certificate_names_a_model_line_the_quadric_lacks():
+    ml = build_magic_line()
+    structure = ml.q_minus.structure
+    first, *rest = structure.lines
+    constituent = replace(ml.q_minus, structure=IncidenceStructure.from_lines(
+        structure.point_count, rest, structure.labels))
+    line = ", ".join(sorted(structure.label_of(q) for q in first))
+    message = (rf"^elliptic line \{{{line}\}} of the sector model "
+               "is missing from the labelled quadric$")
+    with pytest.raises(ConsistencyError, match=message):
+        _certify(constituent, ml.label_of, build_sector_models().elliptic)
 
 
 def test_sector_image_spot_values():
