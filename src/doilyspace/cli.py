@@ -14,9 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 from .doily import (
     DUADS,
@@ -70,23 +68,23 @@ class UsageError(Exception):
     """Bad command usage detected after argument parsing."""
 
 
-@dataclass
 class Check:
-    name: str
-    expected: object
-    actual: object
-    provenance: str
+    def __init__(self, name: str, expected: object, actual: object, provenance: str) -> None:
+        self.name = name
+        self.expected = expected
+        self.actual = actual
+        self.provenance = provenance
 
     @property
     def passed(self) -> bool:
         return self.expected == self.actual
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list[Check]
-    runtime_seconds: float
+    def __init__(self, suite: str, checks: list[Check], runtime_seconds: float) -> None:
+        self.suite = suite
+        self.checks = checks
+        self.runtime_seconds = runtime_seconds
 
     @property
     def passed(self) -> bool:
@@ -397,7 +395,7 @@ def run_suite(name: str) -> VerificationReport:
     return VerificationReport(name, checks, time.perf_counter() - start)
 
 
-def cmd_verify(suite: str, out: Optional[str] = None, fmt: str = "text") -> int:
+def cmd_verify(suite: str, out: str | None = None, fmt: str = "text") -> int:
     names = SUITE_NAMES if suite == "all" else (suite,)
     reports = [run_suite(n) for n in names]
     if fmt == "structured":
@@ -408,7 +406,7 @@ def cmd_verify(suite: str, out: Optional[str] = None, fmt: str = "text") -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _emit(payload: str, out: Optional[str]) -> None:
+def _emit(payload: str, out: str | None) -> None:
     try:
         if out is None:
             sys.stdout.write(payload)
@@ -487,7 +485,7 @@ def _render_dot(data: dict, line_nodes: bool) -> str:
 
 
 def cmd_export(figure: str, point: str, fmt: str = "dot",
-               line_nodes: bool = False, out: Optional[str] = None) -> int:
+               line_nodes: bool = False, out: str | None = None) -> int:
     data = _export_roles(figure, point)
     if fmt == "json":
         payload = json.dumps(data, indent=2) + "\n"
@@ -525,7 +523,7 @@ def _sector_map_rows() -> list[dict]:
     return rows
 
 
-def cmd_tables(what: str, fmt: str = "text", out: Optional[str] = None) -> int:
+def cmd_tables(what: str, fmt: str = "text", out: str | None = None) -> int:
     rows = {
         "hyperplanes": _hyperplane_rows,
         "veldkamp_lines": _veldkamp_rows,
@@ -584,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

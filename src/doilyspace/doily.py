@@ -10,10 +10,9 @@ their symmetric difference.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
 
 from .incidence import (
     IncidenceStructure,
@@ -68,13 +67,24 @@ def build_doily() -> IncidenceStructure:
         len(DUADS), lines, labels=[duad_label(d) for d in DUADS])
 
 
-@dataclass(frozen=True)
 class DoilyHyperplane:
-    """A geometric hyperplane of the doily with its kind and defining labels."""
+    """A geometric hyperplane of the doily with its kind and defining labels.
 
-    mask: int
-    kind: str
-    index: tuple[int, ...]
+    Two are equal when their masks, kinds and indices are."""
+
+    def __init__(self, mask: int, kind: str, index: tuple[int, ...]) -> None:
+        self.mask = mask
+        self.kind = kind
+        self.index = index
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DoilyHyperplane):
+            return NotImplemented
+        return (self.mask == other.mask and self.kind == other.kind
+                and self.index == other.index)
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.kind, self.index))
 
     @property
     def name(self) -> str:

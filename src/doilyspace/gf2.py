@@ -9,7 +9,7 @@ coordinates (``str`` gives x1...x6 as 0s and 1s, the W(5,2) labels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import combinations
 
@@ -29,17 +29,15 @@ _NONDEGENERATE_ZEROS = {
 _PARABOLIC_ZEROS = {3: 3, 5: 15}
 
 
-@dataclass(frozen=True, order=True)
 class BinaryVector:
     """Fixed-length bit vector; addition is bitwise xor (^)."""
 
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.bits:
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        if not bits:
             raise ValueError("vector must have at least one coordinate")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"coordinates must be 0 or 1: {self.bits!r}")
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"coordinates must be 0 or 1: {bits!r}")
+        self.bits = bits
 
     @classmethod
     def from_int(cls, value: int, dim: int) -> BinaryVector:
@@ -78,15 +76,13 @@ def projective_points(dim: int) -> tuple[BinaryVector, ...]:
     return tuple(BinaryVector.from_int(v, dim) for v in range(1, 1 << dim))
 
 
-@dataclass(frozen=True)
 class SymplecticForm:
     """The standard alternating form pairing coordinates (1,2), (3,4), ..."""
 
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 2 or self.dim % 2:
-            raise ValueError(f"symplectic dimension must be a positive even integer: {self.dim}")
+    def __init__(self, dim: int) -> None:
+        if dim < 2 or dim % 2:
+            raise ValueError(f"symplectic dimension must be a positive even integer: {dim}")
+        self.dim = dim
 
     def evaluate(self, x: int, y: int) -> int:
         """theta(x, y) = popcount(x & swap_pairs(y)) mod 2, where swap_pairs
@@ -104,18 +100,25 @@ class SymplecticForm:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
 class QuadraticForm:
-    """Sum of monomials x_i x_j over GF(2), indexed by 0-based positions i <= j."""
+    """Sum of monomials x_i x_j over GF(2), indexed by 0-based positions i <= j.
 
-    dim: int
-    monomials: frozenset[tuple[int, int]]
+    Two forms are equal when they have the same dimension and monomials."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "monomials", frozenset(tuple(m) for m in self.monomials))
+    def __init__(self, dim: int, monomials: Iterable[tuple[int, int]]) -> None:
+        self.dim = dim
+        self.monomials = frozenset(tuple(m) for m in monomials)
         for i, j in self.monomials:
-            if not (0 <= i <= j < self.dim):
-                raise ValueError(f"monomial ({i},{j}) out of range for dimension {self.dim}")
+            if not (0 <= i <= j < dim):
+                raise ValueError(f"monomial ({i},{j}) out of range for dimension {dim}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuadraticForm):
+            return NotImplemented
+        return self.dim == other.dim and self.monomials == other.monomials
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.monomials))
 
     @cached_property
     def _rows(self) -> tuple[int, ...]:
@@ -148,11 +151,11 @@ class QuadraticForm:
         return classify_form(self)
 
 
-@dataclass(frozen=True)
 class BilinearForm:
     """Symmetric bilinear form given by its Gram matrix over GF(2)."""
 
-    gram: tuple[tuple[int, ...], ...]
+    def __init__(self, gram: tuple[tuple[int, ...], ...]) -> None:
+        self.gram = gram
 
     @property
     def dim(self) -> int:

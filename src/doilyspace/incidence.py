@@ -11,9 +11,8 @@ each structure caches.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable, Optional
 
 HYPERPLANE_SCAN_LIMIT = 25
 # W(5,2), the largest geometry the package builds, has nullity 7; every
@@ -60,28 +59,39 @@ def veldkamp_sum_mask(full_mask: int, m1: int, m2: int) -> int:
     return full_mask ^ m1 ^ m2
 
 
-@dataclass(frozen=True)
 class IncidenceStructure:
-    """Points 0..point_count-1 together with lines given as point subsets."""
+    """Points 0..point_count-1 together with lines given as point subsets.
 
-    point_count: int
-    lines: tuple[frozenset[int], ...]
-    labels: Optional[tuple[str, ...]] = None
+    Two structures are equal when their point counts, lines (in order) and
+    labels are."""
 
-    def __post_init__(self) -> None:
-        for line in self.lines:
+    def __init__(self, point_count: int, lines: tuple[frozenset[int], ...],
+                 labels: tuple[str, ...] | None = None) -> None:
+        for line in lines:
             if len(line) < 2:
                 raise ValueError(f"line {set(line)} has fewer than 2 points")
-            if any(not 0 <= p < self.point_count for p in line):
+            if any(not 0 <= p < point_count for p in line):
                 raise ValueError(f"line {set(line)} has out-of-range points")
-        if len(set(self.lines)) != len(self.lines):
+        if len(set(lines)) != len(lines):
             raise ValueError("repeated lines are not allowed")
-        if self.labels is not None and len(self.labels) != self.point_count:
+        if labels is not None and len(labels) != point_count:
             raise ValueError("labels must match the point count")
+        self.point_count = point_count
+        self.lines = lines
+        self.labels = labels
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IncidenceStructure):
+            return NotImplemented
+        return self is other or (self.point_count == other.point_count
+                                 and self.lines == other.lines and self.labels == other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.point_count, self.lines, self.labels))
 
     @classmethod
     def from_lines(cls, point_count: int, lines: Iterable[Iterable[int]],
-                   labels: Optional[Iterable[str]] = None) -> IncidenceStructure:
+                   labels: Iterable[str] | None = None) -> IncidenceStructure:
         """Build a structure with the lines deduplicated and canonically ordered."""
         canon = sorted({frozenset(l) for l in lines}, key=sorted)
         return cls(point_count, tuple(canon),
@@ -131,17 +141,15 @@ class IncidenceStructure:
         return f"IncidenceStructure({self.point_count} points, {len(self.lines)} lines)"
 
 
-@dataclass(frozen=True)
 class Hyperplane:
     """A point subset meeting every line in one point or containing it."""
 
-    geometry: IncidenceStructure = field(repr=False)
-    mask: int
-
-    def __post_init__(self) -> None:
-        if not is_geometric_hyperplane(self.geometry, self.mask):
-            raise ValueError(f"mask {self.mask} is not a geometric hyperplane of the "
-                             f"{self.geometry.point_count}-point geometry")
+    def __init__(self, geometry: IncidenceStructure, mask: int) -> None:
+        if not is_geometric_hyperplane(geometry, mask):
+            raise ValueError(f"mask {mask} is not a geometric hyperplane of the "
+                             f"{geometry.point_count}-point geometry")
+        self.geometry = geometry
+        self.mask = mask
 
     @property
     def points(self) -> frozenset[int]:
@@ -340,7 +348,7 @@ def _point_invariants(g: IncidenceStructure) -> list[tuple]:
 
 
 def find_isomorphism(g1: IncidenceStructure,
-                     g2: IncidenceStructure) -> Optional[dict[int, int]]:
+                     g2: IncidenceStructure) -> dict[int, int] | None:
     """Search for a point bijection of g1 onto g2 carrying lines onto lines.
 
     Backtracking over points ordered to stay adjacent to the mapped part,
@@ -487,7 +495,7 @@ def is_isomorphism(g1: IncidenceStructure, g2: IncidenceStructure,
 
 def induced_substructure(g: IncidenceStructure,
                          points: Iterable[int],
-                         labels: Optional[Iterable[str]] = None,
+                         labels: Iterable[str] | None = None,
                          ) -> tuple[IncidenceStructure, tuple[int, ...]]:
     """Substructure on the given points with the lines fully contained in them.
 

@@ -17,11 +17,10 @@ lines, spelled in labels, are exactly its model's lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from types import MappingProxyType
-from typing import Mapping, Optional
 
 from .doily import (
     DUAD_INDEX,
@@ -87,7 +86,6 @@ def label_elements(label: str) -> frozenset[int]:
     return frozenset(int(c) for c in label)
 
 
-@dataclass(frozen=True, eq=False)
 class SymplecticSpace:
     """PG(5,2) with the totally isotropic lines of the standard alternating form.
 
@@ -95,9 +93,11 @@ class SymplecticSpace:
     bit k - 1); its label spells x1...x6 as 0s and 1s.
     """
 
-    form: SymplecticForm
-    points: tuple[int, ...]
-    structure: IncidenceStructure
+    def __init__(self, form: SymplecticForm, points: tuple[int, ...],
+                 structure: IncidenceStructure) -> None:
+        self.form = form
+        self.points = points
+        self.structure = structure
 
     def __repr__(self) -> str:
         return f"SymplecticSpace({len(self.points)} points, {len(self.structure.lines)} lines)"
@@ -117,13 +117,14 @@ def build_w52() -> SymplecticSpace:
     return SymplecticSpace(form, points, structure)
 
 
-@dataclass(frozen=True, eq=False)
 class Constituent:
     """One member of the magic line, with its induced line structure."""
 
-    name: str
-    w_points: tuple[int, ...]
-    structure: IncidenceStructure
+    def __init__(self, name: str, w_points: tuple[int, ...],
+                 structure: IncidenceStructure) -> None:
+        self.name = name
+        self.w_points = w_points
+        self.structure = structure
 
     @cached_property
     def w_set(self) -> frozenset[int]:
@@ -141,34 +142,43 @@ class Constituent:
                 f"{len(self.structure.lines)} lines)")
 
 
-@dataclass(frozen=True, eq=False)
 class SectorCorrespondence:
     """The hyperplane classes of the core doily matched with sector objects."""
 
-    grid_pairs: Mapping[tuple[int, int, int], tuple[int, int]]
-    ovoid_pairs: Mapping[int, tuple[int, int]]
-    perp_points: Mapping[tuple[int, int], int]
+    def __init__(self, grid_pairs: Mapping[tuple[int, int, int], tuple[int, int]],
+                 ovoid_pairs: Mapping[int, tuple[int, int]],
+                 perp_points: Mapping[tuple[int, int], int]) -> None:
+        self.grid_pairs = grid_pairs
+        self.ovoid_pairs = ovoid_pairs
+        self.perp_points = perp_points
 
 
-@dataclass(frozen=True, eq=False)
 class MagicLine:
     """The assembled triple (hyperbolic, elliptic, cone) with its labelling."""
 
-    space: SymplecticSpace
-    q_plus_form: QuadraticForm
-    q_minus_form: QuadraticForm
-    cone_form: QuadraticForm
-    q_plus: Constituent
-    q_minus: Constituent
-    cone: Constituent
-    core_w: tuple[int, ...]
-    core_structure: IncidenceStructure
-    core_duads: Mapping[int, tuple[int, int]]
-    duad_to_w: Mapping[tuple[int, int], int]
-    nucleus_w: int
-    label_of: Mapping[int, str]
-    w_of_label: Mapping[str, int]
-    pairs: SectorCorrespondence
+    def __init__(self, space: SymplecticSpace, q_plus_form: QuadraticForm,
+                 q_minus_form: QuadraticForm, cone_form: QuadraticForm,
+                 q_plus: Constituent, q_minus: Constituent, cone: Constituent,
+                 core_w: tuple[int, ...], core_structure: IncidenceStructure,
+                 core_duads: Mapping[int, tuple[int, int]],
+                 duad_to_w: Mapping[tuple[int, int], int], nucleus_w: int,
+                 label_of: Mapping[int, str], w_of_label: Mapping[str, int],
+                 pairs: SectorCorrespondence) -> None:
+        self.space = space
+        self.q_plus_form = q_plus_form
+        self.q_minus_form = q_minus_form
+        self.cone_form = cone_form
+        self.q_plus = q_plus
+        self.q_minus = q_minus
+        self.cone = cone
+        self.core_w = core_w
+        self.core_structure = core_structure
+        self.core_duads = core_duads
+        self.duad_to_w = duad_to_w
+        self.nucleus_w = nucleus_w
+        self.label_of = label_of
+        self.w_of_label = w_of_label
+        self.pairs = pairs
 
     @cached_property
     def core_set(self) -> frozenset[int]:
@@ -231,7 +241,7 @@ def _trace_hyperplane(constituent: Constituent, w: int,
 
 
 def _off_traces(constituent: Constituent, core_duads: Mapping[int, tuple[int, int]],
-                skip: Optional[int] = None) -> dict[int, DoilyHyperplane]:
+                skip: int | None = None) -> dict[int, DoilyHyperplane]:
     """The traces of the constituent's off points other than ``skip``, in
     point order; the first broken trace raises."""
     return {w: _trace_hyperplane(constituent, w, core_duads) for w in constituent.w_points
@@ -377,16 +387,20 @@ def build_magic_line() -> MagicLine:
     w_of_label = {lab: w for w, lab in label_of.items()}
 
     def labelled(structure: IncidenceStructure, w_points) -> IncidenceStructure:
-        return replace(structure, labels=tuple(label_of[w] for w in w_points))
+        return IncidenceStructure(structure.point_count, structure.lines,
+                                  tuple(label_of[w] for w in w_points))
+
+    def relabelled(c: Constituent) -> Constituent:
+        return Constituent(c.name, c.w_points, labelled(c.structure, c.w_points))
 
     return MagicLine(
         space=space,
         q_plus_form=q_plus_form,
         q_minus_form=q_minus_form,
         cone_form=cone_form,
-        q_plus=replace(qp, structure=labelled(qp.structure, qp.w_points)),
-        q_minus=replace(qm, structure=labelled(qm.structure, qm.w_points)),
-        cone=replace(cone, structure=labelled(cone.structure, cone.w_points)),
+        q_plus=relabelled(qp),
+        q_minus=relabelled(qm),
+        cone=relabelled(cone),
         core_w=core_w,
         core_structure=labelled(core_structure, core_w),
         core_duads=MappingProxyType(dict(core_duads)),
@@ -406,7 +420,7 @@ def build_magic_line() -> MagicLine:
     )
 
 
-def doily_trace(ml: MagicLine, w: int) -> Optional[DoilyHyperplane]:
+def doily_trace(ml: MagicLine, w: int) -> DoilyHyperplane | None:
     """The core hyperplane cut out by the constituent lines through an off point.
 
     Grids for hyperbolic points, ovoids for elliptic points, perp-sets for
@@ -421,7 +435,7 @@ def doily_trace(ml: MagicLine, w: int) -> Optional[DoilyHyperplane]:
     return _trace_hyperplane(ml.constituent_of(w), w, ml.core_duads)
 
 
-def complementary_point(ml: MagicLine, w: int) -> Optional[int]:
+def complementary_point(ml: MagicLine, w: int) -> int | None:
     """The unique other off point of the same sector with the same trace.
 
     Cone-sector points (nucleus included) have no complementary partner and
@@ -441,23 +455,24 @@ def complementary_point(ml: MagicLine, w: int) -> Optional[int]:
     raise ConsistencyError(f"point {w} belongs to no complementary pair")
 
 
-@dataclass(frozen=True)
 class SectorImage:
     """A hyperplane's counterpart among the off points: a pair or a point."""
 
-    sector: str
-    labels: tuple[str, ...]
+    def __init__(self, sector: str, labels: tuple[str, ...]) -> None:
+        self.sector = sector
+        self.labels = labels
 
     def __str__(self) -> str:
         return "/".join(self.labels)
 
 
-@dataclass(frozen=True)
 class LineImage:
     """Sector images of a Veldkamp line's three members, in member order."""
 
-    family: str
-    members: tuple[SectorImage, SectorImage, SectorImage]
+    def __init__(self, family: str,
+                 members: tuple[SectorImage, SectorImage, SectorImage]) -> None:
+        self.family = family
+        self.members = members
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(m) for m in self.members) + "}"
@@ -508,20 +523,23 @@ def image_matches_family(image: LineImage) -> bool:
     return fits_family(image.family, by_kind[OVOID], by_kind[PERP_SET], by_kind[GRID])
 
 
-@dataclass(frozen=True)
 class PolarPairReport:
     """Outcome of the mutual-perp inspection for one complementary pair."""
 
-    sector: str
-    pair_labels: tuple[str, str]
-    pair_collinear: bool
-    mutual_perp_labels: tuple[str, ...]
-    trace_name: str
-    matches_trace: bool
-    induced_line_count: int
-    every_point_on_induced_line: bool
-    has_universal_point: bool
-    pairwise_non_collinear: bool
+    def __init__(self, sector: str, pair_labels: tuple[str, str], pair_collinear: bool,
+                 mutual_perp_labels: tuple[str, ...], trace_name: str, matches_trace: bool,
+                 induced_line_count: int, every_point_on_induced_line: bool,
+                 has_universal_point: bool, pairwise_non_collinear: bool) -> None:
+        self.sector = sector
+        self.pair_labels = pair_labels
+        self.pair_collinear = pair_collinear
+        self.mutual_perp_labels = mutual_perp_labels
+        self.trace_name = trace_name
+        self.matches_trace = matches_trace
+        self.induced_line_count = induced_line_count
+        self.every_point_on_induced_line = every_point_on_induced_line
+        self.has_universal_point = has_universal_point
+        self.pairwise_non_collinear = pairwise_non_collinear
 
     @property
     def is_rank_two_polar_space(self) -> bool:
@@ -576,13 +594,14 @@ def polar_pair_check(ml: MagicLine, p: int, q: int) -> PolarPairReport:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class SectorModels:
     """Coordinate-free models of the three constituents, built by rule."""
 
-    hyperbolic: IncidenceStructure
-    elliptic: IncidenceStructure
-    cone: IncidenceStructure
+    def __init__(self, hyperbolic: IncidenceStructure, elliptic: IncidenceStructure,
+                 cone: IncidenceStructure) -> None:
+        self.hyperbolic = hyperbolic
+        self.elliptic = elliptic
+        self.cone = cone
 
 
 def _sector_model(labels: list[str], off_lines: list[list[str]]) -> IncidenceStructure:

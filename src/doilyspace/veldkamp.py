@@ -9,7 +9,6 @@ fall into five families named after the kinds of their members.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .doily import (
@@ -43,25 +42,22 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
 class VeldkampLine:
     """An unordered hyperplane triple closed under the Veldkamp sum."""
 
-    geometry: IncidenceStructure = field(repr=False)
-    members: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        m1, m2, m3 = self.members
+    def __init__(self, geometry: IncidenceStructure, members: tuple[int, int, int]) -> None:
+        m1, m2, m3 = members
         if not m1 < m2 < m3:
             if len({m1, m2, m3}) != 3:
                 raise ValueError("Veldkamp line members must be distinct")
             raise ValueError("members must be in ascending mask order")
-        full = self.geometry.full_mask
-        if veldkamp_sum_mask(full, m1, m2) != m3:
+        if veldkamp_sum_mask(geometry.full_mask, m1, m2) != m3:
             raise ValueError("members are not closed under the Veldkamp sum")
         core = m1 & m2
         if m1 & m3 != core or m2 & m3 != core:
             raise ValueError("pairwise intersections of the members differ")
+        self.geometry = geometry
+        self.members = members
 
     @property
     def core_mask(self) -> int:
@@ -71,11 +67,12 @@ class VeldkampLine:
         return f"VeldkampLine(members={self.members})"
 
 
-@dataclass(frozen=True)
 class VeldkampSpace:
-    geometry: IncidenceStructure = field(repr=False)
-    points: tuple[Hyperplane, ...]
-    lines: tuple[VeldkampLine, ...]
+    def __init__(self, geometry: IncidenceStructure, points: tuple[Hyperplane, ...],
+                 lines: tuple[VeldkampLine, ...]) -> None:
+        self.geometry = geometry
+        self.points = points
+        self.lines = lines
 
     def __repr__(self) -> str:
         return f"VeldkampSpace({len(self.points)} points, {len(self.lines)} lines)"

@@ -1,6 +1,5 @@
 """Tests for W(5,2), the magic Veldkamp line, and the sector correspondences."""
 
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -35,9 +34,11 @@ from doilyspace.magicline import (
     CONE_SECTOR,
     CORE,
     ConsistencyError,
+    Constituent,
     ELLIPTIC_SECTOR,
     HYPERBOLIC_SECTOR,
     NUCLEUS_LABEL,
+    LineImage,
     build_magic_line,
     build_sector_models,
     build_w52,
@@ -377,14 +378,14 @@ def test_line_images_fit_exactly_their_own_family():
         image = veldkamp_line_image(ml, line)
         family = classify_veldkamp_line(line)
         assert image.family == family
-        fitting = [f for f in FAMILIES if image_matches_family(replace(image, family=f))]
+        fitting = [f for f in FAMILIES if image_matches_family(LineImage(f, image.members))]
         assert fitting == [family]
 
 
 def test_trace_rejects_a_wrong_sector_kind():
     ml = build_magic_line()
     w = w_off(ml, ml.q_plus)[0]
-    renamed = replace(ml.q_plus, name=ELLIPTIC_SECTOR)
+    renamed = Constituent(ELLIPTIC_SECTOR, ml.q_plus.w_points, ml.q_plus.structure)
     message = (rf"^elliptic point {ml.label_of[w]} \(W\(5,2\) index {w}\): "
                "its trace must be of kind ovoid, got grid$")
     with pytest.raises(ConsistencyError, match=message):
@@ -461,7 +462,7 @@ def test_certificate_names_a_model_line_the_quadric_lacks():
     ml = build_magic_line()
     structure = ml.q_minus.structure
     first, *rest = structure.lines
-    constituent = replace(ml.q_minus, structure=IncidenceStructure.from_lines(
+    constituent = Constituent(ml.q_minus.name, ml.q_minus.w_points, IncidenceStructure.from_lines(
         structure.point_count, rest, structure.labels))
     line = ", ".join(sorted(structure.label_of(q) for q in first))
     message = (rf"^elliptic line \{{{line}\}} of the sector model "
