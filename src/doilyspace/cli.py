@@ -256,11 +256,9 @@ def _veldkamp_checks() -> list[Check]:
     stable = True
     for perm in ({1: 2, 2: 1, 3: 3, 4: 4, 5: 5, 6: 6},
                  {1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 1}):
-        permuted = [
-            VeldkampLine(g, tuple(sorted(apply_duad_permutation(m, perm)
-                                         for m in line.members)))
-            for line in vs.lines
-        ]
+        image = {h.mask: apply_duad_permutation(h.mask, perm) for h in vs.points}
+        permuted = [VeldkampLine(g, tuple(sorted(image[m] for m in line.members)))
+                    for line in vs.lines]
         if family_census(permuted) != census:
             stable = False
     checks.append(Check("census invariant under relabelling generators", True,

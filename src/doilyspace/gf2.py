@@ -71,6 +71,11 @@ def _coordinates(x: int, dim: int) -> int:
     return x
 
 
+def coordinate_masks(masks: Iterable[int], dim: int) -> tuple[int, ...]:
+    """The masks, each checked to be a coordinate mask of a dim-vector."""
+    return tuple(_coordinates(x, dim) for x in masks)
+
+
 def projective_points(dim: int) -> tuple[BinaryVector, ...]:
     """The 2^dim - 1 nonzero vectors, one per projective point over GF(2)."""
     return tuple(BinaryVector.from_int(v, dim) for v in range(1, 1 << dim))
@@ -85,10 +90,14 @@ class SymplecticForm:
         self.dim = dim
 
     def evaluate(self, x: int, y: int) -> int:
+        """theta(x, y) for two coordinate masks, each checked to be in range."""
+        return self.theta(_coordinates(x, self.dim), _coordinates(y, self.dim))
+
+    def theta(self, x: int, y: int) -> int:
         """theta(x, y) = popcount(x & swap_pairs(y)) mod 2, where swap_pairs
-        exchanges the coordinates of each pair (x1,x2), (x3,x4), ..."""
-        x = _coordinates(x, self.dim)
-        y = _coordinates(y, self.dim)
+        exchanges the coordinates of each pair (x1,x2), (x3,x4), ...  The
+        masks are not checked: pass masks checked once by coordinate_masks,
+        or call evaluate."""
         evens = (1 << self.dim) // 3  # the bits 0, 2, 4, ... below dim
         return (x & ((y & evens) << 1 | (y >> 1) & evens)).bit_count() & 1
 

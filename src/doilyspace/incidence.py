@@ -324,7 +324,11 @@ def has_triangle(g: IncidenceStructure) -> bool:
 
 
 def check_gamma_space(g: IncidenceStructure) -> bool:
-    """True iff every point's perp is a subspace: each line meets it in 0, 1 or all points."""
+    """True iff g is a partial linear space (two lines share at most one
+    point) in which every point's perp is a subspace: each line meets it in
+    0, 1 or all points."""
+    if not is_partial_linear_space(g):
+        return False
     for line in g.lines:
         _, twos, every = _perp_counts(g, line)
         if twos & ~every:

@@ -39,6 +39,7 @@ from .doily import (
 from .gf2 import (
     QuadraticForm,
     SymplecticForm,
+    coordinate_masks,
     elliptic_form,
     hyperbolic_form,
     standard_symplectic,
@@ -107,10 +108,10 @@ class SymplecticSpace:
 def build_w52() -> SymplecticSpace:
     """63 points; lines are the triples {x, y, x+y} with theta(x, y) = 0."""
     form = standard_symplectic(6)
-    points = tuple(range(1, 1 << form.dim))
+    points = coordinate_masks(range(1, 1 << form.dim), form.dim)
     lines = set()
     for x, y in combinations(points, 2):
-        if form.evaluate(x, y) == 0:
+        if form.theta(x, y) == 0:
             lines.add(frozenset((x - 1, y - 1, (x ^ y) - 1)))
     structure = IncidenceStructure.from_lines(
         len(points), lines, labels=[format(v, "06b")[::-1] for v in points])
@@ -154,7 +155,11 @@ class SectorCorrespondence:
 
 
 class MagicLine:
-    """The assembled triple (hyperbolic, elliptic, cone) with its labelling."""
+    """The assembled triple (hyperbolic, elliptic, cone) with its labelling.
+
+    ``traces`` maps each of the 47 off points other than the nucleus to the
+    core hyperplane it traces, as certified while the line was built.
+    """
 
     def __init__(self, space: SymplecticSpace, q_plus_form: QuadraticForm,
                  q_minus_form: QuadraticForm, cone_form: QuadraticForm,
@@ -163,7 +168,8 @@ class MagicLine:
                  core_duads: Mapping[int, tuple[int, int]],
                  duad_to_w: Mapping[tuple[int, int], int], nucleus_w: int,
                  label_of: Mapping[int, str], w_of_label: Mapping[str, int],
-                 pairs: SectorCorrespondence) -> None:
+                 pairs: SectorCorrespondence,
+                 traces: Mapping[int, DoilyHyperplane]) -> None:
         self.space = space
         self.q_plus_form = q_plus_form
         self.q_minus_form = q_minus_form
@@ -179,6 +185,7 @@ class MagicLine:
         self.label_of = label_of
         self.w_of_label = w_of_label
         self.pairs = pairs
+        self.traces = traces
 
     @cached_property
     def core_set(self) -> frozenset[int]:
@@ -417,6 +424,7 @@ def build_magic_line() -> MagicLine:
                 w_of_label[f"{h.index[0]}'"]) for h in ell_traces.values()}),
             perp_points=MappingProxyType({h.index: w for w, h in cone_traces.items()}),
         ),
+        traces=MappingProxyType({**hyp_traces, **ell_traces, **cone_traces}),
     )
 
 
@@ -426,13 +434,14 @@ def doily_trace(ml: MagicLine, w: int) -> DoilyHyperplane | None:
     Grids for hyperbolic points, ovoids for elliptic points, perp-sets for
     non-nucleus cone points.  The nucleus traces the whole core through its
     15 vertex lines, which is not a proper hyperplane: returns None for it.
+    The traces are computed and certified once, when build_magic_line builds
+    the line, and read here from ``ml.traces``.
     """
-    sector = ml.sector_of(w)
-    if sector == CORE:
+    if ml.sector_of(w) == CORE:
         raise ValueError(f"point {w} lies on the core doily and has no trace")
     if w == ml.nucleus_w:
         return None
-    return _trace_hyperplane(ml.constituent_of(w), w, ml.core_duads)
+    return ml.traces[w]
 
 
 def complementary_point(ml: MagicLine, w: int) -> int | None:

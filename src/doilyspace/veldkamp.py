@@ -9,6 +9,7 @@ fall into five families named after the kinds of their members.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 from .doily import (
@@ -154,7 +155,15 @@ def classify_veldkamp_line(line: VeldkampLine) -> str:
     """The first of the five doily families whose rule the members fit."""
     if line.geometry != build_doily():
         raise ValueError("not a Veldkamp line of the doily")
-    members = [classify_hyperplane(m) for m in line.members]
+    return _classify_members(line.members)
+
+
+@lru_cache(maxsize=None)
+def _classify_members(masks: tuple[int, int, int]) -> str:
+    """The family of a doily Veldkamp line, by its member masks.  Only doily
+    lines reach the cache, so it holds at most 155 entries; a failure raises
+    and is not cached."""
+    members = [classify_hyperplane(m) for m in masks]
     by_kind = {OVOID: [], PERP_SET: [], GRID: []}
     for h in members:
         t = frozenset(h.index)

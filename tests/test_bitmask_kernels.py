@@ -69,6 +69,10 @@ def ref_check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
 
 
 def ref_check_gamma_space(g: IncidenceStructure) -> bool:
+    # a gamma space is a partial linear space: no two lines share two points
+    for m1, m2 in combinations(g.line_masks, 2):
+        if (m1 & m2).bit_count() >= 2:
+            return False
     for p in range(g.point_count):
         pm = g.perp_masks[p]
         for lm in g.line_masks:

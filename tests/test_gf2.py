@@ -11,6 +11,7 @@ from doilyspace.gf2 import (
     QuadraticForm,
     SymplecticForm,
     classify_form,
+    coordinate_masks,
     elliptic_form,
     hyperbolic_form,
     parabolic_form,
@@ -73,6 +74,26 @@ def test_symplectic_errors():
         SymplecticForm(5)
     with pytest.raises(ValueError):
         standard_symplectic(4).evaluate(1 << 4, 1)
+
+
+def test_evaluate_is_the_checked_theta():
+    # evaluate checks its masks and then computes theta itself: both agree
+    # with the Gram matrix on every pair
+    form = standard_symplectic(6)
+    gram = polarize(hyperbolic_form(6))
+    for x in range(64):
+        for y in range(64):
+            assert form.theta(x, y) == form.evaluate(x, y) == gram.evaluate(x, y)
+
+
+def test_coordinate_masks_checks_each_mask():
+    assert coordinate_masks(range(1, 16), 4) == tuple(range(1, 16))
+    with pytest.raises(ValueError, match="^coordinate mask 16 out of range for dimension 4$"):
+        coordinate_masks([1, 16], 4)
+    with pytest.raises(ValueError, match="^coordinate mask -1 out of range"):
+        coordinate_masks([-1], 4)
+    with pytest.raises(TypeError, match="^coordinates must be an int mask, got str$"):
+        coordinate_masks(["1"], 4)
 
 
 def test_quad_eval_examples():

@@ -25,6 +25,7 @@ from doilyspace.incidence import (
     induced_substructure,
     is_geometric_hyperplane,
     is_isomorphism,
+    is_partial_linear_space,
     mask_of,
     null_space_hyperplanes,
     perp,
@@ -234,6 +235,10 @@ def test_check_gamma_space():
     # perp of b meets the line {a,d,e} in exactly two points
     example = IncidenceStructure.from_lines(5, [[0, 1, 2], [1, 2, 3], [0, 3, 4]])
     assert not check_gamma_space(example)
+    # every perp is the whole point set, but the first two lines share 0 and 1
+    digon = IncidenceStructure.from_lines(4, [(0, 1, 2), (0, 1, 3), (2, 3)])
+    assert not is_partial_linear_space(digon)
+    assert not check_gamma_space(digon)
 
 
 def test_find_isomorphism_relabelled_doily():

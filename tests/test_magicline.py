@@ -250,6 +250,32 @@ def test_pair_coherence_and_figure_spot_values():
     assert doily_trace(ml, ml.w_of_label["3456"]).name == "p_12"
 
 
+def test_recorded_traces_equal_fresh_traces():
+    ml = build_magic_line()
+    off = [w for c in ml.constituents.values() for w in w_off(ml, c) if w != ml.nucleus_w]
+    assert sorted(ml.traces) == sorted(off) and len(off) == 47
+    for w in off:
+        fresh = _trace_hyperplane(ml.constituent_of(w), w, ml.core_duads)
+        recorded = doily_trace(ml, w)
+        assert recorded is ml.traces[w]
+        assert (recorded.mask, recorded.kind, recorded.index) == (
+            fresh.mask, fresh.kind, fresh.index)
+    with pytest.raises(TypeError):
+        ml.traces[off[0]] = ml.traces[off[1]]
+
+
+def test_doily_trace_errors_are_unchanged():
+    ml = build_magic_line()
+    assert doily_trace(ml, ml.nucleus_w) is None
+    for w in ml.core_w:
+        message = rf"^point {w} lies on the core doily and has no trace$"
+        with pytest.raises(ValueError, match=message):
+            doily_trace(ml, w)
+    for w in (-1, 63):
+        with pytest.raises(IndexError, match=rf"^point index {w} out of range$"):
+            doily_trace(ml, w)
+
+
 def test_complementary_point_edge_cases():
     ml = build_magic_line()
     for w in w_off(ml, ml.cone):

@@ -30,6 +30,7 @@ from doilyspace.veldkamp import (
     FAMILY_PERP_TRIPLE_TRIANGLE,
     FAMILY_RULES,
     VeldkampLine,
+    _classify_members,
     build_veldkamp_space,
     classify_veldkamp_line,
     family_census,
@@ -258,3 +259,22 @@ def test_classify_rejects_foreign_lines():
     vs = build_veldkamp_space(single)
     with pytest.raises(ValueError):
         classify_veldkamp_line(vs.lines[0])
+
+
+def test_memoized_family_equals_the_structural_rules():
+    vs = build_veldkamp_space(build_doily())
+    for line in vs.lines:
+        assert classify_veldkamp_line(line) == _classify_members.__wrapped__(line.members)
+    assert _classify_members.cache_info().currsize <= 155
+
+
+def test_a_failed_classification_is_not_cached():
+    # sum-closed, so VeldkampLine accepts it, but {0,1} is no hyperplane
+    g = build_doily()
+    line = VeldkampLine(g, tuple(sorted((0b11, 0b101, g.full_mask ^ 0b110))))
+    before = _classify_members.cache_info().currsize
+    message = "^subset is not a geometric hyperplane of the doily$"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            classify_veldkamp_line(line)
+    assert _classify_members.cache_info().currsize == before

@@ -1,0 +1,52 @@
+"""A cold ``verify all`` must compute each magic-line trace, each Veldkamp
+line's family and each permuted hyperplane once.
+
+The run happens in a fresh process, so no cache is warm.  The private
+helpers are wrapped in the namespaces that call them, and the counts are
+exact: they guard the work done, not the time it takes.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+COUNT_WORK = """\
+import io, json, sys
+from contextlib import redirect_stdout
+from doilyspace import cli, magicline, veldkamp
+
+counts = {"trace": 0, "member": 0, "permute": 0}
+
+def counted(module, name, key):
+    original = getattr(module, name)
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+    setattr(module, name, wrapper)
+
+counted(magicline, "_trace_hyperplane", "trace")
+# the family rules classify the three members of each line they classify
+counted(veldkamp, "classify_hyperplane", "member")
+counted(cli, "apply_duad_permutation", "permute")
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "all", "--format", "structured"])
+print(json.dumps({"exit": code, "traces": counts["trace"],
+                  "classifications": counts["member"] / 3,
+                  "permutations": counts["permute"]}))
+"""
+
+
+def test_cold_verify_all_does_each_piece_of_work_once():
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-S", "-c", COUNT_WORK], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == {
+        "exit": 0,
+        "traces": 47,  # 20 hyperbolic, 12 elliptic and 15 cone off points
+        "classifications": 155,  # the doily's Veldkamp lines
+        "permutations": 62,  # 31 hyperplanes under each of 2 generators
+    }
