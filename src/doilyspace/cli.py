@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from itertools import combinations
 
 from .doily import (
@@ -42,6 +43,7 @@ from .magicline import (
     CONE_SECTOR,
     ELLIPTIC_SECTOR,
     HYPERBOLIC_SECTOR,
+    MagicLine,
     build_magic_line,
     build_sector_models,
     complementary_point,
@@ -53,8 +55,8 @@ from .magicline import (
 )
 from .veldkamp import (
     VeldkampLine,
-    build_veldkamp_space,
     classify_veldkamp_line,
+    doily_veldkamp_space,
     family_census,
 )
 
@@ -202,7 +204,7 @@ def _doily_checks() -> list[Check]:
 
 def _veldkamp_checks() -> list[Check]:
     g = build_doily()
-    vs = build_veldkamp_space(g)
+    vs = doily_veldkamp_space()
     checks = [
         Check("Veldkamp point count", 31, len(vs.points), PAPER),
         Check("Veldkamp line count", 155, len(vs.lines), PAPER),
@@ -340,7 +342,7 @@ def _magicline_checks() -> list[Check]:
         and doily_trace(ml, ml.w_of_label["3456"]).name == "p_12")
     checks.append(Check("figure spot values (146/235, 3/3', 3456)", True, spots, PAPER))
 
-    vs = build_veldkamp_space(build_doily())
+    vs = doily_veldkamp_space()
     images_ok = all(image_matches_family(veldkamp_line_image(ml, l)) for l in vs.lines)
     checks.append(Check("all 155 line images match their family pattern", True,
                         images_ok, PAPER))
@@ -417,12 +419,28 @@ def _emit(payload: str, out: str | None) -> None:
         raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
+@lru_cache(maxsize=3)  # the three sectors of the cached magic line
+def _sector_skeleton(ml: MagicLine, figure: str):
+    """The part of an export that does not depend on the chosen point: the
+    sorted off-point labels, each node's label and role when neither chosen
+    nor traced, each line's id, sorted labels and role when not concurrent."""
+    constituent = ml.constituents[figure]
+    struct = constituent.structure
+    valid = tuple(sorted(
+        ml.label_of[v] for v in constituent.w_points
+        if v not in ml.core_set and v != ml.nucleus_w))
+    nodes = tuple((struct.labels[local], "core" if w_idx in ml.core_set else "sector")
+                  for local, w_idx in enumerate(constituent.w_points))
+    lines = tuple(
+        (f"L{idx}", tuple(sorted(struct.labels[q] for q in line)),
+         "core" if all(constituent.w_points[q] in ml.core_set for q in line) else "plain")
+        for idx, line in enumerate(struct.lines))
+    return valid, nodes, lines
+
+
 def _export_roles(figure: str, point_label: str):
     ml = build_magic_line()
-    constituent = ml.constituents[figure]
-    valid = sorted(
-        ml.label_of[v] for v in constituent.w_points
-        if v not in ml.core_set and v != ml.nucleus_w)
+    valid, nodes, lines = _sector_skeleton(ml, figure)
     if point_label not in valid:
         raise UsageError(
             f"point {point_label!r} is not an off point of the {figure} sector; "
@@ -430,37 +448,23 @@ def _export_roles(figure: str, point_label: str):
     chosen_w = ml.w_of_label[point_label]
     trace = doily_trace(ml, chosen_w)
     trace_labels = {ml.label_of[ml.duad_to_w[d]] for d in trace.duads}
-    struct = constituent.structure
+    constituent = ml.constituents[figure]
     chosen_local = constituent.local_index(chosen_w)
-
-    nodes = []
-    for local, w_idx in enumerate(constituent.w_points):
-        label = struct.labels[local]
-        if local == chosen_local:
-            role = "chosen"
-        elif label in trace_labels:
-            role = "trace"
-        elif w_idx in ml.core_set:
-            role = "core"
-        else:
-            role = "sector"
-        nodes.append({"label": label, "role": role})
-
-    lines = []
-    for idx, line in enumerate(struct.lines):
-        members = sorted(struct.labels[q] for q in line)
-        through = chosen_local in line
-        in_core = all(constituent.w_points[q] in ml.core_set for q in line)
-        role = "concurrent" if through else ("core" if in_core else "plain")
-        lines.append({"id": f"L{idx}", "points": members, "role": role})
-
+    through = set(constituent.structure.lines_through[chosen_local])
     return {
         "figure": figure,
         "point": point_label,
         "trace": {"name": trace.name, "kind": trace.kind,
                   "points": sorted(trace_labels)},
-        "nodes": nodes,
-        "lines": lines,
+        "nodes": [
+            {"label": label,
+             "role": "chosen" if local == chosen_local
+             else "trace" if label in trace_labels else role}
+            for local, (label, role) in enumerate(nodes)],
+        "lines": [
+            {"id": line_id, "points": list(points),
+             "role": "concurrent" if idx in through else role}
+            for idx, (line_id, points, role) in enumerate(lines)],
     }
 
 
@@ -502,7 +506,7 @@ def _hyperplane_rows() -> list[dict]:
 
 
 def _veldkamp_rows() -> list[dict]:
-    vs = build_veldkamp_space(build_doily())
+    vs = doily_veldkamp_space()
     rows = []
     for line in vs.lines:
         members = [classify_hyperplane(m).name for m in line.members]

@@ -63,10 +63,16 @@ class IncidenceStructure:
     """Points 0..point_count-1 together with lines given as point subsets.
 
     Two structures are equal when their point counts, lines (in order) and
-    labels are."""
+    labels are.  Lines and labels are stored as tuples, whatever sequence
+    they came in, so equality and hashing do not depend on it."""
 
-    def __init__(self, point_count: int, lines: tuple[frozenset[int], ...],
-                 labels: tuple[str, ...] | None = None) -> None:
+    def __init__(self, point_count: int, lines: Iterable[frozenset[int]],
+                 labels: Iterable[str] | None = None) -> None:
+        if type(point_count) is not int or point_count < 0:
+            raise ValueError(f"point count {point_count!r} is not a non-negative int")
+        lines = tuple(lines)
+        if labels is not None:
+            labels = tuple(labels)
         for line in lines:
             if len(line) < 2:
                 raise ValueError(f"line {set(line)} has fewer than 2 points")

@@ -103,6 +103,22 @@ def build_veldkamp_space(g: IncidenceStructure) -> VeldkampSpace:
     return VeldkampSpace(g, tuple(hyperplanes), tuple(lines))
 
 
+def doily_veldkamp_space() -> VeldkampSpace:
+    """The Veldkamp space of ``build_doily()``, built once per doily instance.
+
+    build_veldkamp_space stays uncached: it also serves geometries built on
+    the fly, which a cache would keep alive.
+    """
+    return _space_of_doily(id(build_doily()))
+
+
+@lru_cache(maxsize=1)
+def _space_of_doily(doily_id: int) -> VeldkampSpace:
+    # the cached space holds the doily it was built from, so no other object
+    # can take that id while the entry lives
+    return build_veldkamp_space(build_doily())
+
+
 def _require_partial_linear_space(g: IncidenceStructure) -> None:
     """Raise ValueError naming two lines that share two points, if any do."""
     if is_partial_linear_space(g):

@@ -1,6 +1,7 @@
 """Tests for the generic incidence machinery."""
 
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -46,6 +47,26 @@ def test_structure_validation():
         IncidenceStructure(3, (frozenset({0, 1}), frozenset({1, 0})))
     with pytest.raises(ValueError):
         IncidenceStructure(3, (frozenset({0, 1}),), labels=("a",))
+
+
+def test_lines_and_labels_are_stored_as_tuples():
+    line = frozenset({0, 1, 2})
+    from_list = IncidenceStructure(3, [line], ["a", "b", "c"])
+    from_tuple = IncidenceStructure(3, (line,), ("a", "b", "c"))
+    assert from_list.lines == (line,) and from_list.labels == ("a", "b", "c")
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    d = build_doily()
+    rebuilt = IncidenceStructure(15, list(d.lines), d.labels)
+    assert rebuilt == d and hash(rebuilt) == hash(d)
+    canonical = IncidenceStructure.from_lines(15, d.lines, d.labels)
+    assert IncidenceStructure(15, canonical.lines, canonical.labels).lines is canonical.lines
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, "3", None, True])
+def test_point_count_must_be_a_non_negative_int(count):
+    with pytest.raises(ValueError, match=re.escape(f"point count {count!r} is not a non-negative int")):
+        IncidenceStructure(count, ())
 
 
 def test_collinear_examples():

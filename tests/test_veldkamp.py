@@ -33,6 +33,7 @@ from doilyspace.veldkamp import (
     _classify_members,
     build_veldkamp_space,
     classify_veldkamp_line,
+    doily_veldkamp_space,
     family_census,
     fits_family,
 )
@@ -259,6 +260,24 @@ def test_classify_rejects_foreign_lines():
     vs = build_veldkamp_space(single)
     with pytest.raises(ValueError):
         classify_veldkamp_line(vs.lines[0])
+
+
+def test_a_rebuilt_doily_keeps_its_lines_classified():
+    d = build_doily()
+    rebuilt = IncidenceStructure(15, list(d.lines), d.labels)
+    census = family_census(build_veldkamp_space(rebuilt).lines)
+    assert census == family_census(build_veldkamp_space(d).lines)
+
+
+def test_doily_space_is_built_once_per_doily_instance():
+    vs = doily_veldkamp_space()
+    assert doily_veldkamp_space() is vs and vs.geometry is build_doily()
+    assert [l.members for l in vs.lines] == [
+        l.members for l in build_veldkamp_space(build_doily()).lines]
+    build_doily.cache_clear()
+    rebuilt = doily_veldkamp_space()
+    assert rebuilt is not vs and rebuilt.geometry is build_doily()
+    assert [l.members for l in rebuilt.lines] == [l.members for l in vs.lines]
 
 
 def test_memoized_family_equals_the_structural_rules():

@@ -1,9 +1,10 @@
 """A cold ``verify all`` must compute each magic-line trace, each Veldkamp
-line's family and each permuted hyperplane once.
+line's family, each permuted hyperplane and the doily's Veldkamp space once,
+and a warm process must not build that space again.
 
-The run happens in a fresh process, so no cache is warm.  The private
-helpers are wrapped in the namespaces that call them, and the counts are
-exact: they guard the work done, not the time it takes.
+The cold run happens in a fresh process, so no cache is warm.  The helpers
+are wrapped in the namespaces that call them, and the counts are exact: they
+guard the work done, not the time it takes.
 """
 
 import json
@@ -12,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from doilyspace import cli, veldkamp
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 COUNT_WORK = """\
@@ -19,7 +22,7 @@ import io, json, sys
 from contextlib import redirect_stdout
 from doilyspace import cli, magicline, veldkamp
 
-counts = {"trace": 0, "member": 0, "permute": 0}
+counts = {"trace": 0, "member": 0, "permute": 0, "space": 0}
 
 def counted(module, name, key):
     original = getattr(module, name)
@@ -27,6 +30,10 @@ def counted(module, name, key):
         counts[key] += 1
         return original(*args, **kwargs)
     setattr(module, name, wrapper)
+
+for module in (cli, veldkamp):
+    if hasattr(module, "build_veldkamp_space"):
+        counted(module, "build_veldkamp_space", "space")
 
 counted(magicline, "_trace_hyperplane", "trace")
 # the family rules classify the three members of each line they classify
@@ -36,7 +43,8 @@ with redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "all", "--format", "structured"])
 print(json.dumps({"exit": code, "traces": counts["trace"],
                   "classifications": counts["member"] / 3,
-                  "permutations": counts["permute"]}))
+                  "permutations": counts["permute"],
+                  "veldkamp_spaces": counts["space"]}))
 """
 
 
@@ -49,4 +57,20 @@ def test_cold_verify_all_does_each_piece_of_work_once():
         "traces": 47,  # 20 hyperbolic, 12 elliptic and 15 cone off points
         "classifications": 155,  # the doily's Veldkamp lines
         "permutations": 62,  # 31 hyperplanes under each of 2 generators
+        "veldkamp_spaces": 1,  # the doily's, shared by both suites that read it
     }
+
+
+def test_warm_calls_build_no_veldkamp_space(monkeypatch, capsys):
+    assert cli.main(["tables", "veldkamp_lines"]) == 0
+    builds = []
+    for module in (cli, veldkamp):
+        if hasattr(module, "build_veldkamp_space"):
+            original = getattr(module, "build_veldkamp_space")
+            monkeypatch.setattr(module, "build_veldkamp_space",
+                                lambda g, original=original: builds.append(g) or original(g))
+    for argv in (["tables", "veldkamp_lines"], ["verify", "veldkamp"],
+                 ["verify", "magicline"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert builds == []
