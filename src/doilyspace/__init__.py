@@ -21,12 +21,10 @@ from .gf2 import (
 )
 from .incidence import (
     CapacityError,
-    Hyperplane,
     IncidenceStructure,
     check_gamma_space,
     check_gq,
     collinear,
-    deep_points,
     enumerate_hyperplanes,
     find_isomorphism,
     induced_substructure,
@@ -77,10 +75,10 @@ __all__ = [
     "BinaryVector", "BilinearForm", "QuadraticForm", "SymplecticForm",
     "classify_form", "elliptic_form", "hyperbolic_form", "parabolic_form",
     "polarize", "standard_symplectic",
-    "CapacityError", "Hyperplane", "IncidenceStructure", "check_gamma_space",
-    "check_gq", "collinear", "deep_points", "enumerate_hyperplanes",
-    "find_isomorphism", "induced_substructure", "is_geometric_hyperplane",
-    "is_isomorphism", "null_space_hyperplanes", "perp",
+    "CapacityError", "IncidenceStructure", "check_gamma_space", "check_gq",
+    "collinear", "enumerate_hyperplanes", "find_isomorphism",
+    "induced_substructure", "is_geometric_hyperplane", "is_isomorphism",
+    "null_space_hyperplanes", "perp",
     "DUADS", "SYNTHEMES", "DoilyHyperplane", "all_named_hyperplanes",
     "build_doily", "classify_hyperplane", "grid", "ovoid", "perp_set",
     "veldkamp_sum",

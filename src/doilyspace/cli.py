@@ -116,8 +116,8 @@ class VerificationReport:
             "checks": [
                 {
                     "name": c.name,
-                    "expected": _jsonable(c.expected),
-                    "actual": _jsonable(c.actual),
+                    "expected": c.expected,
+                    "actual": c.actual,
                     "passed": c.passed,
                     "provenance": c.provenance,
                 }
@@ -125,16 +125,6 @@ class VerificationReport:
             ],
             "summary": {"passed": ok, "failed": bad, "total": len(self.checks)},
         }
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (list, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
 
 
 def _doily_checks() -> list[Check]:
@@ -150,7 +140,7 @@ def _doily_checks() -> list[Check]:
         Check("gamma space", True, check_gamma_space(g), DERIVED),
     ]
     hyperplanes = null_space_hyperplanes(g)
-    kinds = [classify_hyperplane(h.mask).kind for h in hyperplanes]
+    kinds = [classify_hyperplane(m).kind for m in hyperplanes]
     checks.append(Check("hyperplane census (ovoid/perp-set/grid)", [6, 15, 10],
                         [kinds.count("ovoid"), kinds.count("perp-set"),
                          kinds.count("grid")], PAPER))
@@ -183,9 +173,9 @@ def _doily_checks() -> list[Check]:
     checks.append(Check("ovoid points pairwise non-collinear", True,
                         ovoid_coclique, DERIVED))
 
-    masks = {h.mask for h in hyperplanes}
+    masks = set(hyperplanes)
     closed = all(
-        g.full_mask ^ m1 ^ m2 in masks for m1, m2 in combinations(sorted(masks), 2))
+        g.full_mask ^ m1 ^ m2 in masks for m1, m2 in combinations(hyperplanes, 2))
     checks.append(Check("Veldkamp sum closed on the 31 hyperplanes", True,
                         closed, PAPER))
     span = {ovoid(i).mask for i in range(1, 6)}
@@ -258,7 +248,7 @@ def _veldkamp_checks() -> list[Check]:
     stable = True
     for perm in ({1: 2, 2: 1, 3: 3, 4: 4, 5: 5, 6: 6},
                  {1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 1}):
-        image = {h.mask: apply_duad_permutation(h.mask, perm) for h in vs.points}
+        image = {m: apply_duad_permutation(m, perm) for m in vs.points}
         permuted = [VeldkampLine(g, tuple(sorted(image[m] for m in line.members)))
                     for line in vs.lines]
         if family_census(permuted) != census:

@@ -178,8 +178,7 @@ def classify_hyperplane(subset: int | Iterable) -> DoilyHyperplane:
 @lru_cache(maxsize=None)
 def _classify_table() -> dict[int, DoilyHyperplane]:
     """The structural class of each of the doily's hyperplanes, keyed by mask."""
-    table = {h.mask: _classify_structurally(h.mask)
-             for h in null_space_hyperplanes(build_doily())}
+    table = {m: _classify_structurally(m) for m in null_space_hyperplanes(build_doily())}
     kinds = Counter(h.kind for h in table.values())
     if kinds != {OVOID: 6, PERP_SET: 15, GRID: 10}:
         raise RuntimeError(f"doily classify table has census {dict(kinds)}, "
@@ -220,7 +219,8 @@ def _classify_structurally(mask: int) -> DoilyHyperplane:
             if sum(1 for lm in inside if (lm >> p) & 1) != 2:
                 raise ValueError("every grid point must lie on exactly 2 internal lines")
         # elements in the same class of the defining partition never form a
-        # duad of the grid; the two classes are the components of that graph
+        # duad of the grid, so 1's class is 1 and the y with no duad 1y in it;
+        # the h.mask check below catches a mask that is not that class's grid
         triple = _grid_triple(mask)
         h = grid(*triple)
     else:
@@ -232,15 +232,7 @@ def _classify_structurally(mask: int) -> DoilyHyperplane:
 
 def _grid_triple(mask: int) -> tuple[int, int, int]:
     present = {DUADS[p] for p in points_of(mask)}
-    cls = {1}
-    changed = True
-    while changed:
-        changed = False
-        for x in list(cls):
-            for y in S_ELEMENTS:
-                if y not in cls and tuple(sorted((x, y))) not in present:
-                    cls.add(y)
-                    changed = True
+    cls = {1} | {y for y in S_ELEMENTS[1:] if (1, y) not in present}
     if len(cls) != 3:
         raise ValueError("grid duads do not arise from a 3+3 partition")
     return tuple(sorted(cls))

@@ -98,9 +98,17 @@ class IncidenceStructure:
     @classmethod
     def from_lines(cls, point_count: int, lines: Iterable[Iterable[int]],
                    labels: Iterable[str] | None = None) -> IncidenceStructure:
-        """Build a structure with the lines deduplicated and canonically ordered."""
-        canon = sorted({frozenset(l) for l in lines}, key=sorted)
-        return cls(point_count, tuple(canon),
+        """Build a structure with the lines deduplicated and canonically ordered.
+
+        A line that names a point twice is rejected, not shortened."""
+        canon = set()
+        for line in lines:
+            points = tuple(line)
+            unique = frozenset(points)
+            if len(unique) != len(points):
+                raise ValueError(f"line {list(points)} names a point twice")
+            canon.add(unique)
+        return cls(point_count, tuple(sorted(canon, key=sorted)),
                    None if labels is None else tuple(labels))
 
     @cached_property
@@ -147,28 +155,6 @@ class IncidenceStructure:
         return f"IncidenceStructure({self.point_count} points, {len(self.lines)} lines)"
 
 
-class Hyperplane:
-    """A point subset meeting every line in one point or containing it."""
-
-    def __init__(self, geometry: IncidenceStructure, mask: int) -> None:
-        if not is_geometric_hyperplane(geometry, mask):
-            raise ValueError(f"mask {mask} is not a geometric hyperplane of the "
-                             f"{geometry.point_count}-point geometry")
-        self.geometry = geometry
-        self.mask = mask
-
-    @property
-    def points(self) -> frozenset[int]:
-        return frozenset(points_of(self.mask))
-
-    @property
-    def size(self) -> int:
-        return popcount(self.mask)
-
-    def __repr__(self) -> str:
-        return f"Hyperplane({sorted(self.points)})"
-
-
 def _check_index(g: IncidenceStructure, p: int) -> None:
     if not 0 <= p < g.point_count:
         raise IndexError(f"point index {p} out of range (0..{g.point_count - 1})")
@@ -208,12 +194,9 @@ def deep_points_mask(g: IncidenceStructure, mask: int) -> int:
     return out
 
 
-def deep_points(h: Hyperplane) -> frozenset[int]:
-    return frozenset(points_of(deep_points_mask(h.geometry, h.mask)))
-
-
-def enumerate_hyperplanes(g: IncidenceStructure) -> list[Hyperplane]:
-    """All proper nonempty geometric hyperplanes, found by a full 2^n scan."""
+def enumerate_hyperplanes(g: IncidenceStructure) -> list[int]:
+    """The masks of all proper nonempty geometric hyperplanes, ascending,
+    found by a full 2^n scan."""
     if g.point_count > HYPERPLANE_SCAN_LIMIT:
         raise CapacityError(
             f"exhaustive hyperplane scan limited to {HYPERPLANE_SCAN_LIMIT} points, "
@@ -228,18 +211,19 @@ def enumerate_hyperplanes(g: IncidenceStructure) -> list[Hyperplane]:
                 ok = False
                 break
         if ok:
-            found.append(Hyperplane(g, m))
+            found.append(m)
     return found
 
 
-def null_space_hyperplanes(g: IncidenceStructure) -> list[Hyperplane]:
-    """All proper nonempty geometric hyperplanes of a geometry with 3 points per line.
+def null_space_hyperplanes(g: IncidenceStructure) -> list[int]:
+    """The masks of all proper nonempty geometric hyperplanes of a geometry
+    with 3 points per line.
 
     A 3-point line meets a subset in 1 or 3 points exactly when it meets the
     complement in an even number, so the hyperplanes are the complements of
     the nonzero vectors of the GF(2) null space of the line-by-point
     incidence matrix.  Returns the same list as ``enumerate_hyperplanes``,
-    in ascending mask order, with each member verified by ``Hyperplane``.
+    in ascending order, with each mask verified by ``is_geometric_hyperplane``.
     """
     if any(len(line) != 3 for line in g.lines):
         raise ValueError("null-space hyperplane enumeration requires 3 points per line")
@@ -266,7 +250,11 @@ def null_space_hyperplanes(g: IncidenceStructure) -> list[Hyperplane]:
         null_vectors += [v ^ basis for v in null_vectors]
     # v = 0 gives the full point set; v = full, possible only without lines, the empty set
     masks = sorted(g.full_mask ^ v for v in null_vectors if v and v != g.full_mask)
-    return [Hyperplane(g, m) for m in masks]
+    for m in masks:
+        if not is_geometric_hyperplane(g, m):
+            raise ValueError(f"mask {m} is not a geometric hyperplane of the "
+                             f"{g.point_count}-point geometry")
+    return masks
 
 
 def _perp_counts(g: IncidenceStructure, line: Iterable[int]) -> tuple[int, int, int]:

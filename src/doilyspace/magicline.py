@@ -42,6 +42,7 @@ from .gf2 import (
     coordinate_masks,
     elliptic_form,
     hyperbolic_form,
+    polarize,
     standard_symplectic,
 )
 from .incidence import (
@@ -333,6 +334,8 @@ def build_magic_line() -> MagicLine:
     q_plus_form = hyperbolic_form(6)
     q_minus_form = elliptic_form(6)
     cone_form = q_plus_form + q_minus_form
+    _require(polarize(q_plus_form).gram == polarize(q_minus_form).gram == space.form.gram(),
+             "Q+ and Q- must polarize to the standard alternating form")
 
     n = len(space.points)
     full = space.structure.full_mask
@@ -352,11 +355,10 @@ def build_magic_line() -> MagicLine:
     _require(qp_mask & cone_mask == core_mask and qm_mask & cone_mask == core_mask,
              "pairwise intersections of the constituents must equal the core")
 
+    # an additive form's zeros together with 0 are closed under addition
+    _require(not any(map(any, polarize(cone_form).gram)),
+             "cone form must polarize to zero, so the cone is a linear hyperplane")
     cone_points = points_of(cone_mask)
-    # the cone's span: its point set together with 0 is closed under addition
-    for i, j in combinations(cone_points, 2):
-        _require(cone_mask >> (((i + 1) ^ (j + 1)) - 1) & 1,
-                 "cone point set must be a linear hyperplane")
     nucleus_candidates = [
         i for i in cone_points
         if all(space.form.evaluate(i + 1, j + 1) == 0 for j in cone_points)]

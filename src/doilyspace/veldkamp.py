@@ -21,7 +21,6 @@ from .doily import (
     classify_hyperplane,
 )
 from .incidence import (
-    Hyperplane,
     IncidenceStructure,
     is_partial_linear_space,
     null_space_hyperplanes,
@@ -69,7 +68,9 @@ class VeldkampLine:
 
 
 class VeldkampSpace:
-    def __init__(self, geometry: IncidenceStructure, points: tuple[Hyperplane, ...],
+    """The hyperplane masks of a geometry, ascending, and its Veldkamp lines."""
+
+    def __init__(self, geometry: IncidenceStructure, points: tuple[int, ...],
                  lines: tuple[VeldkampLine, ...]) -> None:
         self.geometry = geometry
         self.points = points
@@ -90,9 +91,8 @@ def build_veldkamp_space(g: IncidenceStructure) -> VeldkampSpace:
     if not g.lines:
         raise ValueError("Veldkamp space construction requires at least one line")
     _require_partial_linear_space(g)
-    hyperplanes = null_space_hyperplanes(g)
+    masks = null_space_hyperplanes(g)  # ascending
     full = g.full_mask
-    masks = [h.mask for h in hyperplanes]  # ascending
     # each line {m1 < m2 < m3} is kept once, from its two smallest members,
     # and the lines come out in ascending order
     lines = []
@@ -100,7 +100,7 @@ def build_veldkamp_space(g: IncidenceStructure) -> VeldkampSpace:
         m3 = veldkamp_sum_mask(full, m1, m2)
         if m2 < m3:
             lines.append(VeldkampLine(g, (m1, m2, m3)))
-    return VeldkampSpace(g, tuple(hyperplanes), tuple(lines))
+    return VeldkampSpace(g, tuple(masks), tuple(lines))
 
 
 def doily_veldkamp_space() -> VeldkampSpace:

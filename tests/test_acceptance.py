@@ -71,7 +71,7 @@ def test_criterion_02_hyperplane_census():
     g = build_doily()
     hyperplanes = enumerate_hyperplanes(g)  # full 2^15 scan
     assert len(hyperplanes) == 31
-    classified = [classify_hyperplane(h.mask) for h in hyperplanes]
+    classified = [classify_hyperplane(m) for m in hyperplanes]
     census = Counter(c.kind for c in classified)
     assert census == {OVOID: 6, PERP_SET: 15, GRID: 10}
     for c in classified:
@@ -108,7 +108,7 @@ def test_criterion_04_veldkamp_space():
     assert len(pairs) == 31 * 30 // 2
     through = Counter(m for line in vs.lines for m in line.members)
     assert set(through.values()) == {15}
-    masks = {h.mask for h in vs.points}
+    masks = set(vs.points)
     for m1, m2 in combinations(sorted(masks), 2):
         assert veldkamp_sum_mask(g.full_mask, m1, m2) in masks
     _passed(4, "Veldkamp space has PG(4,2) parameters 31/155 and is sum-closed")

@@ -166,10 +166,10 @@ def test_classify_table_matches_structural_classification():
 
 def test_census_and_distinctness():
     hyperplanes = enumerate_hyperplanes(build_doily())
-    kinds = Counter(classify_hyperplane(h.mask).kind for h in hyperplanes)
+    kinds = Counter(classify_hyperplane(m).kind for m in hyperplanes)
     assert kinds == {OVOID: 6, PERP_SET: 15, GRID: 10}
     named = {h.mask for h in all_named_hyperplanes()}
-    assert named == {h.mask for h in hyperplanes}
+    assert named == set(hyperplanes)
     assert len(named) == 31
 
 

@@ -14,12 +14,11 @@ from doilyspace.doily import DUAD_INDEX, build_doily, grid, ovoid, perp_set
 from doilyspace.gf2 import parabolic_form, projective_points, standard_symplectic
 from doilyspace.incidence import (
     CapacityError,
-    Hyperplane,
     IncidenceStructure,
     check_gamma_space,
     check_gq,
     collinear,
-    deep_points,
+    deep_points_mask,
     enumerate_hyperplanes,
     find_isomorphism,
     has_triangle,
@@ -61,6 +60,14 @@ def test_lines_and_labels_are_stored_as_tuples():
     assert rebuilt == d and hash(rebuilt) == hash(d)
     canonical = IncidenceStructure.from_lines(15, d.lines, d.labels)
     assert IncidenceStructure(15, canonical.lines, canonical.labels).lines is canonical.lines
+
+
+def test_from_lines_rejects_a_line_that_names_a_point_twice():
+    with pytest.raises(ValueError, match=re.escape("line [0, 0, 1] names a point twice")):
+        IncidenceStructure.from_lines(3, [[0, 0, 1]])
+    with pytest.raises(ValueError, match=re.escape("line [2, 1, 2] names a point twice")):
+        IncidenceStructure.from_lines(3, [[0, 1, 2], (p for p in (2, 1, 2))])
+    assert IncidenceStructure.from_lines(3, [[0, 1]]).lines == (frozenset({0, 1}),)
 
 
 @pytest.mark.parametrize("count", [-1, 2.5, "3", None, True])
@@ -109,9 +116,6 @@ def test_subsets_outside_the_point_set_are_not_hyperplanes():
     g = build_doily()
     for mask in (-1, g.full_mask | 1 << 20):
         assert not is_geometric_hyperplane(g, mask)
-        with pytest.raises(ValueError, match=f"^mask {mask} is not a geometric hyperplane "
-                                             "of the 15-point geometry$"):
-            Hyperplane(g, mask)
     assert not is_geometric_hyperplane(g, [99])
     assert not is_geometric_hyperplane(g, ovoid(1).points | {99})
 
@@ -126,24 +130,24 @@ def test_negative_point_indices_are_named():
 def test_enumerate_hyperplanes_doily():
     g = build_doily()
     hyperplanes = enumerate_hyperplanes(g)
-    assert len(hyperplanes) == 31
-    sizes = sorted(h.size for h in hyperplanes)
+    assert len(hyperplanes) == 31 and hyperplanes == sorted(hyperplanes)
+    sizes = sorted(h.bit_count() for h in hyperplanes)
     assert sizes == [5] * 6 + [7] * 15 + [9] * 10
     for h in hyperplanes:
         for lm in g.line_masks:
-            assert bin(lm & h.mask).count("1") in (1, 3)
+            assert bin(lm & h).count("1") in (1, 3)
 
 
 def test_enumerate_hyperplanes_single_line():
     hyperplanes = enumerate_hyperplanes(SINGLE_LINE)
-    assert sorted(h.mask for h in hyperplanes) == [1, 2, 4]
+    assert hyperplanes == [1, 2, 4]
 
 
 def test_enumerate_hyperplanes_grid():
     # regression value from this exhaustive scan: 9 perps and 6 transversals
     hyperplanes = enumerate_hyperplanes(GRID9)
     assert len(hyperplanes) == 15
-    assert sorted(h.size for h in hyperplanes) == [3] * 6 + [5] * 9
+    assert sorted(h.bit_count() for h in hyperplanes) == [3] * 6 + [5] * 9
 
 
 def test_enumerate_capacity_limit():
@@ -162,14 +166,13 @@ def _pg32():
 @pytest.mark.parametrize("g", [build_doily(), GRID9, SINGLE_LINE, _pg32()],
                          ids=["doily", "grid9", "single_line", "pg32"])
 def test_null_space_matches_scan(g):
-    expected = [h.mask for h in enumerate_hyperplanes(g)]
-    assert [h.mask for h in null_space_hyperplanes(g)] == expected
+    assert null_space_hyperplanes(g) == enumerate_hyperplanes(g)
 
 
 def test_null_space_pg32_hyperplanes_are_planes():
     hyperplanes = null_space_hyperplanes(_pg32())
     assert len(hyperplanes) == 15
-    assert {h.size for h in hyperplanes} == {7}
+    assert {h.bit_count() for h in hyperplanes} == {7}
 
 
 @st.composite
@@ -183,8 +186,7 @@ def three_per_line_geometries(draw):
 @settings(max_examples=60, deadline=None)
 @given(three_per_line_geometries())
 def test_null_space_agrees_with_scan_on_random_geometries(g):
-    expected = [h.mask for h in enumerate_hyperplanes(g)]
-    assert [h.mask for h in null_space_hyperplanes(g)] == expected
+    assert null_space_hyperplanes(g) == enumerate_hyperplanes(g)
 
 
 # hyperplane count and sizes {size: how many}: the doily's 6 ovoids, 15
@@ -220,21 +222,34 @@ def test_hyperplane_census_is_invariant_under_relabelling(name, data):
     for geometry in (g, relabelled):
         hyperplanes = null_space_hyperplanes(geometry)
         assert len(hyperplanes) == count
-        assert Counter(h.size for h in hyperplanes) == sizes
+        assert Counter(h.bit_count() for h in hyperplanes) == sizes
 
 
-def test_hyperplane_type_rejects_non_hyperplanes():
+def test_null_space_self_check_rejects_non_hyperplanes(monkeypatch):
+    # the null space only yields hyperplanes, so the check is forced to fail
+    # on o_1; every mask is checked, and the first failure is named
     g = build_doily()
-    with pytest.raises(ValueError, match=f"^mask {g.line_masks[0]} is not a geometric "
+    rejected = {ovoid(1).mask}
+    checked = []
+
+    def check(geometry, mask):
+        checked.append(mask)
+        return mask not in rejected
+
+    monkeypatch.setattr(incidence, "is_geometric_hyperplane", check)
+    with pytest.raises(ValueError, match=f"^mask {ovoid(1).mask} is not a geometric "
                                          "hyperplane of the 15-point geometry$"):
-        Hyperplane(g, g.line_masks[0])
+        null_space_hyperplanes(g)
+    rejected.clear()
+    checked.clear()
+    assert null_space_hyperplanes(g) == checked and len(checked) == 31
 
 
 def test_deep_points():
     g = build_doily()
-    assert deep_points(Hyperplane(g, perp_set(1, 2).mask)) == {DUAD_INDEX[(1, 2)]}
-    assert deep_points(Hyperplane(g, ovoid(1).mask)) == frozenset()
-    assert deep_points(Hyperplane(g, grid(1, 2, 3).mask)) == frozenset()
+    assert deep_points_mask(g, perp_set(1, 2).mask) == 1 << DUAD_INDEX[(1, 2)]
+    assert deep_points_mask(g, ovoid(1).mask) == 0
+    assert deep_points_mask(g, grid(1, 2, 3).mask) == 0
 
 
 def test_check_gq():

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from doilyspace import magicline
 from doilyspace.doily import (
     DUADS,
     GRID,
@@ -17,6 +18,8 @@ from doilyspace.doily import (
     perp_set,
 )
 from doilyspace.gf2 import (
+    QuadraticForm,
+    classify_form,
     elliptic_form,
     hyperbolic_form,
     polarize,
@@ -482,6 +485,17 @@ def test_certificate_names_a_labelled_line_off_the_model(sector, swapped, line):
     message = rf"^{sector} line \{{{line}\}} is not a line of its sector model$"
     with pytest.raises(ConsistencyError, match=message):
         _certify(constituent, label_of, model)
+
+
+def test_construction_certifies_the_polarization(monkeypatch):
+    # x1x3 + x2x4 + x5x6 is hyperbolic with the 35 zeros of Q+, but it
+    # polarizes to a form pairing (1,3), (2,4), (5,6): not W(5,2)'s form
+    wrong = QuadraticForm(6, {(0, 2), (1, 3), (4, 5)})
+    assert classify_form(wrong) == "hyperbolic" and len(wrong.zero_points()) == 35
+    monkeypatch.setattr(magicline, "hyperbolic_form", lambda dim: wrong)
+    message = "^Q\\+ and Q- must polarize to the standard alternating form$"
+    with pytest.raises(ConsistencyError, match=message):
+        build_magic_line.__wrapped__()
 
 
 def test_certificate_names_a_model_line_the_quadric_lacks():

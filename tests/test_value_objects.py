@@ -13,7 +13,7 @@ from doilyspace.gf2 import (
     SymplecticForm,
     hyperbolic_form,
 )
-from doilyspace.incidence import Hyperplane, IncidenceStructure
+from doilyspace.incidence import IncidenceStructure, null_space_hyperplanes
 from doilyspace.magicline import (
     Constituent,
     LineImage,
@@ -97,14 +97,14 @@ def test_incidence_structure_compares_by_value():
 
 
 def test_hyperplane():
+    # a hyperplane is its int mask, and the Veldkamp space's points are the
+    # same ints as its lines' members
     g = build_doily()
-    h = Hyperplane(geometry=g, mask=ovoid(1).mask)
-    assert h.geometry is g and h.mask == ovoid(1).mask
-    assert repr(h) == "Hyperplane([0, 1, 2, 3, 4])"
-    assert h.size == 5
-    with pytest.raises(ValueError,
-                       match="^mask 3 is not a geometric hyperplane of the 15-point geometry$"):
-        Hyperplane(g, 3)
+    vs = build_veldkamp_space(g)
+    assert vs.points == tuple(null_space_hyperplanes(g))
+    assert all(type(m) is int for m in vs.points)
+    assert ovoid(1).mask in vs.points and ovoid(1).mask.bit_count() == 5
+    assert {m for line in vs.lines for m in line.members} == set(vs.points)
 
 
 def test_doily_hyperplane_compares_by_value():
