@@ -66,6 +66,7 @@ from .magicline import (
     image_matches_family,
     polar_pair_check,
     sector_image,
+    sector_labels,
     veldkamp_line_image,
 )
 
@@ -87,5 +88,5 @@ __all__ = [
     "ConsistencyError", "MagicLine", "PolarPairReport", "SectorModels",
     "build_magic_line", "build_sector_models", "build_w52",
     "complementary_point", "doily_trace", "image_matches_family",
-    "polar_pair_check", "sector_image", "veldkamp_line_image",
+    "polar_pair_check", "sector_image", "sector_labels", "veldkamp_line_image",
 ]

@@ -24,6 +24,7 @@ from .doily import (
     apply_duad_permutation,
     build_doily,
     classify_hyperplane,
+    duad_label,
     grid,
     ovoid,
     perp_set,
@@ -43,6 +44,7 @@ from .magicline import (
     CONE_SECTOR,
     ELLIPTIC_SECTOR,
     HYPERBOLIC_SECTOR,
+    SECTOR_KIND,
     MagicLine,
     build_magic_line,
     build_sector_models,
@@ -51,6 +53,7 @@ from .magicline import (
     image_matches_family,
     polar_pair_check,
     sector_image,
+    sector_labels,
     veldkamp_line_image,
 )
 from .veldkamp import (
@@ -294,7 +297,7 @@ def _magicline_checks() -> list[Check]:
 
     off = [[v for v in c.w_points if v not in ml.core_set and v != ml.nucleus_w]
            for c in constituents]
-    hyp_off, ell_off, cone_off = off
+    hyp_off, ell_off, _ = off
     for c, c_off, degree, source in zip(constituents, off, (9, 5, 7), (PAPER, PAPER, DERIVED)):
         checks.append(Check(f"{c.name} off-point line count", [degree],
                             sorted({c.structure.degree(c.local_index(v)) for v in c_off}),
@@ -308,16 +311,17 @@ def _magicline_checks() -> list[Check]:
                         [sorted({doily_trace(ml, v).size for v in c_off}) for c_off in off],
                         PAPER))
 
-    grid_b = (sorted(ml.pairs.grid_pairs) ==
-              sorted({grid(*t).index for t in combinations(S_ELEMENTS, 3)})
-              and sorted(sum(ml.pairs.grid_pairs.values(), ())) == sorted(hyp_off))
-    checks.append(Check("10 complementary pairs onto the 10 grids", True, grid_b, PAPER))
-    ovoid_b = (sorted(ml.pairs.ovoid_pairs) == list(S_ELEMENTS)
-               and sorted(sum(ml.pairs.ovoid_pairs.values(), ())) == sorted(ell_off))
-    checks.append(Check("6 complementary pairs onto the 6 ovoids", True, ovoid_b, PAPER))
-    perp_b = (sorted(ml.pairs.perp_points) == list(DUADS)
-              and sorted(ml.pairs.perp_points.values()) == sorted(cone_off))
-    checks.append(Check("15 cone points onto the 15 perp-sets", True, perp_b, PAPER))
+    # sector -> each hyperplane of its kind -> the points its sector_labels
+    # name: they must trace it, and be exactly the sector's off points
+    pairs = {c.name: {h: [ml.w_of_label[lab] for lab in sector_labels(h)]
+                      for h in all_named_hyperplanes() if h.kind == SECTOR_KIND[c.name]}
+             for c in constituents}
+    read_off = [sorted(sum(named.values(), [])) == sorted(c_off)
+                and all(doily_trace(ml, v) == h for h, vs in named.items() for v in vs)
+                for named, c_off in zip(pairs.values(), off)]
+    checks.append(Check("10 complementary pairs onto the 10 grids", True, read_off[0], PAPER))
+    checks.append(Check("6 complementary pairs onto the 6 ovoids", True, read_off[1], PAPER))
+    checks.append(Check("15 cone points onto the 15 perp-sets", True, read_off[2], PAPER))
 
     coherent = all(
         doily_trace(ml, v).mask == doily_trace(ml, complementary_point(ml, v)).mask
@@ -343,12 +347,12 @@ def _magicline_checks() -> list[Check]:
     checks.append(Check("image of {o_1, o_2, p_12}", ["1/1'", "2/2'", "3456"],
                         sorted(str(m) for m in image.members), PAPER))
 
-    hyp_reports = [polar_pair_check(ml, a, b) for a, b in ml.pairs.grid_pairs.values()]
+    hyp_reports = [polar_pair_check(ml, a, b) for a, b in pairs[HYPERBOLIC_SECTOR].values()]
     checks.append(Check("hyperbolic mutual perps are rank-2 grids (10 pairs)", True,
                         all(r.is_rank_two_polar_space
                             and len(r.mutual_perp_labels) == 9 for r in hyp_reports),
                         PAPER))
-    ell_reports = [polar_pair_check(ml, a, b) for a, b in ml.pairs.ovoid_pairs.values()]
+    ell_reports = [polar_pair_check(ml, a, b) for a, b in pairs[ELLIPTIC_SECTOR].values()]
     checks.append(Check("elliptic mutual perps are rank-1 ovoids (6 pairs)", True,
                         all(r.is_rank_one_polar_space
                             and len(r.mutual_perp_labels) == 5 for r in ell_reports),
@@ -437,7 +441,7 @@ def _export_roles(figure: str, point_label: str):
             f"valid labels: {', '.join(valid)}")
     chosen_w = ml.w_of_label[point_label]
     trace = doily_trace(ml, chosen_w)
-    trace_labels = {ml.label_of[ml.duad_to_w[d]] for d in trace.duads}
+    trace_labels = {duad_label(d) for d in trace.duads}
     constituent = ml.constituents[figure]
     chosen_local = constituent.local_index(chosen_w)
     through = set(constituent.structure.lines_through[chosen_local])

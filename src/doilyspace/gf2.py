@@ -115,6 +115,8 @@ class QuadraticForm:
     Two forms are equal when they have the same dimension and monomials."""
 
     def __init__(self, dim: int, monomials: Iterable[tuple[int, int]]) -> None:
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"dimension {dim!r} is not a positive int")
         self.dim = dim
         self.monomials = frozenset(tuple(m) for m in monomials)
         for i, j in self.monomials:
@@ -164,6 +166,12 @@ class BilinearForm:
     """Symmetric bilinear form given by its Gram matrix over GF(2)."""
 
     def __init__(self, gram: tuple[tuple[int, ...], ...]) -> None:
+        for i, row in enumerate(gram):
+            if len(row) != len(gram):
+                raise ValueError(f"gram row {i} has {len(row)} entries, expected {len(gram)}")
+            for j, b in enumerate(row):
+                if b not in (0, 1):
+                    raise ValueError(f"gram entry ({i},{j}) must be 0 or 1: {b!r}")
         self.gram = gram
 
     @property

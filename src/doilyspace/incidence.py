@@ -501,6 +501,8 @@ def induced_substructure(g: IncidenceStructure,
     its points (ascending), so local index k corresponds to original[k].
     """
     original = tuple(sorted(set(points)))
+    if original and original[-1] >= g.point_count:
+        raise ValueError(f"point index {original[-1]} is not in 0..{g.point_count - 1}")
     local = {p: k for k, p in enumerate(original)}
     keep = mask_of(original)
     lines = [frozenset(local[p] for p in line)

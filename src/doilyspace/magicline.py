@@ -10,9 +10,10 @@ and certified by exhaustive checks; construction raises ConsistencyError if
 any structural invariant fails.
 
 Each sector's lines are stated once, as a rule in build_sector_models.  The
-labellers only assign labels from the traces and one seed per sector, and
-build_magic_line certifies each labelled constituent by checking that its
-lines, spelled in labels, are exactly its model's lines.
+labellers give each off point one of the sector_labels of its trace, and
+build_magic_line certifies each labelled constituent against its model; the
+correspondence is read off these labels: the points tracing h are labelled
+sector_labels(h).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .incidence import (
     deep_points_mask,
     find_isomorphism,
     induced_substructure,
+    is_geometric_hyperplane,
     mask_of,
     perp,
     points_of,
@@ -144,17 +146,6 @@ class Constituent:
                 f"{len(self.structure.lines)} lines)")
 
 
-class SectorCorrespondence:
-    """The hyperplane classes of the core doily matched with sector objects."""
-
-    def __init__(self, grid_pairs: Mapping[tuple[int, int, int], tuple[int, int]],
-                 ovoid_pairs: Mapping[int, tuple[int, int]],
-                 perp_points: Mapping[tuple[int, int], int]) -> None:
-        self.grid_pairs = grid_pairs
-        self.ovoid_pairs = ovoid_pairs
-        self.perp_points = perp_points
-
-
 class MagicLine:
     """The assembled triple (hyperbolic, elliptic, cone) with its labelling.
 
@@ -166,10 +157,8 @@ class MagicLine:
                  q_minus_form: QuadraticForm, cone_form: QuadraticForm,
                  q_plus: Constituent, q_minus: Constituent, cone: Constituent,
                  core_w: tuple[int, ...], core_structure: IncidenceStructure,
-                 core_duads: Mapping[int, tuple[int, int]],
-                 duad_to_w: Mapping[tuple[int, int], int], nucleus_w: int,
+                 core_duads: Mapping[int, tuple[int, int]], nucleus_w: int,
                  label_of: Mapping[int, str], w_of_label: Mapping[str, int],
-                 pairs: SectorCorrespondence,
                  traces: Mapping[int, DoilyHyperplane]) -> None:
         self.space = space
         self.q_plus_form = q_plus_form
@@ -181,11 +170,9 @@ class MagicLine:
         self.core_w = core_w
         self.core_structure = core_structure
         self.core_duads = core_duads
-        self.duad_to_w = duad_to_w
         self.nucleus_w = nucleus_w
         self.label_of = label_of
         self.w_of_label = w_of_label
-        self.pairs = pairs
         self.traces = traces
 
     @cached_property
@@ -217,23 +204,31 @@ class MagicLine:
         return "MagicLine(hyperbolic/elliptic/cone over W(5,2))"
 
 
-def _constituent(space: SymplecticSpace, name: str, w_points) -> Constituent:
-    structure, original = induced_substructure(space.structure, w_points)
-    return Constituent(name, original, structure)
+@lru_cache(maxsize=32)  # room for the doily's 31 hyperplanes
+def sector_labels(h: DoilyHyperplane) -> tuple[str, ...]:
+    """The labels of the off points that trace h on the core: i and i' for
+    the ovoid o_i, t and S \\ t for a grid with canonical triple t, and
+    S \\ ij for the perp-set p_ij."""
+    if h.kind == OVOID:
+        return f"{h.index[0]}", f"{h.index[0]}'"
+    rest = subset_label(S_SET - set(h.index))
+    return (subset_label(h.index), rest) if h.kind == GRID else (rest,)
 
 
-def _trace_hyperplane(constituent: Constituent, w: int,
+def _trace_hyperplane(space: SymplecticSpace, sector: str, quadric: int, w: int,
                       core_duads: Mapping[int, tuple[int, int]]) -> DoilyHyperplane:
-    """Core points cut out by the constituent's lines through an off point,
-    which must be a hyperplane of the constituent's SECTOR_KIND.  Failures
-    name the point by its label in the constituent (its coordinates while the
-    magic line is being built) and its W(5,2) index."""
-    local = constituent.local_index(w)
-    struct = constituent.structure
-    point = f"{constituent.name} point {struct.label_of(local)} (W(5,2) index {w})"
+    """Core points cut out by the lines through an off point inside its
+    quadric (a W(5,2) point mask), which must be a hyperplane of the sector's
+    SECTOR_KIND; failures name the point by its coordinates and index.  As
+    Q(x + y) = Q(x) + Q(y) + theta(x, y), points of Q+, Q- or the cone are
+    collinear in W(5,2) exactly when their line lies in the quadric."""
+    struct = space.structure
+    point = f"{sector} point {struct.label_of(w)} (W(5,2) index {w})"
     mask = 0
-    for idx in struct.lines_through[local]:
-        core = [v for q in struct.lines[idx] if (v := constituent.w_points[q]) in core_duads]
+    for idx in struct.lines_through[w]:
+        if struct.line_masks[idx] & ~quadric:
+            continue
+        core = [v for v in struct.lines[idx] if v in core_duads]
         _require(len(core) == 1,
                  f"{point}: a line through it must meet the core exactly once, got {len(core)}")
         bit = 1 << DUAD_INDEX[core_duads[core[0]]]
@@ -243,25 +238,27 @@ def _trace_hyperplane(constituent: Constituent, w: int,
         h = classify_hyperplane(mask)
     except ValueError as err:
         raise ConsistencyError(f"{point}: its trace is not a hyperplane of the doily") from err
-    kind = SECTOR_KIND[constituent.name]
+    kind = SECTOR_KIND[sector]
     _require(h.kind == kind, f"{point}: its trace must be of kind {kind}, got {h.kind}")
     return h
 
 
-def _off_traces(constituent: Constituent, core_duads: Mapping[int, tuple[int, int]],
+def _off_traces(space: SymplecticSpace, sector: str, quadric: int,
+                core_duads: Mapping[int, tuple[int, int]],
                 skip: int | None = None) -> dict[int, DoilyHyperplane]:
-    """The traces of the constituent's off points other than ``skip``, in
-    point order; the first broken trace raises."""
-    return {w: _trace_hyperplane(constituent, w, core_duads) for w in constituent.w_points
-            if w not in core_duads and w != skip}
+    """The traces of the quadric's off points other than ``skip``, in point
+    order; the first broken trace raises."""
+    return {w: _trace_hyperplane(space, sector, quadric, w, core_duads)
+            for w in points_of(quadric) if w not in core_duads and w != skip}
 
 
-def _seed(constituent: Constituent, traces: Mapping[int, DoilyHyperplane]) -> int:
+def _seed(space: SymplecticSpace, traces: Mapping[int, DoilyHyperplane]) -> int:
     """The off point with the lexicographically smallest coordinate label."""
-    return min(traces, key=lambda w: constituent.structure.label_of(constituent.local_index(w)))
+    return min(traces, key=space.structure.label_of)
 
 
-def _hyperbolic_labels(qp: Constituent, traces: Mapping[int, DoilyHyperplane]) -> dict[int, str]:
+def _hyperbolic_labels(space: SymplecticSpace,
+                       traces: Mapping[int, DoilyHyperplane]) -> dict[int, str]:
     """Label the 20 off points by 3-subsets of S.
 
     The labels are forced by the traces up to swapping every complementary
@@ -273,19 +270,18 @@ def _hyperbolic_labels(qp: Constituent, traces: Mapping[int, DoilyHyperplane]) -
     or collinear with it.  build_magic_line certifies the result against the
     model.
     """
-    seed = _seed(qp, traces)
-    local = qp.local_index(seed)
+    seed = _seed(space, traces)
     big_t = frozenset(traces[seed].index)
     labels = {}
     for w, h in traces.items():
-        t = frozenset(h.index)
-        odd = len(t & big_t) % 2 == 1
-        labels[w] = subset_label(
-            t if odd == collinear(qp.structure, local, qp.local_index(w)) else S_SET - t)
+        t, complement = sector_labels(h)
+        odd = len(big_t.intersection(h.index)) % 2 == 1
+        labels[w] = t if odd == collinear(space.structure, seed, w) else complement
     return labels
 
 
-def _elliptic_labels(qm: Constituent, traces: Mapping[int, DoilyHyperplane]) -> dict[int, str]:
+def _elliptic_labels(space: SymplecticSpace,
+                     traces: Mapping[int, DoilyHyperplane]) -> dict[int, str]:
     """Label the 12 off points as 1..6 and 1'..6' by their ovoid traces.
 
     In the elliptic model the unprimed points are pairwise non-collinear, and
@@ -294,23 +290,21 @@ def _elliptic_labels(qm: Constituent, traces: Mapping[int, DoilyHyperplane]) -> 
     seed's partner (the other point of its trace); this fixes the one free
     choice.  build_magic_line certifies the result against the model.
     """
-    seed = _seed(qm, traces)
-    local = qm.local_index(seed)
+    seed = _seed(space, traces)
     labels = {}
     for w, h in traces.items():
-        unprimed = w == seed or (h.mask != traces[seed].mask and not collinear(
-            qm.structure, local, qm.local_index(w)))
-        labels[w] = f"{h.index[0]}" if unprimed else f"{h.index[0]}'"
+        unprimed = w == seed or (h.mask != traces[seed].mask
+                                 and not collinear(space.structure, seed, w))
+        labels[w] = sector_labels(h)[0 if unprimed else 1]
     return labels
 
 
-def _certify(constituent: Constituent, label_of: Mapping[int, str],
-             model: IncidenceStructure) -> None:
-    """The constituent's lines, spelled in labels, must be exactly its model's
-    lines.  Every model point lies on a line and the point counts agree, so
-    this also makes the labelling a bijection onto the model's points."""
-    labelled = {frozenset(label_of[constituent.w_points[q]] for q in line)
-                for line in constituent.structure.lines}
+def _certify(constituent: Constituent, model: IncidenceStructure) -> None:
+    """The constituent's lines, spelled in its labels, must be exactly its
+    model's lines.  Every model point lies on a line and the point counts
+    agree, so this also makes the labelling a bijection onto the model's points."""
+    struct = constituent.structure
+    labelled = {frozenset(struct.labels[q] for q in line) for line in struct.lines}
     expected = {frozenset(model.labels[q] for q in line) for line in model.lines}
     extra, missing = labelled - expected, expected - labelled
     if extra or missing:
@@ -327,8 +321,9 @@ def build_magic_line() -> MagicLine:
     The hyperbolic form is x1x2 + x3x4 + x5x6 and the elliptic form adds the
     irreducible x1^2 + x1x2 + x2^2 on the first two coordinates; both
     polarize to the standard alternating form, and their Veldkamp sum is the
-    cone.  Every structural invariant is verified, not assumed: each sector's
-    labelling is certified against its rule-built sector model.
+    cone, so the three are a line of the Veldkamp space of W(5,2).  Every
+    structural invariant is verified, not assumed: each sector's labelling is
+    certified against its rule-built sector model.
     """
     space = build_w52()
     q_plus_form = hyperbolic_form(6)
@@ -354,6 +349,14 @@ def build_magic_line() -> MagicLine:
     _require(popcount(core_mask) == 15, "core must have 15 points")
     _require(qp_mask & cone_mask == core_mask and qm_mask & cone_mask == core_mask,
              "pairwise intersections of the constituents must equal the core")
+    for name, m in (("Q+", qp_mask), ("Q-", qm_mask), ("cone", cone_mask)):
+        _require(is_geometric_hyperplane(space.structure, m),
+                 f"{name} must be a geometric hyperplane of W(5,2)")
+    try:
+        VeldkampLine(space.structure, tuple(sorted((qp_mask, qm_mask, cone_mask))))
+    except ValueError as err:
+        raise ConsistencyError(
+            "Q+, Q- and the cone must form a line of the Veldkamp space of W(5,2)") from err
 
     # an additive form's zeros together with 0 are closed under addition
     _require(not any(map(any, polarize(cone_form).gram)),
@@ -369,63 +372,46 @@ def build_magic_line() -> MagicLine:
     _require(deep_points_mask(space.structure, cone_mask) == 1 << nucleus_w,
              "nucleus must be the unique deep point of the cone hyperplane")
 
-    qp = _constituent(space, HYPERBOLIC_SECTOR, points_of(qp_mask))
-    qm = _constituent(space, ELLIPTIC_SECTOR, points_of(qm_mask))
-    cone = _constituent(space, CONE_SECTOR, cone_points)
-
     core_structure, core_w = induced_substructure(space.structure, points_of(core_mask))
     _require(len(core_structure.lines) == 15, "core must carry 15 induced lines")
     iso = find_isomorphism(core_structure, build_doily())
     _require(iso is not None, "core must be isomorphic to the duad-syntheme doily")
     core_duads = {core_w[local]: DUADS[image] for local, image in iso.items()}
-    duad_to_w = {d: w for w, d in core_duads.items()}
 
-    hyp_traces = _off_traces(qp, core_duads)
-    ell_traces = _off_traces(qm, core_duads)
-    cone_traces = _off_traces(cone, core_duads, skip=nucleus_w)
+    hyp_traces = _off_traces(space, HYPERBOLIC_SECTOR, qp_mask, core_duads)
+    ell_traces = _off_traces(space, ELLIPTIC_SECTOR, qm_mask, core_duads)
+    cone_traces = _off_traces(space, CONE_SECTOR, cone_mask, core_duads, skip=nucleus_w)
     label_of: dict[int, str] = {w: duad_label(d) for w, d in core_duads.items()}
-    label_of.update(_hyperbolic_labels(qp, hyp_traces))
-    label_of.update(_elliptic_labels(qm, ell_traces))
-    # a cone point is the 4-subset complementary to its trace's deep duad
-    label_of.update((w, subset_label(S_SET - set(h.index))) for w, h in cone_traces.items())
+    label_of.update(_hyperbolic_labels(space, hyp_traces))
+    label_of.update(_elliptic_labels(space, ell_traces))
+    label_of.update((w, sector_labels(h)[0]) for w, h in cone_traces.items())
     label_of[nucleus_w] = NUCLEUS_LABEL
-    models = build_sector_models()
-    for constituent, model in ((qp, models.hyperbolic), (qm, models.elliptic),
-                               (cone, models.cone)):
-        _certify(constituent, label_of, model)
-    w_of_label = {lab: w for w, lab in label_of.items()}
 
-    def labelled(structure: IncidenceStructure, w_points) -> IncidenceStructure:
-        return IncidenceStructure(structure.point_count, structure.lines,
-                                  tuple(label_of[w] for w in w_points))
-
-    def relabelled(c: Constituent) -> Constituent:
-        return Constituent(c.name, c.w_points, labelled(c.structure, c.w_points))
+    models = build_sector_models()  # its fields are named after the sectors
+    constituents = []
+    for name, mask in zip(SECTOR_KIND, (qp_mask, qm_mask, cone_mask)):
+        w_points = points_of(mask)
+        structure, _ = induced_substructure(space.structure, w_points,
+                                            [label_of[w] for w in w_points])
+        constituents.append(Constituent(name, w_points, structure))
+        _certify(constituents[-1], getattr(models, name))
+    qp, qm, cone = constituents
 
     return MagicLine(
         space=space,
         q_plus_form=q_plus_form,
         q_minus_form=q_minus_form,
         cone_form=cone_form,
-        q_plus=relabelled(qp),
-        q_minus=relabelled(qm),
-        cone=relabelled(cone),
+        q_plus=qp,
+        q_minus=qm,
+        cone=cone,
         core_w=core_w,
-        core_structure=labelled(core_structure, core_w),
-        core_duads=MappingProxyType(dict(core_duads)),
-        duad_to_w=MappingProxyType(dict(duad_to_w)),
+        core_structure=IncidenceStructure(core_structure.point_count, core_structure.lines,
+                                          [label_of[w] for w in core_w]),
+        core_duads=MappingProxyType(core_duads),
         nucleus_w=nucleus_w,
-        label_of=MappingProxyType(dict(label_of)),
-        w_of_label=MappingProxyType(dict(w_of_label)),
-        pairs=SectorCorrespondence(
-            grid_pairs=MappingProxyType({h.index: (
-                w_of_label[subset_label(h.index)],
-                w_of_label[subset_label(S_SET - set(h.index))]) for h in hyp_traces.values()}),
-            ovoid_pairs=MappingProxyType({h.index[0]: (
-                w_of_label[f"{h.index[0]}"],
-                w_of_label[f"{h.index[0]}'"]) for h in ell_traces.values()}),
-            perp_points=MappingProxyType({h.index: w for w, h in cone_traces.items()}),
-        ),
+        label_of=MappingProxyType(label_of),
+        w_of_label=MappingProxyType({lab: w for w, lab in label_of.items()}),
         traces=MappingProxyType({**hyp_traces, **ell_traces, **cone_traces}),
     )
 
@@ -457,13 +443,8 @@ def complementary_point(ml: MagicLine, w: int) -> int | None:
         raise ValueError(f"point {w} lies on the core doily")
     if sector == CONE_SECTOR:
         return None
-    pairs = ml.pairs.grid_pairs if sector == HYPERBOLIC_SECTOR else ml.pairs.ovoid_pairs
-    for w1, w2 in pairs.values():
-        if w == w1:
-            return w2
-        if w == w2:
-            return w1
-    raise ConsistencyError(f"point {w} belongs to no complementary pair")
+    first, second = sector_labels(ml.traces[w])
+    return ml.w_of_label[second if ml.label_of[w] == first else first]
 
 
 class SectorImage:
@@ -490,17 +471,9 @@ class LineImage:
 
 
 def sector_image(ml: MagicLine, h: DoilyHyperplane) -> SectorImage:
-    """Map one doily hyperplane to its sector object."""
-    if h.kind == OVOID:
-        unprimed, primed = ml.pairs.ovoid_pairs[h.index[0]]
-        return SectorImage(ELLIPTIC_SECTOR,
-                           (ml.label_of[unprimed], ml.label_of[primed]))
-    if h.kind == GRID:
-        first, second = ml.pairs.grid_pairs[h.index]
-        return SectorImage(HYPERBOLIC_SECTOR,
-                           (ml.label_of[first], ml.label_of[second]))
-    w = ml.pairs.perp_points[h.index]
-    return SectorImage(CONE_SECTOR, (ml.label_of[w],))
+    """Map one doily hyperplane to its sector object, the points tracing it."""
+    labels = sector_labels(h)
+    return SectorImage(ml.sector_of(ml.w_of_label[labels[0]]), labels)
 
 
 def veldkamp_line_image(ml: MagicLine, line: VeldkampLine) -> LineImage:
@@ -584,7 +557,7 @@ def polar_pair_check(ml: MagicLine, p: int, q: int) -> PolarPairReport:
     mutual_w = {constituent.w_points[x] for x in mutual}
 
     trace = doily_trace(ml, p)
-    trace_w = {ml.duad_to_w[d] for d in trace.duads}
+    trace_w = {ml.w_of_label[duad_label(d)] for d in trace.duads}
     mutual_mask = mask_of(mutual)
     inside = [lm for lm in struct.line_masks if lm & ~mutual_mask == 0]
     every_on_line = all(any((lm >> x) & 1 for lm in inside) for x in mutual)

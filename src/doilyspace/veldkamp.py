@@ -46,6 +46,8 @@ class VeldkampLine:
     """An unordered hyperplane triple closed under the Veldkamp sum."""
 
     def __init__(self, geometry: IncidenceStructure, members: tuple[int, int, int]) -> None:
+        if len(members) != 3:
+            raise ValueError(f"a Veldkamp line has 3 members, got {len(members)}")
         m1, m2, m3 = members
         if not m1 < m2 < m3:
             if len({m1, m2, m3}) != 3:

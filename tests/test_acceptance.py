@@ -239,8 +239,9 @@ def test_criterion_10_cone_sector():
     assert sorted(seen) == list(DUADS)
     # the vertex lines {123456, klmn, ij} exist in the cone
     struct = ml.cone.structure
+    core_point = {d: v for v, d in ml.core_duads.items()}
     for duad, w in seen.items():
-        triple = {ml.nucleus_w, w, ml.duad_to_w[duad]}
+        triple = {ml.nucleus_w, w, core_point[duad]}
         locals_ = frozenset(ml.cone.local_index(v) for v in triple)
         assert locals_ in set(struct.lines)
     # nucleus identified as the radical point of the restricted form
@@ -279,17 +280,26 @@ def test_criterion_12_combinatorial_vs_coordinate():
 
 def test_criterion_13_polar_pairs():
     ml = build_magic_line()
-    for t, (a, b) in ml.pairs.grid_pairs.items():
+    # the pairs are the off quadric points grouped by their trace
+    by_trace = {}
+    for c in (ml.q_plus, ml.q_minus):
+        for w in c.w_points:
+            if w not in ml.core_set:
+                by_trace.setdefault(doily_trace(ml, w).mask, []).append(w)
+    grids = {m: p for m, p in by_trace.items() if classify_hyperplane(m).kind == GRID}
+    ovoids = {m: p for m, p in by_trace.items() if classify_hyperplane(m).kind == OVOID}
+    assert len(grids) == 10 and len(ovoids) == 6
+    for m, (a, b) in grids.items():
         report = polar_pair_check(ml, a, b)
         assert len(report.mutual_perp_labels) == 9
         assert report.matches_trace
-        assert report.trace_name == grid(*t).name
+        assert report.trace_name == classify_hyperplane(m).name
         assert report.is_rank_two_polar_space
-    for i, (a, b) in ml.pairs.ovoid_pairs.items():
+    for m, (a, b) in ovoids.items():
         report = polar_pair_check(ml, a, b)
         assert len(report.mutual_perp_labels) == 5
         assert report.matches_trace
-        assert report.trace_name == f"o_{i}"
+        assert report.trace_name == classify_hyperplane(m).name
         assert report.induced_line_count == 0
         assert report.is_rank_one_polar_space
     _passed(13, "hyperbolic pairs have rank-2 grid perps, elliptic pairs rank-1 ovoid perps")

@@ -24,7 +24,8 @@ def reference_export_roles(figure: str, point_label: str):
             f"valid labels: {', '.join(valid)}")
     chosen_w = ml.w_of_label[point_label]
     trace = doily_trace(ml, chosen_w)
-    trace_labels = {ml.label_of[ml.duad_to_w[d]] for d in trace.duads}
+    core_point = {d: w for w, d in ml.core_duads.items()}
+    trace_labels = {ml.label_of[core_point[d]] for d in trace.duads}
     struct = constituent.structure
     chosen_local = constituent.local_index(chosen_w)
 

@@ -7,6 +7,7 @@ from doilyspace.gf2 import (
     ELLIPTIC,
     HYPERBOLIC,
     PARABOLIC,
+    BilinearForm,
     BinaryVector,
     QuadraticForm,
     SymplecticForm,
@@ -111,6 +112,36 @@ def test_quad_errors():
         QuadraticForm(4, {(2, 1)})
     with pytest.raises(ValueError):
         QuadraticForm(4, {(0, 4)})
+
+
+def test_quad_rejects_a_bad_dimension():
+    for dim in (-1, 0):
+        with pytest.raises(ValueError, match=rf"^dimension {dim} is not a positive int$"):
+            QuadraticForm(dim, [])
+    with pytest.raises(ValueError, match=r"^dimension 2\.0 is not a positive int$"):
+        QuadraticForm(2.0, [])
+
+
+def test_bilinear_rejects_a_ragged_gram():
+    with pytest.raises(ValueError, match=r"^gram row 1 has 3 entries, expected 2$"):
+        BilinearForm(((0, 1), (1, 0, 1)))
+    with pytest.raises(ValueError, match=r"^gram row 0 has 1 entries, expected 2$"):
+        BilinearForm(((0,), (1, 0)))
+
+
+def test_bilinear_rejects_an_entry_other_than_0_or_1():
+    with pytest.raises(ValueError, match=r"^gram entry \(0,1\) must be 0 or 1: 2$"):
+        BilinearForm(((0, 2), (2, 0)))
+    with pytest.raises(ValueError, match=r"^gram entry \(1,1\) must be 0 or 1: -1$"):
+        BilinearForm(((0, 1), (1, -1)))
+
+
+def test_polarize_builds_valid_grams():
+    for q in (hyperbolic_form(4), elliptic_form(6), parabolic_form(5),
+              QuadraticForm(3, {(0, 0), (1, 2)})):
+        b = polarize(q)
+        assert len(b.gram) == q.dim and all(len(row) == q.dim for row in b.gram)
+        assert b.is_alternating()
 
 
 def test_quad_vanishes_on_zero():

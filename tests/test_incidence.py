@@ -330,6 +330,16 @@ def test_induced_substructure():
     assert [g.labels[p] for p in original] == list(sub.labels)
 
 
+def test_induced_substructure_rejects_an_out_of_range_point():
+    unlabelled = IncidenceStructure.from_lines(5, [[0, 1, 2]])
+    with pytest.raises(ValueError, match=r"^point index 99 is not in 0\.\.4$"):
+        induced_substructure(unlabelled, [0, 1, 99])
+    with pytest.raises(ValueError, match=r"^point index 15 is not in 0\.\.14$"):
+        induced_substructure(build_doily(), [0, 15, 1])
+    sub, original = induced_substructure(unlabelled, [4, 0])
+    assert original == (0, 4) and sub.point_count == 2 and not sub.lines
+
+
 def _quadric_model(form):
     points = form.zero_points()
     index = {v: k for k, v in enumerate(points)}

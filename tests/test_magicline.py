@@ -1,5 +1,6 @@
 """Tests for W(5,2), the magic Veldkamp line, and the sector correspondences."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,9 @@ from doilyspace.doily import (
     PERP_SET,
     S_ELEMENTS,
     S_SET,
+    all_named_hyperplanes,
     build_doily,
+    duad_label,
     grid,
     ovoid,
     perp_set,
@@ -30,6 +33,7 @@ from doilyspace.incidence import (
     IncidenceStructure,
     check_gamma_space,
     deep_points_mask,
+    mask_of,
     perp,
     veldkamp_sum_mask,
 )
@@ -51,9 +55,9 @@ from doilyspace.magicline import (
     label_elements,
     polar_pair_check,
     sector_image,
+    sector_labels,
     veldkamp_line_image,
     _certify,
-    _constituent,
     _off_traces,
     _trace_hyperplane,
 )
@@ -222,18 +226,28 @@ def test_traces_by_sector():
             assert h.kind == PERP_SET and h.size == 7
 
 
+def test_sector_labels_rule():
+    assert sector_labels(ovoid(3)) == ("3", "3'")
+    assert sector_labels(grid(1, 4, 6)) == ("146", "235")
+    assert sector_labels(grid(2, 3, 5)) == ("146", "235")
+    assert sector_labels(perp_set(1, 2)) == ("3456",)
+    labels = [lab for h in all_named_hyperplanes() for lab in sector_labels(h)]
+    assert len(labels) == len(set(labels)) == 6 * 2 + 10 * 2 + 15
+
+
 def test_trace_bijections():
+    # the off points tracing each hyperplane are exactly those its sector labels name
     ml = build_magic_line()
-    assert sorted(ml.pairs.grid_pairs) == sorted(
-        {grid(*t).index for t in combinations(S_ELEMENTS, 3)})
-    assert sorted(ml.pairs.ovoid_pairs) == list(S_ELEMENTS)
-    assert sorted(ml.pairs.perp_points) == list(DUADS)
-    covered = sorted(sum(ml.pairs.grid_pairs.values(), ()))
-    assert covered == sorted(w_off(ml, ml.q_plus))
-    covered = sorted(sum(ml.pairs.ovoid_pairs.values(), ()))
-    assert covered == sorted(w_off(ml, ml.q_minus))
-    covered = sorted(ml.pairs.perp_points.values())
-    assert covered == sorted(w for w in w_off(ml, ml.cone) if w != ml.nucleus_w)
+    for kind, constituent, count in ((GRID, ml.q_plus, 10), (OVOID, ml.q_minus, 6),
+                                     (PERP_SET, ml.cone, 15)):
+        named = [h for h in all_named_hyperplanes() if h.kind == kind]
+        assert len(named) == count
+        covered = sorted(ml.w_of_label[lab] for h in named for lab in sector_labels(h))
+        assert covered == sorted(w for w in w_off(ml, constituent) if w != ml.nucleus_w)
+        for h in named:
+            assert all(doily_trace(ml, ml.w_of_label[lab]) == h for lab in sector_labels(h))
+    for w, h in ml.traces.items():
+        assert ml.label_of[w] in sector_labels(h)
 
 
 def test_pair_coherence_and_figure_spot_values():
@@ -258,7 +272,8 @@ def test_recorded_traces_equal_fresh_traces():
     off = [w for c in ml.constituents.values() for w in w_off(ml, c) if w != ml.nucleus_w]
     assert sorted(ml.traces) == sorted(off) and len(off) == 47
     for w in off:
-        fresh = _trace_hyperplane(ml.constituent_of(w), w, ml.core_duads)
+        c = ml.constituent_of(w)
+        fresh = _trace_hyperplane(ml.space, c.name, mask_of(c.w_points), w, ml.core_duads)
         recorded = doily_trace(ml, w)
         assert recorded is ml.traces[w]
         assert (recorded.mask, recorded.kind, recorded.index) == (
@@ -385,11 +400,14 @@ def test_cone_vertex_lines_and_imported_shape():
 
 def test_label_complement_laws():
     ml = build_magic_line()
-    for _, (w1, w2) in ml.pairs.grid_pairs.items():
+    for w1 in w_off(ml, ml.q_plus):
+        w2 = complementary_point(ml, w1)
         assert label_elements(ml.label_of[w1]) | label_elements(ml.label_of[w2]) == S_SET
         assert not label_elements(ml.label_of[w1]) & label_elements(ml.label_of[w2])
-    for duad, w in ml.pairs.perp_points.items():
-        assert label_elements(ml.label_of[w]) == S_SET - set(duad)
+    for w in w_off(ml, ml.cone):
+        if w != ml.nucleus_w:
+            duad = doily_trace(ml, w).index
+            assert label_elements(ml.label_of[w]) == S_SET - set(duad)
 
 
 def test_sector_images_of_all_155_lines():
@@ -414,23 +432,24 @@ def test_line_images_fit_exactly_their_own_family():
 def test_trace_rejects_a_wrong_sector_kind():
     ml = build_magic_line()
     w = w_off(ml, ml.q_plus)[0]
-    renamed = Constituent(ELLIPTIC_SECTOR, ml.q_plus.w_points, ml.q_plus.structure)
-    message = (rf"^elliptic point {ml.label_of[w]} \(W\(5,2\) index {w}\): "
+    message = (rf"^elliptic point {ml.space.structure.label_of(w)} \(W\(5,2\) index {w}\): "
                "its trace must be of kind ovoid, got grid$")
     with pytest.raises(ConsistencyError, match=message):
-        _trace_hyperplane(renamed, w, ml.core_duads)
+        _trace_hyperplane(ml.space, ELLIPTIC_SECTOR, mask_of(ml.q_plus.w_points), w,
+                          ml.core_duads)
 
 
 def test_trace_needs_every_off_line_to_meet_the_core():
     ml = build_magic_line()
     w = w_off(ml, ml.q_minus)[0]
     trace = doily_trace(ml, w)
-    missing = ml.duad_to_w[trace.duads[0]]
+    missing = ml.w_of_label[duad_label(trace.duads[0])]
     core_duads = {v: d for v, d in ml.core_duads.items() if v != missing}
-    message = (rf"^elliptic point {ml.label_of[w]} \(W\(5,2\) index {w}\): "
+    message = (rf"^elliptic point {ml.space.structure.label_of(w)} \(W\(5,2\) index {w}\): "
                "a line through it must meet the core exactly once, got 0$")
     with pytest.raises(ConsistencyError, match=message):
-        _trace_hyperplane(ml.q_minus, w, core_duads)
+        _trace_hyperplane(ml.space, ELLIPTIC_SECTOR, mask_of(ml.q_minus.w_points), w,
+                          core_duads)
 
 
 @pytest.mark.parametrize("sector, label, w", [
@@ -439,21 +458,17 @@ def test_trace_needs_every_off_line_to_meet_the_core():
     (CONE_SECTOR, "111000", 6),
 ])
 def test_labelling_reports_a_corrupted_core_map(sector, label, w):
-    # each labelling pass traces its off points over the coordinate-labelled
-    # constituent, as build_magic_line does; the first broken trace is named
+    # each labelling pass traces its off points over W(5,2), as
+    # build_magic_line does; the first broken trace is named by coordinates
     ml = build_magic_line()
-    constituent = _constituent(ml.space, sector, ml.constituents[sector].w_points)
+    quadric = mask_of(ml.constituents[sector].w_points)
     core_duads = dict(ml.core_duads)  # with the duads 12 and 13 exchanged
-    core_duads[ml.duad_to_w[(1, 2)]], core_duads[ml.duad_to_w[(1, 3)]] = (1, 3), (1, 2)
-    passes = {
-        HYPERBOLIC_SECTOR: lambda: _off_traces(constituent, core_duads),
-        ELLIPTIC_SECTOR: lambda: _off_traces(constituent, core_duads),
-        CONE_SECTOR: lambda: _off_traces(constituent, core_duads, skip=ml.nucleus_w),
-    }
+    core_duads[ml.w_of_label["12"]], core_duads[ml.w_of_label["13"]] = (1, 3), (1, 2)
+    skip = ml.nucleus_w if sector == CONE_SECTOR else None
     message = (rf"^{sector} point {label} \(W\(5,2\) index {w}\): "
                "its trace is not a hyperplane of the doily$")
     with pytest.raises(ConsistencyError, match=message):
-        passes[sector]()
+        _off_traces(ml.space, sector, quadric, core_duads, skip=skip)
 
 
 def test_seeds_fix_the_free_choices():
@@ -478,13 +493,16 @@ def test_certificate_names_a_labelled_line_off_the_model(sector, swapped, line):
     ml = build_magic_line()
     model = getattr(build_sector_models(), sector)
     constituent = ml.constituents[sector]
-    _certify(constituent, ml.label_of, model)
-    label_of = dict(ml.label_of)  # with two labels of the sector exchanged
-    a, b = swapped
-    label_of[ml.w_of_label[a]], label_of[ml.w_of_label[b]] = b, a
+    _certify(constituent, model)
+    structure = constituent.structure
+    labels = list(structure.labels)  # with two labels of the sector exchanged
+    i, j = map(labels.index, swapped)
+    labels[i], labels[j] = labels[j], labels[i]
+    relabelled = Constituent(sector, constituent.w_points, IncidenceStructure(
+        structure.point_count, structure.lines, labels))
     message = rf"^{sector} line \{{{line}\}} is not a line of its sector model$"
     with pytest.raises(ConsistencyError, match=message):
-        _certify(constituent, label_of, model)
+        _certify(relabelled, model)
 
 
 def test_construction_certifies_the_polarization(monkeypatch):
@@ -494,6 +512,33 @@ def test_construction_certifies_the_polarization(monkeypatch):
     assert classify_form(wrong) == "hyperbolic" and len(wrong.zero_points()) == 35
     monkeypatch.setattr(magicline, "hyperbolic_form", lambda dim: wrong)
     message = "^Q\\+ and Q- must polarize to the standard alternating form$"
+    with pytest.raises(ConsistencyError, match=message):
+        build_magic_line.__wrapped__()
+
+
+@pytest.mark.parametrize("name, size", [("Q+", 35), ("Q-", 27), ("cone", 31)])
+def test_construction_certifies_each_member_is_a_hyperplane(monkeypatch, name, size):
+    real = magicline.is_geometric_hyperplane
+    monkeypatch.setattr(magicline, "is_geometric_hyperplane",
+                        lambda g, m: m.bit_count() != size and real(g, m))
+    message = rf"^{re.escape(name)} must be a geometric hyperplane of W\(5,2\)$"
+    with pytest.raises(ConsistencyError, match=message):
+        build_magic_line.__wrapped__()
+
+
+def test_construction_certifies_the_veldkamp_line(monkeypatch):
+    ml = build_magic_line()
+    calls = []
+    monkeypatch.setattr(magicline, "VeldkampLine", lambda g, members: calls.append((g, members)))
+    build_magic_line.__wrapped__()
+    masks = (mask_of(c.w_points) for c in (ml.q_plus, ml.q_minus, ml.cone))
+    assert calls == [(ml.space.structure, tuple(sorted(masks)))]
+
+    def reject(geometry, members):
+        raise ValueError("members are not closed under the Veldkamp sum")
+
+    monkeypatch.setattr(magicline, "VeldkampLine", reject)
+    message = r"^Q\+, Q- and the cone must form a line of the Veldkamp space of W\(5,2\)$"
     with pytest.raises(ConsistencyError, match=message):
         build_magic_line.__wrapped__()
 
@@ -508,7 +553,7 @@ def test_certificate_names_a_model_line_the_quadric_lacks():
     message = (rf"^elliptic line \{{{line}\}} of the sector model "
                "is missing from the labelled quadric$")
     with pytest.raises(ConsistencyError, match=message):
-        _certify(constituent, ml.label_of, build_sector_models().elliptic)
+        _certify(constituent, build_sector_models().elliptic)
 
 
 def test_sector_image_spot_values():
@@ -530,9 +575,14 @@ def test_sector_image_spot_values():
     assert str(sector_image(ml, perp_set(1, 2))) == "3456"
 
 
+def labelled_pairs(ml, kind):
+    return [(h, *(ml.w_of_label[lab] for lab in sector_labels(h)))
+            for h in all_named_hyperplanes() if h.kind == kind]
+
+
 def test_polar_pair_reports_hyperbolic():
     ml = build_magic_line()
-    for t, (a, b) in ml.pairs.grid_pairs.items():
+    for h, a, b in labelled_pairs(ml, GRID):
         report = polar_pair_check(ml, a, b)
         assert not report.pair_collinear
         assert report.matches_trace
@@ -540,12 +590,12 @@ def test_polar_pair_reports_hyperbolic():
         assert report.induced_line_count == 6
         assert report.is_rank_two_polar_space
         assert not report.is_rank_one_polar_space
-        assert report.trace_name == grid(*t).name
+        assert report.trace_name == h.name
 
 
 def test_polar_pair_reports_elliptic():
     ml = build_magic_line()
-    for i, (a, b) in ml.pairs.ovoid_pairs.items():
+    for h, a, b in labelled_pairs(ml, OVOID):
         report = polar_pair_check(ml, a, b)
         assert not report.pair_collinear
         assert report.matches_trace
@@ -554,18 +604,18 @@ def test_polar_pair_reports_elliptic():
         assert report.pairwise_non_collinear
         assert report.is_rank_one_polar_space
         assert not report.is_rank_two_polar_space
-        assert report.trace_name == f"o_{i}"
+        assert report.trace_name == h.name
 
 
 def test_polar_pair_errors():
     ml = build_magic_line()
-    a, b = ml.pairs.grid_pairs[(1, 2, 3)]
+    a = ml.w_of_label["123"]
     with pytest.raises(ValueError):
         polar_pair_check(ml, a, a)
-    other = ml.pairs.grid_pairs[(1, 2, 4)][0]
+    other = ml.w_of_label["124"]
     with pytest.raises(ValueError):
         polar_pair_check(ml, a, other)
-    cone_point = ml.pairs.perp_points[(1, 2)]
+    cone_point = ml.w_of_label["3456"]
     with pytest.raises(ValueError):
         polar_pair_check(ml, cone_point, ml.nucleus_w)
 
@@ -596,11 +646,11 @@ def test_construction_is_deterministic():
     ml = build_magic_line()
     labels = dict(ml.label_of)
     nucleus = ml.nucleus_w
-    pairs = dict(ml.pairs.grid_pairs)
+    traces = dict(ml.traces)
     build_magic_line.cache_clear()
     build_w52.cache_clear()
     build_doily.cache_clear()
     rebuilt = build_magic_line()
     assert dict(rebuilt.label_of) == labels
     assert rebuilt.nucleus_w == nucleus
-    assert dict(rebuilt.pairs.grid_pairs) == pairs
+    assert dict(rebuilt.traces) == traces

@@ -18,7 +18,6 @@ from doilyspace.magicline import (
     Constituent,
     LineImage,
     PolarPairReport,
-    SectorCorrespondence,
     SectorImage,
     SectorModels,
     SymplecticSpace,
@@ -145,8 +144,6 @@ def test_magic_line_objects():
     c = Constituent(name="renamed", w_points=ml.cone.w_points, structure=ml.cone.structure)
     assert c.local_index(ml.cone.w_points[3]) == 3
     assert c != ml.cone
-    pairs = SectorCorrespondence(grid_pairs={}, ovoid_pairs={1: (0, 1)}, perp_points={})
-    assert pairs.ovoid_pairs == {1: (0, 1)}
     models = build_sector_models()
     rebuilt = SectorModels(models.hyperbolic, models.elliptic, cone=models.cone)
     assert rebuilt.cone is models.cone

@@ -113,6 +113,8 @@ def test_line_validation_messages():
         ((a, c, b), "members must be in ascending mask order"),
         (tuple(sorted((ovoid(1).mask, ovoid(2).mask, ovoid(3).mask))),
          "members are not closed under the Veldkamp sum"),
+        ((a, b), "^a Veldkamp line has 3 members, got 2$"),
+        ((a, b, c, a), "^a Veldkamp line has 3 members, got 4$"),
     ]
     for members, message in cases:
         with pytest.raises(ValueError, match=message):

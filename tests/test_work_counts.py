@@ -13,7 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from doilyspace import cli, veldkamp
+from doilyspace import cli, doily, magicline, veldkamp
+from doilyspace.incidence import IncidenceStructure
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -59,6 +60,28 @@ def test_cold_verify_all_does_each_piece_of_work_once():
         "permutations": 62,  # 31 hyperplanes under each of 2 generators
         "veldkamp_spaces": 1,  # the doily's, shared by both suites that read it
     }
+
+
+def test_a_cold_magic_line_builds_each_constituent_once(monkeypatch):
+    # with W(5,2), the doily, its classify table and the sector models built,
+    # the magic line builds its core twice (for the isomorphism search, then
+    # with duad labels) and each constituent once, already labelled
+    magicline.build_w52()
+    doily.build_doily()
+    doily._classify_table()
+    magicline.build_sector_models()
+    built = []
+    original = IncidenceStructure.__init__
+
+    def counting(self, point_count, *args, **kwargs):
+        built.append(point_count)
+        original(self, point_count, *args, **kwargs)
+
+    monkeypatch.setattr(IncidenceStructure, "__init__", counting)
+    ml = magicline.build_magic_line.__wrapped__()
+    assert sorted(built) == [15, 15, 27, 31, 35]
+    assert all(c.structure.labels == tuple(ml.label_of[w] for w in c.w_points)
+               for c in ml.constituents.values())
 
 
 def test_warm_calls_build_no_veldkamp_space(monkeypatch, capsys):
