@@ -15,9 +15,7 @@ from .gf2 import (
     classify_form,
     elliptic_form,
     hyperbolic_form,
-    parabolic_form,
     polarize,
-    standard_symplectic,
 )
 from .incidence import (
     CapacityError,
@@ -74,8 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryVector", "BilinearForm", "QuadraticForm", "SymplecticForm",
-    "classify_form", "elliptic_form", "hyperbolic_form", "parabolic_form",
-    "polarize", "standard_symplectic",
+    "classify_form", "elliptic_form", "hyperbolic_form", "polarize",
     "CapacityError", "IncidenceStructure", "check_gamma_space", "check_gq",
     "collinear", "enumerate_hyperplanes", "find_isomorphism",
     "induced_substructure", "is_geometric_hyperplane", "is_isomorphism",

@@ -10,7 +10,6 @@ their symmetric difference.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from functools import lru_cache
 from itertools import combinations
 
@@ -92,10 +91,6 @@ class DoilyHyperplane:
         return f"{prefix}_{''.join(str(i) for i in self.index)}"
 
     @property
-    def points(self) -> frozenset[int]:
-        return frozenset(points_of(self.mask))
-
-    @property
     def duads(self) -> tuple[tuple[int, int], ...]:
         return tuple(DUADS[p] for p in points_of(self.mask))
 
@@ -105,17 +100,6 @@ class DoilyHyperplane:
 
     def __str__(self) -> str:
         return self.name
-
-
-def _duad_index(pair) -> int:
-    index = DUAD_INDEX.get(tuple(sorted(pair)))
-    if index is None:
-        raise ValueError(f"{pair!r} is not a duad of {{1,...,6}}")
-    return index
-
-
-def _mask_from_duads(duads: Iterable[tuple[int, int]]) -> int:
-    return mask_of(_duad_index(d) for d in duads)
 
 
 def ovoid(i: int) -> DoilyHyperplane:
@@ -161,18 +145,22 @@ def _named_table() -> dict[tuple[str, tuple[int, ...]], DoilyHyperplane]:
             for key, members in duads.items()}
 
 
-def classify_hyperplane(subset: int | Iterable) -> DoilyHyperplane:
-    """Identify a point subset as an ovoid, perp-set or grid of the doily.
+def classify_hyperplane(mask: int) -> DoilyHyperplane:
+    """Identify a point subset, given as a bitmask over point indices, as an
+    ovoid, perp-set or grid of the doily.
 
-    Accepts a bitmask over point indices, an iterable of point indices, or
-    an iterable of duads.  The answer is looked up in a table of the 31
-    hyperplanes that was classified structurally and certified when built;
-    any other subset goes through the structural classification, which
-    rejects it.
+    The answer is looked up in a table of the 31 hyperplanes that was
+    classified structurally and certified when built; any other mask in
+    range goes through the structural classification, which rejects it.
     """
-    mask = _coerce_mask(subset)
+    if not isinstance(mask, int):
+        raise TypeError(f"subset must be an int mask, got {type(mask).__name__}")
     h = _classify_table().get(mask)
-    return h if h is not None else _classify_structurally(mask)
+    if h is not None:
+        return h
+    if not 0 <= mask <= FULL_MASK:
+        raise ValueError(f"mask {mask} is outside 0..{FULL_MASK}")
+    return _classify_structurally(mask)
 
 
 @lru_cache(maxsize=None)
@@ -236,21 +224,6 @@ def _grid_triple(mask: int) -> tuple[int, int, int]:
     if len(cls) != 3:
         raise ValueError("grid duads do not arise from a 3+3 partition")
     return tuple(sorted(cls))
-
-
-def _coerce_mask(subset: int | Iterable) -> int:
-    """A bitmask from a mask, point indices or duads; ValueError names a bad value."""
-    if isinstance(subset, int):
-        if not 0 <= subset <= FULL_MASK:
-            raise ValueError(f"mask {subset} is outside 0..{FULL_MASK}")
-        return subset
-    items = list(subset)
-    if items and isinstance(items[0], int):
-        for p in items:
-            if not (isinstance(p, int) and 0 <= p < len(DUADS)):
-                raise ValueError(f"point index {p!r} is not in 0..{len(DUADS) - 1}")
-        return mask_of(items)
-    return _mask_from_duads(items)
 
 
 def veldkamp_sum(h1: DoilyHyperplane, h2: DoilyHyperplane) -> DoilyHyperplane:

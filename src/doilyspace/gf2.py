@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import cached_property
-from itertools import combinations
 
 HYPERBOLIC = "hyperbolic"
 ELLIPTIC = "elliptic"
@@ -85,8 +84,8 @@ class SymplecticForm:
     """The standard alternating form pairing coordinates (1,2), (3,4), ..."""
 
     def __init__(self, dim: int) -> None:
-        if dim < 2 or dim % 2:
-            raise ValueError(f"symplectic dimension must be a positive even integer: {dim}")
+        if type(dim) is not int or dim < 2 or dim % 2:
+            raise ValueError(f"symplectic dimension must be a positive even integer: {dim!r}")
         self.dim = dim
 
     def evaluate(self, x: int, y: int) -> int:
@@ -157,10 +156,6 @@ class QuadraticForm:
             raise ValueError("dimension mismatch")
         return QuadraticForm(self.dim, self.monomials ^ other.monomials)
 
-    @property
-    def kind(self) -> str:
-        return classify_form(self)
-
 
 class BilinearForm:
     """Symmetric bilinear form given by its Gram matrix over GF(2)."""
@@ -192,15 +187,12 @@ class BilinearForm:
         return acc & 1
 
     def radical(self) -> tuple[int, ...]:
-        """Nonzero coordinate masks orthogonal to the whole space, by exhaustion."""
-        return tuple(v for v in range(1, 1 << self.dim)
-                     if all(self.evaluate(v, 1 << j) == 0 for j in range(self.dim)))
-
-    def is_alternating(self) -> bool:
-        if any(self.gram[i][i] for i in range(self.dim)):
-            return False
-        return all(self.gram[i][j] == self.gram[j][i]
-                   for i, j in combinations(range(self.dim), 2))
+        """Nonzero coordinate masks v with B(v, y) = 0 for every y, by exhaustion:
+        v^T G = 0, so the Gram rows that v selects xor to 0."""
+        sums = [0]  # sums[v]: the xor of the rows v selects
+        for row in self._rows:
+            sums += [s ^ row for s in sums]
+        return tuple(v for v in range(1, len(sums)) if not sums[v])
 
 
 def polarize(form: QuadraticForm) -> BilinearForm:
@@ -239,10 +231,6 @@ def classify_form(form: QuadraticForm) -> str:
     return DEGENERATE
 
 
-def standard_symplectic(dim: int) -> SymplecticForm:
-    return SymplecticForm(dim)
-
-
 def hyperbolic_form(dim: int) -> QuadraticForm:
     """x1x2 + x3x4 + ... on an even number of coordinates."""
     if dim < 2 or dim % 2:
@@ -256,13 +244,4 @@ def elliptic_form(dim: int) -> QuadraticForm:
         raise ValueError(f"elliptic form needs an even dimension >= 4: {dim}")
     monomials = {(0, 0), (0, 1), (1, 1)}
     monomials.update((k, k + 1) for k in range(2, dim, 2))
-    return QuadraticForm(dim, frozenset(monomials))
-
-
-def parabolic_form(dim: int) -> QuadraticForm:
-    """x1x2 + ... + x_{2N-1}x_{2N} + x_{2N+1}^2 on an odd number of coordinates."""
-    if dim < 3 or dim % 2 == 0:
-        raise ValueError(f"parabolic form needs an odd dimension >= 3: {dim}")
-    monomials = {(k, k + 1) for k in range(0, dim - 1, 2)}
-    monomials.add((dim - 1, dim - 1))
     return QuadraticForm(dim, frozenset(monomials))

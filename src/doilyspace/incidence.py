@@ -143,14 +143,6 @@ class IncidenceStructure:
     def label_of(self, p: int) -> str:
         return self.labels[p] if self.labels is not None else str(p)
 
-    def index_of(self, label: str) -> int:
-        if self.labels is None:
-            raise ValueError("structure has no labels")
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
-
     def __repr__(self) -> str:
         return f"IncidenceStructure({self.point_count} points, {len(self.lines)} lines)"
 
@@ -173,9 +165,11 @@ def perp(g: IncidenceStructure, p: int) -> frozenset[int]:
     return frozenset(points_of(g.perp_masks[p]))
 
 
-def is_geometric_hyperplane(g: IncidenceStructure, subset: int | Iterable[int]) -> bool:
-    """Inside the point set, with every line contained in it or met once."""
-    m = subset if isinstance(subset, int) else mask_of(subset)
+def is_geometric_hyperplane(g: IncidenceStructure, m: int) -> bool:
+    """The point mask m lies inside the point set, with every line contained
+    in it or met once."""
+    if not isinstance(m, int):
+        raise TypeError(f"subset must be an int mask, got {type(m).__name__}")
     if m & ~g.full_mask:  # also true of every negative mask
         return False
     for lm in g.line_masks:

@@ -38,13 +38,15 @@ from .doily import (
     duad_label,
 )
 from .gf2 import (
+    ELLIPTIC,
+    HYPERBOLIC,
     QuadraticForm,
     SymplecticForm,
+    classify_form,
     coordinate_masks,
     elliptic_form,
     hyperbolic_form,
     polarize,
-    standard_symplectic,
 )
 from .incidence import (
     IncidenceStructure,
@@ -110,7 +112,7 @@ class SymplecticSpace:
 @lru_cache(maxsize=None)
 def build_w52() -> SymplecticSpace:
     """63 points; lines are the triples {x, y, x+y} with theta(x, y) = 0."""
-    form = standard_symplectic(6)
+    form = SymplecticForm(6)
     points = coordinate_masks(range(1, 1 << form.dim), form.dim)
     lines = set()
     for x, y in combinations(points, 2):
@@ -320,8 +322,9 @@ def build_magic_line() -> MagicLine:
 
     The hyperbolic form is x1x2 + x3x4 + x5x6 and the elliptic form adds the
     irreducible x1^2 + x1x2 + x2^2 on the first two coordinates; both
-    polarize to the standard alternating form, and their Veldkamp sum is the
-    cone, so the three are a line of the Veldkamp space of W(5,2).  Every
+    polarize to the standard alternating form, classify_form certifies them
+    hyperbolic and elliptic, and their Veldkamp sum is the cone, so the three
+    are a line of the Veldkamp space of W(5,2).  Every
     structural invariant is verified, not assumed: each sector's labelling is
     certified against its rule-built sector model.
     """
@@ -332,17 +335,17 @@ def build_magic_line() -> MagicLine:
     _require(polarize(q_plus_form).gram == polarize(q_minus_form).gram == space.form.gram(),
              "Q+ and Q- must polarize to the standard alternating form")
 
-    n = len(space.points)
-    full = space.structure.full_mask
-    # point index w has the coordinate mask w + 1
-    qp_mask = mask_of(w for w in range(n) if q_plus_form.evaluate(w + 1) == 0)
-    qm_mask = mask_of(w for w in range(n) if q_minus_form.evaluate(w + 1) == 0)
-    _require(popcount(qp_mask) == 35, "hyperbolic quadric must have 35 points")
-    _require(popcount(qm_mask) == 27, "elliptic quadric must have 27 points")
+    # the kinds imply the zero counts: 35 points on Q+, 27 on Q-
+    kind = classify_form(q_plus_form)
+    _require(kind == HYPERBOLIC, f"Q+ must be a hyperbolic quadric, got {kind}")
+    kind = classify_form(q_minus_form)
+    _require(kind == ELLIPTIC, f"Q- must be an elliptic quadric, got {kind}")
 
-    cone_mask = veldkamp_sum_mask(full, qp_mask, qm_mask)
+    # point index w has the coordinate mask w + 1
+    qp_mask, qm_mask, zero_mask = (mask_of(v - 1 for v in form.zero_points())
+                                   for form in (q_plus_form, q_minus_form, cone_form))
+    cone_mask = veldkamp_sum_mask(space.structure.full_mask, qp_mask, qm_mask)
     _require(popcount(cone_mask) == 31, "cone must have 31 points")
-    zero_mask = mask_of(w for w in range(n) if cone_form.evaluate(w + 1) == 0)
     _require(zero_mask == cone_mask, "cone must be the zero set of the summed form")
 
     core_mask = qp_mask & qm_mask

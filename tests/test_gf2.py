@@ -1,5 +1,7 @@
 """Tests for GF(2) vectors, symplectic and quadratic forms."""
 
+import re
+
 import pytest
 
 from doilyspace.gf2 import (
@@ -15,11 +17,17 @@ from doilyspace.gf2 import (
     coordinate_masks,
     elliptic_form,
     hyperbolic_form,
-    parabolic_form,
     polarize,
     projective_points,
-    standard_symplectic,
 )
+
+# x1x2 + x3x4 + x5^2, the parabolic quadric of PG(4,2)
+PARABOLIC5 = QuadraticForm(5, {(0, 1), (2, 3), (4, 4)})
+
+
+def alternating(gram):
+    """Zero diagonal and symmetric: the Gram matrix of an alternating form."""
+    return all(gram[i][i] == 0 for i in range(len(gram))) and gram == tuple(zip(*gram))
 
 
 def bits(x, dim):
@@ -48,14 +56,14 @@ def test_from_int_roundtrip():
 
 
 def test_symplectic_examples():
-    theta = standard_symplectic(6)
+    theta = SymplecticForm(6)
     assert theta.evaluate(0b1, 0b10) == 1
     assert theta.evaluate(0b1, 0b100) == 0
     assert theta.evaluate(0b111111, 0b111111) == 0
 
 
 def test_symplectic_alternating_and_nondegenerate():
-    theta = standard_symplectic(6)
+    theta = SymplecticForm(6)
     points = range(1, 64)
     for x in points:
         assert theta.evaluate(x, x) == 0
@@ -63,7 +71,7 @@ def test_symplectic_alternating_and_nondegenerate():
 
 
 def test_symplectic_symmetric_over_gf2():
-    theta = standard_symplectic(4)
+    theta = SymplecticForm(4)
     points = range(1, 16)
     for x in points:
         for y in points:
@@ -74,13 +82,20 @@ def test_symplectic_errors():
     with pytest.raises(ValueError):
         SymplecticForm(5)
     with pytest.raises(ValueError):
-        standard_symplectic(4).evaluate(1 << 4, 1)
+        SymplecticForm(4).evaluate(1 << 4, 1)
+
+
+def test_symplectic_rejects_a_dimension_that_is_not_an_int():
+    for dim in (4.0, True):
+        message = f"^symplectic dimension must be a positive even integer: {re.escape(repr(dim))}$"
+        with pytest.raises(ValueError, match=message):
+            SymplecticForm(dim)
 
 
 def test_evaluate_is_the_checked_theta():
     # evaluate checks its masks and then computes theta itself: both agree
     # with the Gram matrix on every pair
-    form = standard_symplectic(6)
+    form = SymplecticForm(6)
     gram = polarize(hyperbolic_form(6))
     for x in range(64):
         for y in range(64):
@@ -137,15 +152,15 @@ def test_bilinear_rejects_an_entry_other_than_0_or_1():
 
 
 def test_polarize_builds_valid_grams():
-    for q in (hyperbolic_form(4), elliptic_form(6), parabolic_form(5),
+    for q in (hyperbolic_form(4), elliptic_form(6), PARABOLIC5,
               QuadraticForm(3, {(0, 0), (1, 2)})):
         b = polarize(q)
         assert len(b.gram) == q.dim and all(len(row) == q.dim for row in b.gram)
-        assert b.is_alternating()
+        assert alternating(b.gram)
 
 
 def test_quad_vanishes_on_zero():
-    for q in (hyperbolic_form(6), elliptic_form(6), parabolic_form(5)):
+    for q in (hyperbolic_form(6), elliptic_form(6), PARABOLIC5):
         assert q.evaluate(0) == 0
 
 
@@ -161,14 +176,14 @@ def test_polarize_identity_exhaustive():
 
 
 def test_polarize_standard_forms_give_the_symplectic_form():
-    theta = standard_symplectic(6).gram()
+    theta = SymplecticForm(6).gram()
     assert polarize(hyperbolic_form(6)).gram == theta
     assert polarize(elliptic_form(6)).gram == theta
-    assert polarize(hyperbolic_form(6)).is_alternating()
+    assert alternating(theta)
 
 
 def test_polarize_parabolic_radical_is_the_nucleus_direction():
-    q = parabolic_form(5)
+    q = PARABOLIC5
     rad = polarize(q).radical()
     assert rad == (1 << 4,)
     assert q.evaluate(rad[0]) == 1
@@ -181,13 +196,38 @@ def test_polarize_rank_deficient_radical():
     assert rad == {16, 32, 48}
 
 
+def ref_radical(b):
+    """The radical by its definition: the v with B(v, e_j) = 0 for every j."""
+    return tuple(v for v in range(1, 1 << b.dim)
+                 if all(b.evaluate(v, 1 << j) == 0 for j in range(b.dim)))
+
+
+def test_radical_matches_its_definition_on_every_3x3_gram():
+    # symmetric or not: radical() is the left radical, v^T G = 0
+    for entries in range(1 << 9):
+        b = BilinearForm(tuple(tuple(entries >> (3 * i + j) & 1 for j in range(3))
+                               for i in range(3)))
+        assert b.radical() == ref_radical(b)
+
+
+def test_polarization_of_every_form_of_dimension_4():
+    monomials = [(i, j) for i in range(4) for j in range(i, 4)]
+    for chosen in range(1 << len(monomials)):
+        q = QuadraticForm(4, {m for k, m in enumerate(monomials) if chosen >> k & 1})
+        b = polarize(q)
+        assert alternating(b.gram)
+        assert all(b.evaluate(x, y) == q.evaluate(x ^ y) ^ q.evaluate(x) ^ q.evaluate(y)
+                   for x in range(16) for y in range(x + 1, 16))
+        assert b.radical() == ref_radical(b)
+
+
 def test_classify_standard_forms():
     assert len(hyperbolic_form(6).zero_points()) == 35
     assert classify_form(hyperbolic_form(6)) == HYPERBOLIC
     assert len(elliptic_form(6).zero_points()) == 27
     assert classify_form(elliptic_form(6)) == ELLIPTIC
-    assert len(parabolic_form(5).zero_points()) == 15
-    assert classify_form(parabolic_form(5)) == PARABOLIC
+    assert len(PARABOLIC5.zero_points()) == 15
+    assert classify_form(PARABOLIC5) == PARABOLIC
     assert len(hyperbolic_form(4).zero_points()) == 9
     assert classify_form(hyperbolic_form(4)) == HYPERBOLIC
     assert len(elliptic_form(4).zero_points()) == 5
@@ -225,7 +265,7 @@ def test_classify_invariant_under_coordinate_permutation():
 def test_form_sum_is_gf2_sum_of_monomials():
     cone = hyperbolic_form(6) + elliptic_form(6)
     assert cone.monomials == frozenset({(0, 0), (1, 1)})
-    assert cone.kind == DEGENERATE
+    assert classify_form(cone) == DEGENERATE
 
 
 # Reference evaluations over the coordinate tuple, as the forms computed
@@ -247,7 +287,7 @@ def ref_quadratic(form: QuadraticForm, x: tuple[int, ...]) -> int:
 
 @pytest.mark.parametrize("form", [
     hyperbolic_form(6), elliptic_form(6), hyperbolic_form(6) + elliptic_form(6),
-    parabolic_form(5), hyperbolic_form(4), elliptic_form(4),
+    PARABOLIC5, hyperbolic_form(4), elliptic_form(4),
 ], ids=["hyperbolic", "elliptic", "cone", "parabolic", "hyperbolic4", "elliptic4"])
 def test_quadratic_int_evaluation_is_exhaustively_the_vector_one(form):
     for v in range(1, 1 << form.dim):
@@ -256,7 +296,7 @@ def test_quadratic_int_evaluation_is_exhaustively_the_vector_one(form):
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_symplectic_int_evaluation_is_exhaustively_the_vector_one(dim):
-    theta = standard_symplectic(dim)
+    theta = SymplecticForm(dim)
     for x in range(1, 1 << dim):
         for y in range(1, 1 << dim):
             assert theta.evaluate(x, y) == ref_symplectic(bits(x, dim), bits(y, dim))
@@ -276,7 +316,7 @@ def test_int_coordinates_out_of_range_are_rejected():
     with pytest.raises(ValueError, match="coordinate mask 64 out of range for dimension 6"):
         hyperbolic_form(6).evaluate(64)
     with pytest.raises(ValueError, match="coordinate mask -1 out of range"):
-        standard_symplectic(6).evaluate(1, -1)
+        SymplecticForm(6).evaluate(1, -1)
     with pytest.raises(ValueError, match="coordinate mask 16 out of range for dimension 4"):
         polarize(hyperbolic_form(4)).evaluate(1, 16)
 
@@ -287,7 +327,7 @@ def test_forms_take_int_masks_only():
     with pytest.raises(TypeError, match=message):
         hyperbolic_form(6).evaluate(vector)
     with pytest.raises(TypeError, match=message):
-        standard_symplectic(6).evaluate(3, vector)
+        SymplecticForm(6).evaluate(3, vector)
     with pytest.raises(TypeError, match=message):
         polarize(hyperbolic_form(6)).evaluate(vector, 3)
     with pytest.raises(TypeError, match="^coordinates must be an int mask, got tuple$"):

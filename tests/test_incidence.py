@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from doilyspace import incidence
 from doilyspace.doily import DUAD_INDEX, build_doily, grid, ovoid, perp_set
-from doilyspace.gf2 import parabolic_form, projective_points, standard_symplectic
+from doilyspace.gf2 import QuadraticForm, SymplecticForm, projective_points
 from doilyspace.incidence import (
     CapacityError,
     IncidenceStructure,
@@ -29,6 +29,7 @@ from doilyspace.incidence import (
     mask_of,
     null_space_hyperplanes,
     perp,
+    points_of,
 )
 from doilyspace.magicline import build_magic_line, build_w52
 
@@ -108,7 +109,17 @@ def test_is_geometric_hyperplane():
     assert is_geometric_hyperplane(g, g.full_mask)
     assert not is_geometric_hyperplane(g, g.line_masks[0])
     assert not is_geometric_hyperplane(g, 0)
-    assert is_geometric_hyperplane(g, [DUAD_INDEX[(1, j)] for j in range(2, 7)])
+    assert is_geometric_hyperplane(g, mask_of(DUAD_INDEX[(1, j)] for j in range(2, 7)))
+
+
+@pytest.mark.parametrize("subset", [
+    [DUAD_INDEX[(1, j)] for j in range(2, 7)], {DUAD_INDEX[(1, j)] for j in range(2, 7)},
+    frozenset(), (0, 1),
+], ids=["list", "set", "frozenset", "tuple"])
+def test_is_geometric_hyperplane_takes_int_masks_only(subset):
+    message = f"^subset must be an int mask, got {type(subset).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        is_geometric_hyperplane(build_doily(), subset)
 
 
 def test_subsets_outside_the_point_set_are_not_hyperplanes():
@@ -116,13 +127,13 @@ def test_subsets_outside_the_point_set_are_not_hyperplanes():
     g = build_doily()
     for mask in (-1, g.full_mask | 1 << 20):
         assert not is_geometric_hyperplane(g, mask)
-    assert not is_geometric_hyperplane(g, [99])
-    assert not is_geometric_hyperplane(g, ovoid(1).points | {99})
+    assert not is_geometric_hyperplane(g, 1 << 99)
+    assert not is_geometric_hyperplane(g, ovoid(1).mask | 1 << 99)
 
 
 def test_negative_point_indices_are_named():
     with pytest.raises(ValueError, match="^point index -1 is negative$"):
-        is_geometric_hyperplane(build_doily(), [-1])
+        mask_of([-1])
     with pytest.raises(ValueError, match="^point index -3 is negative$"):
         mask_of([2, -3])
 
@@ -323,7 +334,7 @@ def test_find_isomorphism_result_verified_independently():
 
 def test_induced_substructure():
     g = build_doily()
-    sub, original = induced_substructure(g, grid(1, 2, 3).points)
+    sub, original = induced_substructure(g, points_of(grid(1, 2, 3).mask))
     assert sub.point_count == 9
     assert len(sub.lines) == 6
     assert check_gq(sub, 2, 1)
@@ -352,7 +363,7 @@ def _quadric_model(form):
 
 
 def test_doily_isomorphic_to_parabolic_quadric_model():
-    model = _quadric_model(parabolic_form(5))
+    model = _quadric_model(QuadraticForm(5, {(0, 1), (2, 3), (4, 4)}))
     assert model.point_count == 15 and len(model.lines) == 15
     mapping = find_isomorphism(model, build_doily())
     assert mapping is not None
@@ -361,7 +372,7 @@ def test_doily_isomorphic_to_parabolic_quadric_model():
 
 def test_doily_isomorphic_to_w32_model():
     # point index p has the coordinate mask p + 1
-    theta = standard_symplectic(4)
+    theta = SymplecticForm(4)
     lines = set()
     for x, y in combinations(range(1, 16), 2):
         if theta.evaluate(x, y) == 0:

@@ -21,13 +21,14 @@ from doilyspace.doily import (
     perp_set,
 )
 from doilyspace.gf2 import (
+    DEGENERATE,
     QuadraticForm,
+    SymplecticForm,
     classify_form,
     elliptic_form,
     hyperbolic_form,
     polarize,
     projective_points,
-    standard_symplectic,
 )
 from doilyspace.incidence import (
     IncidenceStructure,
@@ -138,12 +139,12 @@ def test_sector_sizes():
 
 def test_forms_polarize_to_theta():
     ml = build_magic_line()
-    theta = standard_symplectic(6).gram()
+    theta = SymplecticForm(6).gram()
     assert ml.q_plus_form == hyperbolic_form(6)
     assert ml.q_minus_form == elliptic_form(6)
     assert polarize(ml.q_plus_form).gram == theta
     assert polarize(ml.q_minus_form).gram == theta
-    assert ml.cone_form.kind == "degenerate"
+    assert classify_form(ml.cone_form) == DEGENERATE
 
 
 def test_constituent_line_counts():
@@ -512,6 +513,24 @@ def test_construction_certifies_the_polarization(monkeypatch):
     assert classify_form(wrong) == "hyperbolic" and len(wrong.zero_points()) == 35
     monkeypatch.setattr(magicline, "hyperbolic_form", lambda dim: wrong)
     message = "^Q\\+ and Q- must polarize to the standard alternating form$"
+    with pytest.raises(ConsistencyError, match=message):
+        build_magic_line.__wrapped__()
+
+
+def test_construction_certifies_the_elliptic_kind(monkeypatch):
+    # Q+ + x1^2 = Q+ + theta(e2, x), and Q+(e2) = 0: a hyperbolic form with
+    # 35 zeros polarizing to theta, so only the kind check tells it from Q-
+    wrong = hyperbolic_form(6) + QuadraticForm(6, {(0, 0)})
+    assert polarize(wrong).gram == SymplecticForm(6).gram()
+    assert classify_form(wrong) == "hyperbolic" and len(wrong.zero_points()) == 35
+    monkeypatch.setattr(magicline, "elliptic_form", lambda dim: wrong)
+    with pytest.raises(ConsistencyError, match="^Q- must be an elliptic quadric, got hyperbolic$"):
+        build_magic_line.__wrapped__()
+
+
+def test_construction_certifies_the_hyperbolic_kind(monkeypatch):
+    monkeypatch.setattr(magicline, "hyperbolic_form", elliptic_form)
+    message = "^Q\\+ must be a hyperbolic quadric, got elliptic$"
     with pytest.raises(ConsistencyError, match=message):
         build_magic_line.__wrapped__()
 

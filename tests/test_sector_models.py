@@ -31,7 +31,7 @@ def test_elliptic_model_is_gq_2_4():
 def test_cone_model_degrees():
     models = build_sector_models()
     g = models.cone
-    nucleus = g.index_of(NUCLEUS_LABEL)
+    nucleus = g.labels.index(NUCLEUS_LABEL)
     for p in range(g.point_count):
         assert g.degree(p) == (15 if p == nucleus else 7)
 
