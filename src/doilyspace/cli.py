@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from functools import lru_cache
 from itertools import combinations
 
 from .doily import (
@@ -24,7 +23,6 @@ from .doily import (
     apply_duad_permutation,
     build_doily,
     classify_hyperplane,
-    duad_label,
     grid,
     ovoid,
     perp_set,
@@ -34,7 +32,6 @@ from .incidence import (
     check_gamma_space,
     check_gq,
     deep_points_mask,
-    find_isomorphism,
     has_triangle,
     is_isomorphism,
     null_space_hyperplanes,
@@ -45,14 +42,13 @@ from .magicline import (
     ELLIPTIC_SECTOR,
     HYPERBOLIC_SECTOR,
     SECTOR_KIND,
-    MagicLine,
     build_magic_line,
     build_sector_models,
     complementary_point,
     doily_trace,
     image_matches_family,
+    label_map,
     polar_pair_check,
-    sector_image,
     sector_labels,
     veldkamp_line_image,
 )
@@ -368,9 +364,9 @@ def _magicline_checks() -> list[Check]:
     for model, constituent in ((models.hyperbolic, ml.q_plus),
                                (models.elliptic, ml.q_minus),
                                (models.cone, ml.cone)):
-        mapping = find_isomorphism(model, constituent.structure)
-        model_ok.append(mapping is not None
-                        and is_isomorphism(model, constituent.structure, mapping))
+        struct = constituent.structure  # the certified labels give the bijection
+        model_ok.append(set(model.labels) == set(struct.labels)
+                        and is_isomorphism(model, struct, label_map(model, struct)))
     checks.append(Check("sector models isomorphic to the coordinate constituents",
                         [True, True, True], model_ok, DERIVED))
     checks.append(Check("elliptic model is a GQ(2,4)", True,
@@ -413,135 +409,21 @@ def _emit(payload: str, out: str | None) -> None:
         raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
-@lru_cache(maxsize=3)  # the three sectors of the cached magic line
-def _sector_skeleton(ml: MagicLine, figure: str):
-    """The part of an export that does not depend on the chosen point: the
-    sorted off-point labels, each node's label and role when neither chosen
-    nor traced, each line's id, sorted labels and role when not concurrent."""
-    constituent = ml.constituents[figure]
-    struct = constituent.structure
-    valid = tuple(sorted(
-        ml.label_of[v] for v in constituent.w_points
-        if v not in ml.core_set and v != ml.nucleus_w))
-    nodes = tuple((struct.labels[local], "core" if w_idx in ml.core_set else "sector")
-                  for local, w_idx in enumerate(constituent.w_points))
-    lines = tuple(
-        (f"L{idx}", tuple(sorted(struct.labels[q] for q in line)),
-         "core" if all(constituent.w_points[q] in ml.core_set for q in line) else "plain")
-        for idx, line in enumerate(struct.lines))
-    return valid, nodes, lines
-
-
-def _export_roles(figure: str, point_label: str):
-    ml = build_magic_line()
-    valid, nodes, lines = _sector_skeleton(ml, figure)
-    if point_label not in valid:
-        raise UsageError(
-            f"point {point_label!r} is not an off point of the {figure} sector; "
-            f"valid labels: {', '.join(valid)}")
-    chosen_w = ml.w_of_label[point_label]
-    trace = doily_trace(ml, chosen_w)
-    trace_labels = {duad_label(d) for d in trace.duads}
-    constituent = ml.constituents[figure]
-    chosen_local = constituent.local_index(chosen_w)
-    through = set(constituent.structure.lines_through[chosen_local])
-    return {
-        "figure": figure,
-        "point": point_label,
-        "trace": {"name": trace.name, "kind": trace.kind,
-                  "points": sorted(trace_labels)},
-        "nodes": [
-            {"label": label,
-             "role": "chosen" if local == chosen_local
-             else "trace" if label in trace_labels else role}
-            for local, (label, role) in enumerate(nodes)],
-        "lines": [
-            {"id": line_id, "points": list(points),
-             "role": "concurrent" if idx in through else role}
-            for idx, (line_id, points, role) in enumerate(lines)],
-    }
-
-
-def _render_dot(data: dict, line_nodes: bool) -> str:
-    out = [f'graph "{data["figure"]}_{data["point"]}" {{']
-    out.append("  node [shape=circle];")
-    for node in data["nodes"]:
-        out.append(f'  "{node["label"]}" [role={node["role"]}];')
-    for line in data["lines"]:
-        if line_nodes:
-            out.append(f'  "{line["id"]}" [shape=point, role=line_{line["role"]}];')
-            for p in line["points"]:
-                out.append(f'  "{line["id"]}" -- "{p}" [role={line["role"]}];')
-        else:
-            a, b, c = line["points"]
-            for u, v in ((a, b), (a, c), (b, c)):
-                out.append(f'  "{u}" -- "{v}" [line={line["id"]}, role={line["role"]}];')
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
 def cmd_export(figure: str, point: str, fmt: str = "dot",
                line_nodes: bool = False, out: str | None = None) -> int:
-    data = _export_roles(figure, point)
-    if fmt == "json":
-        payload = json.dumps(data, indent=2) + "\n"
-    else:
-        payload = _render_dot(data, line_nodes)
-    _emit(payload, out)
+    from . import render  # loaded on first use, so verify never compiles it
+    try:
+        data = render.export_roles(figure, point)
+    except render.NotAnOffPoint as exc:
+        raise UsageError(str(exc)) from exc
+    _emit(json.dumps(data, indent=2) + "\n" if fmt == "json"
+          else render.render_dot(data, line_nodes), out)
     return 0
 
 
-def _hyperplane_rows() -> list[dict]:
-    return [
-        {"name": h.name, "kind": h.kind, "size": h.size,
-         "points": [f"{d[0]}{d[1]}" for d in h.duads]}
-        for h in all_named_hyperplanes()
-    ]
-
-
-def _veldkamp_rows() -> list[dict]:
-    vs = doily_veldkamp_space()
-    rows = []
-    for line in vs.lines:
-        members = [classify_hyperplane(m).name for m in line.members]
-        rows.append({"members": members, "family": classify_veldkamp_line(line)})
-    return rows
-
-
-def _sector_map_rows() -> list[dict]:
-    ml = build_magic_line()
-    rows = []
-    for h in all_named_hyperplanes():
-        image = sector_image(ml, h)
-        kind = "pair" if len(image.labels) == 2 else "point"
-        rows.append({"hyperplane": h.name, "image": str(image),
-                     "sector": image.sector, "image_kind": kind})
-    return rows
-
-
 def cmd_tables(what: str, fmt: str = "text", out: str | None = None) -> int:
-    rows = {
-        "hyperplanes": _hyperplane_rows,
-        "veldkamp_lines": _veldkamp_rows,
-        "sector_maps": _sector_map_rows,
-    }[what]()
-    if fmt == "structured":
-        payload = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = []
-        if what == "hyperplanes":
-            for r in rows:
-                lines.append(f"{r['name']:<6} {r['kind']:<9} {r['size']:>2}  "
-                             + " ".join(r["points"]))
-        elif what == "veldkamp_lines":
-            for k, r in enumerate(rows, 1):
-                lines.append(f"{k:>3}  {{{', '.join(r['members'])}}}  {r['family']}")
-        else:
-            for r in rows:
-                lines.append(f"{r['hyperplane']:<6} -> {r['image']:<8} "
-                             f"({r['sector']} {r['image_kind']})")
-        payload = "\n".join(lines) + "\n"
-    _emit(payload, out)
+    from . import render
+    _emit(render.table(what, fmt), out)
     return 0
 
 

@@ -149,6 +149,10 @@ class QuadraticForm:
 
     def zero_points(self) -> tuple[int, ...]:
         """The coordinate masks of the projective points on the quadric Q(x) = 0."""
+        return self._zero_points
+
+    @cached_property
+    def _zero_points(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, 1 << self.dim) if self.evaluate(v) == 0)
 
     def __add__(self, other: QuadraticForm) -> QuadraticForm:
@@ -167,6 +171,8 @@ class BilinearForm:
             for j, b in enumerate(row):
                 if b not in (0, 1):
                     raise ValueError(f"gram entry ({i},{j}) must be 0 or 1: {b!r}")
+                if j < i and b != gram[j][i]:
+                    raise ValueError(f"gram is not symmetric: ({j},{i}) and ({i},{j}) differ")
         self.gram = gram
 
     @property

@@ -33,6 +33,7 @@ from .doily import (
     S_ELEMENTS,
     S_SET,
     SYNTHEMES,
+    all_named_hyperplanes,
     build_doily,
     classify_hyperplane,
     duad_label,
@@ -111,13 +112,11 @@ class SymplecticSpace:
 
 @lru_cache(maxsize=None)
 def build_w52() -> SymplecticSpace:
-    """63 points; lines are the triples {x, y, x+y} with theta(x, y) = 0."""
+    """63 points; the lines {x, y, x+y} with theta(x, y) = 0, each built once, from x < y < x+y."""
     form = SymplecticForm(6)
     points = coordinate_masks(range(1, 1 << form.dim), form.dim)
-    lines = set()
-    for x, y in combinations(points, 2):
-        if form.theta(x, y) == 0:
-            lines.add(frozenset((x - 1, y - 1, (x ^ y) - 1)))
+    lines = [(x - 1, y - 1, (x ^ y) - 1) for x, y in combinations(points, 2)
+             if y < x ^ y and form.theta(x, y) == 0]
     structure = IncidenceStructure.from_lines(
         len(points), lines, labels=[format(v, "06b")[::-1] for v in points])
     return SymplecticSpace(form, points, structure)
@@ -195,6 +194,13 @@ class MagicLine:
             if w in constituent.w_set:
                 return sector
         raise ConsistencyError(f"point {w} lies in no constituent")
+
+    @cached_property
+    def sector_images(self) -> Mapping[int, SectorImage]:
+        """Mask of each of the doily's 31 hyperplanes -> its sector image."""
+        labels = {h.mask: sector_labels(h) for h in all_named_hyperplanes()}
+        return MappingProxyType({m: SectorImage(self.sector_of(self.w_of_label[ls[0]]), ls)
+                                 for m, ls in labels.items()})
 
     def constituent_of(self, w: int) -> Constituent:
         sector = self.sector_of(w)
@@ -314,6 +320,12 @@ def _certify(constituent: Constituent, model: IncidenceStructure) -> None:
         where = ("is not a line of its sector model" if extra
                  else "of the sector model is missing from the labelled quadric")
         raise ConsistencyError(f"{constituent.name} line {{{line}}} {where}")
+
+
+def label_map(model: IncidenceStructure, structure: IncidenceStructure) -> dict[int, int]:
+    """Model point -> the structure's point of the same label; each model label must occur."""
+    local = {lab: k for k, lab in enumerate(structure.labels)}
+    return {p: local[lab] for p, lab in enumerate(model.labels)}
 
 
 @lru_cache(maxsize=None)
@@ -457,6 +469,14 @@ class SectorImage:
         self.sector = sector
         self.labels = labels
 
+    @cached_property
+    def subsets(self) -> frozenset[int] | tuple[frozenset[int], ...]:
+        """The subsets of S the labels stand for: {i}, S \\ klmn or both triples of ijk/lmn."""
+        sets = tuple(label_elements(lab.rstrip("'")) for lab in self.labels)
+        if self.sector == HYPERBOLIC_SECTOR:
+            return sets
+        return sets[0] if self.sector == ELLIPTIC_SECTOR else S_SET - sets[0]
+
     def __str__(self) -> str:
         return "/".join(self.labels)
 
@@ -475,15 +495,13 @@ class LineImage:
 
 def sector_image(ml: MagicLine, h: DoilyHyperplane) -> SectorImage:
     """Map one doily hyperplane to its sector object, the points tracing it."""
-    labels = sector_labels(h)
-    return SectorImage(ml.sector_of(ml.w_of_label[labels[0]]), labels)
+    return ml.sector_images[h.mask]
 
 
 def veldkamp_line_image(ml: MagicLine, line: VeldkampLine) -> LineImage:
     """Replace each member of a doily Veldkamp line by its sector object."""
-    family = classify_veldkamp_line(line)
-    members = tuple(sector_image(ml, classify_hyperplane(m)) for m in line.members)
-    return LineImage(family, members)
+    family = classify_veldkamp_line(line)  # certifies the members are doily hyperplanes
+    return LineImage(family, tuple(ml.sector_images[m] for m in line.members))
 
 
 def image_matches_family(image: LineImage) -> bool:
@@ -501,12 +519,8 @@ def image_matches_family(image: LineImage) -> bool:
     """
     by_kind = {OVOID: [], PERP_SET: [], GRID: []}
     for m in image.members:
-        if m.sector == ELLIPTIC_SECTOR:
-            by_kind[OVOID].append(frozenset((int(m.labels[0]),)))
-        elif m.sector == CONE_SECTOR:
-            by_kind[PERP_SET].append(S_SET - label_elements(m.labels[0]))
-        elif m.sector == HYPERBOLIC_SECTOR:
-            by_kind[GRID].append(tuple(label_elements(lab) for lab in m.labels))
+        if m.sector in SECTOR_KIND:
+            by_kind[SECTOR_KIND[m.sector]].append(m.subsets)
     return fits_family(image.family, by_kind[OVOID], by_kind[PERP_SET], by_kind[GRID])
 
 
@@ -564,8 +578,8 @@ def polar_pair_check(ml: MagicLine, p: int, q: int) -> PolarPairReport:
     mutual_mask = mask_of(mutual)
     inside = [lm for lm in struct.line_masks if lm & ~mutual_mask == 0]
     every_on_line = all(any((lm >> x) & 1 for lm in inside) for x in mutual)
-    universal = any(all(y == x or collinear(struct, x, y) for y in mutual) for x in mutual)
-    non_collinear = all(not collinear(struct, x, y) for x, y in combinations(mutual, 2))
+    universal = any(mutual_mask & ~struct.perp_masks[x] == 0 for x in mutual)
+    non_collinear = all(struct.perp_masks[x] & mutual_mask == 1 << x for x in mutual)
 
     return PolarPairReport(
         sector=sector,
@@ -605,7 +619,7 @@ def _sector_model(labels: list[str], off_lines: list[list[str]]) -> IncidenceStr
 def build_sector_models() -> SectorModels:
     """The combinatorial models around the duad-syntheme doily, each sector's
     lines given by one rule; build_magic_line certifies its labelling against
-    them, and verify finds their isomorphisms onto the coordinate quadrics.
+    them, and verify checks label_map onto each coordinate quadric with is_isomorphism.
 
     Hyperbolic: 20 triples; two triples X, Y meeting in one element lie on a
     line with the duad (X n Y) u (S \\ (X u Y)), the 90 lines {abc, aij, ak}.
@@ -614,10 +628,10 @@ def build_sector_models() -> SectorModels:
     {123456, S \\ ij, ij} and, for each syntheme {ij, kl, mn} and each choice
     of its core duad mn, the line {S \\ ij, S \\ kl, mn}: 45 lines.
     """
-    triples = [frozenset(t) for t in combinations(S_ELEMENTS, 3)]
+    triples = {frozenset(t): subset_label(t) for t in combinations(S_ELEMENTS, 3)}
     hyperbolic = _sector_model(
-        [subset_label(t) for t in triples],
-        [[subset_label(x), subset_label(y), subset_label((x & y) | (S_SET - (x | y)))]
+        list(triples.values()),
+        [[triples[x], triples[y], subset_label((x & y) | (S_SET - (x | y)))]
          for x, y in combinations(triples, 2) if len(x & y) == 1])
     elliptic = _sector_model(
         [f"{i}" for i in S_ELEMENTS] + [f"{i}'" for i in S_ELEMENTS],

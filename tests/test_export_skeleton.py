@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from doilyspace import cli
+from doilyspace import cli, magicline, render
 from doilyspace.magicline import build_magic_line, doily_trace
 
 FIGURES = ("hyperbolic", "elliptic", "cone")
@@ -19,7 +19,7 @@ def reference_export_roles(figure: str, point_label: str):
         ml.label_of[v] for v in constituent.w_points
         if v not in ml.core_set and v != ml.nucleus_w)
     if point_label not in valid:
-        raise cli.UsageError(
+        raise ValueError(
             f"point {point_label!r} is not an off point of the {figure} sector; "
             f"valid labels: {', '.join(valid)}")
     chosen_w = ml.w_of_label[point_label]
@@ -72,7 +72,7 @@ def test_every_off_point_exports_as_the_reference():
     for figure, label in points:
         expected = reference_export_roles(figure, label)
         for _ in range(2):  # a second call must not see the first one's roles
-            got = cli._export_roles(figure, label)
+            got = render.export_roles(figure, label)
             assert got == expected
             assert json.dumps(got) == json.dumps(expected)  # key order too
 
@@ -82,15 +82,27 @@ def test_rejected_labels_give_the_reference_message():
     rejected = [ml.label_of[w] for w in ml.core_w] + ["123456", "no-such-label"]
     for figure in FIGURES:
         for label in rejected:
-            with pytest.raises(cli.UsageError) as expected:
+            with pytest.raises(ValueError) as expected:
                 reference_export_roles(figure, label)
-            with pytest.raises(cli.UsageError) as got:
-                cli._export_roles(figure, label)
+            with pytest.raises(render.NotAnOffPoint) as got:
+                render.export_roles(figure, label)
             assert str(got.value) == str(expected.value)
 
 
+def test_only_a_rejected_label_is_a_usage_error(monkeypatch, capsys):
+    assert cli.main(["export", "--figure", "cone", "--point", "12"]) == 2
+    assert "is not an off point of the cone sector" in capsys.readouterr().err
+
+    def broken(ml, w):
+        raise ValueError("a fault inside the export")
+
+    monkeypatch.setattr(magicline, "doily_trace", broken)
+    with pytest.raises(ValueError, match="a fault inside the export"):
+        cli.main(["export", "--figure", "cone", "--point", "3456"])
+
+
 def test_the_skeleton_follows_a_rebuilt_magic_line(monkeypatch):
-    cli._export_roles("elliptic", "3'")
+    render.export_roles("elliptic", "3'")
     old = build_magic_line()
     build_magic_line.cache_clear()
     try:
@@ -98,8 +110,8 @@ def test_the_skeleton_follows_a_rebuilt_magic_line(monkeypatch):
         assert new is not old
         struct = new.constituents["elliptic"].structure
         monkeypatch.setattr(struct, "labels", tuple(l + "~" for l in struct.labels))
-        nodes = cli._export_roles("elliptic", "3'")["nodes"]
+        nodes = render.export_roles("elliptic", "3'")["nodes"]
         assert [n["label"] for n in nodes] == list(struct.labels)
     finally:
         build_magic_line.cache_clear()
-    assert cli._sector_skeleton.cache_info().currsize <= 3
+    assert render.sector_skeleton.cache_info().currsize <= 3

@@ -202,12 +202,34 @@ def ref_radical(b):
                  if all(b.evaluate(v, 1 << j) == 0 for j in range(b.dim)))
 
 
+def grams_3x3():
+    """All 512 3x3 matrices over GF(2), entry (i, j) at bit 3i + j."""
+    return [tuple(tuple(entries >> (3 * i + j) & 1 for j in range(3)) for i in range(3))
+            for entries in range(1 << 9)]
+
+
+def is_symmetric(gram):
+    return all(gram[i][j] == gram[j][i] for i in range(3) for j in range(3))
+
+
 def test_radical_matches_its_definition_on_every_3x3_gram():
-    # symmetric or not: radical() is the left radical, v^T G = 0
-    for entries in range(1 << 9):
-        b = BilinearForm(tuple(tuple(entries >> (3 * i + j) & 1 for j in range(3))
-                               for i in range(3)))
+    # every symmetric one: BilinearForm rejects the other 448
+    symmetric = [gram for gram in grams_3x3() if is_symmetric(gram)]
+    assert len(symmetric) == 64
+    for gram in symmetric:
+        b = BilinearForm(gram)
         assert b.radical() == ref_radical(b)
+
+
+def test_bilinear_rejects_a_non_symmetric_gram():
+    with pytest.raises(ValueError, match=r"^gram is not symmetric: \(0,1\) and \(1,0\) differ$"):
+        BilinearForm(((0, 1), (0, 0)))
+    with pytest.raises(ValueError, match=r"^gram is not symmetric: \(1,2\) and \(2,1\) differ$"):
+        BilinearForm(((1, 0, 0), (0, 0, 1), (0, 0, 1)))
+    for gram in grams_3x3():
+        if not is_symmetric(gram):
+            with pytest.raises(ValueError, match=r"^gram is not symmetric"):
+                BilinearForm(gram)
 
 
 def test_polarization_of_every_form_of_dimension_4():

@@ -1,9 +1,16 @@
 """Tests for the combinatorial sector models versus the coordinate quadrics."""
 
-from doilyspace import magicline
+import pytest
+
+from doilyspace import cli, magicline
 from doilyspace.doily import S_SET, SYNTHEMES, duad_label
 from doilyspace.incidence import check_gq, find_isomorphism, is_isomorphism
-from doilyspace.magicline import NUCLEUS_LABEL, build_magic_line, build_sector_models
+from doilyspace.magicline import (
+    NUCLEUS_LABEL,
+    build_magic_line,
+    build_sector_models,
+    label_map,
+)
 
 
 def test_model_counts():
@@ -88,3 +95,51 @@ def test_cone_off_lines_follow_the_syntheme_rule():
     vertex_lines = {line for line in spelled if NUCLEUS_LABEL in line}
     assert len(vertex_lines) == 15
     assert spelled - synthemes - vertex_lines == rule
+
+
+# each constituent with the label of one of its off points
+OFF_LABEL = {"hyperbolic": "146", "elliptic": "3'", "cone": "3456"}
+CONSTITUENTS = tuple(OFF_LABEL)
+MODEL_CHECK = "sector models isomorphic to the coordinate constituents"
+
+
+def line_images(model, mapping):
+    return {frozenset(mapping[p] for p in line) for line in model.lines}
+
+
+def test_label_map_has_the_effect_of_the_searched_isomorphism():
+    # the certificate verify uses: the bijection the certified labels give
+    ml = build_magic_line()
+    models = build_sector_models()
+    for name in CONSTITUENTS:
+        model, struct = getattr(models, name), ml.constituents[name].structure
+        mapping = label_map(model, struct)
+        found = find_isomorphism(model, struct)
+        assert is_isomorphism(model, struct, mapping)
+        assert is_isomorphism(model, struct, found)
+        assert all(struct.labels[mapping[p]] == model.labels[p] for p in mapping)
+        assert line_images(model, mapping) == line_images(model, found) == set(struct.lines)
+
+
+def relabelled(name, struct, change):
+    labels = list(struct.labels)
+    if change == "rename":
+        labels[0] += "~"
+    else:  # swap a core duad with an off point's label
+        a, b = labels.index("12"), labels.index(OFF_LABEL[name])
+        labels[a], labels[b] = labels[b], labels[a]
+    return tuple(labels)
+
+
+@pytest.mark.parametrize("change", ["rename", "swap"])
+def test_a_changed_label_fails_the_model_check_without_raising(monkeypatch, change):
+    # a renamed label leaves the label sets unequal, so no map is built; a
+    # swap gives a map that is_isomorphism rejects
+    ml = build_magic_line()
+    for k, name in enumerate(CONSTITUENTS):
+        struct = ml.constituents[name].structure
+        with monkeypatch.context() as patch:
+            patch.setattr(struct, "labels", relabelled(name, struct, change))
+            check, = [c for c in cli._magicline_checks() if c.name == MODEL_CHECK]
+        assert check.actual == [j != k for j in range(3)]
+        assert not check.passed

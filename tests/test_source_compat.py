@@ -12,7 +12,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 
 def test_every_module_is_found():
     assert {m.stem for m in MODULES} >= {
-        "__init__", "cli", "doily", "gf2", "incidence", "magicline", "veldkamp"}
+        "__init__", "cli", "doily", "gf2", "incidence", "magicline", "render",
+        "veldkamp"}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])

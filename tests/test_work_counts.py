@@ -1,6 +1,8 @@
 """A cold ``verify all`` must compute each magic-line trace, each Veldkamp
 line's family, each permuted hyperplane and the doily's Veldkamp space once,
-and a warm process must not build that space again.
+search for one isomorphism only (the core onto the doily: the sector models
+are certified by the labels' bijection), and a warm process must not build
+that space again.
 
 The cold run happens in a fresh process, so no cache is warm.  The helpers
 are wrapped in the namespaces that call them, and the counts are exact: they
@@ -23,7 +25,7 @@ import io, json, sys
 from contextlib import redirect_stdout
 from doilyspace import cli, magicline, veldkamp
 
-counts = {"trace": 0, "member": 0, "permute": 0, "space": 0}
+counts = {"trace": 0, "member": 0, "permute": 0, "space": 0, "search": 0}
 
 def counted(module, name, key):
     original = getattr(module, name)
@@ -35,6 +37,9 @@ def counted(module, name, key):
 for module in (cli, veldkamp):
     if hasattr(module, "build_veldkamp_space"):
         counted(module, "build_veldkamp_space", "space")
+for module in (cli, magicline):
+    if hasattr(module, "find_isomorphism"):
+        counted(module, "find_isomorphism", "search")
 
 counted(magicline, "_trace_hyperplane", "trace")
 # the family rules classify the three members of each line they classify
@@ -45,7 +50,8 @@ with redirect_stdout(io.StringIO()):
 print(json.dumps({"exit": code, "traces": counts["trace"],
                   "classifications": counts["member"] / 3,
                   "permutations": counts["permute"],
-                  "veldkamp_spaces": counts["space"]}))
+                  "veldkamp_spaces": counts["space"],
+                  "isomorphism_searches": counts["search"]}))
 """
 
 
@@ -59,6 +65,7 @@ def test_cold_verify_all_does_each_piece_of_work_once():
         "classifications": 155,  # the doily's Veldkamp lines
         "permutations": 62,  # 31 hyperplanes under each of 2 generators
         "veldkamp_spaces": 1,  # the doily's, shared by both suites that read it
+        "isomorphism_searches": 1,  # the core onto the doily
     }
 
 
