@@ -155,6 +155,14 @@ class QuadraticForm:
     def _zero_points(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, 1 << self.dim) if self.evaluate(v) == 0)
 
+    @cached_property
+    def _polarization(self) -> BilinearForm:
+        vals = [self.evaluate(1 << k) for k in range(self.dim)]
+        return BilinearForm(tuple(
+            tuple(0 if i == j else self.evaluate(1 << i | 1 << j) ^ vals[i] ^ vals[j]
+                  for j in range(self.dim))
+            for i in range(self.dim)))
+
     def __add__(self, other: QuadraticForm) -> QuadraticForm:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -202,13 +210,8 @@ class BilinearForm:
 
 
 def polarize(form: QuadraticForm) -> BilinearForm:
-    """The bilinear form B(x,y) = Q(x+y) + Q(x) + Q(y)."""
-    dim = form.dim
-    vals = [form.evaluate(1 << k) for k in range(dim)]
-    return BilinearForm(tuple(
-        tuple(0 if i == j else form.evaluate(1 << i | 1 << j) ^ vals[i] ^ vals[j]
-              for j in range(dim))
-        for i in range(dim)))
+    """The bilinear form B(x,y) = Q(x+y) + Q(x) + Q(y), computed once per form."""
+    return form._polarization
 
 
 def classify_form(form: QuadraticForm) -> str:

@@ -9,11 +9,11 @@ cone sector to perp-sets.  Everything is constructed from the standard forms
 and certified by exhaustive checks; construction raises ConsistencyError if
 any structural invariant fails.
 
-Each sector's lines are stated once, as a rule in build_sector_models.  The
-labellers give each off point one of the sector_labels of its trace, and
-build_magic_line certifies each labelled constituent against its model; the
-correspondence is read off these labels: the points tracing h are labelled
-sector_labels(h).
+Each sector's lines are stated once, as a rule in build_sector_models, and
+one labeller reads each off point's label, one of the sector_labels of its
+trace, off that model; build_magic_line certifies each labelled constituent
+against its model.  The correspondence is read off these labels: the points
+tracing h are labelled sector_labels(h).
 """
 
 from __future__ import annotations
@@ -82,6 +82,11 @@ class ConsistencyError(RuntimeError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConsistencyError(message)
+
+
+def _names(struct: IncidenceStructure, points) -> str:
+    """W(5,2) points by coordinate label and index, for error messages."""
+    return ", ".join(f"{struct.label_of(w)} (W(5,2) index {w})" for w in points) or "none"
 
 
 def subset_label(elems) -> str:
@@ -231,7 +236,7 @@ def _trace_hyperplane(space: SymplecticSpace, sector: str, quadric: int, w: int,
     Q(x + y) = Q(x) + Q(y) + theta(x, y), points of Q+, Q- or the cone are
     collinear in W(5,2) exactly when their line lies in the quadric."""
     struct = space.structure
-    point = f"{sector} point {struct.label_of(w)} (W(5,2) index {w})"
+    point = f"{sector} point {_names(struct, [w])}"
     mask = 0
     for idx in struct.lines_through[w]:
         if struct.line_masks[idx] & ~quadric:
@@ -253,57 +258,33 @@ def _trace_hyperplane(space: SymplecticSpace, sector: str, quadric: int, w: int,
 
 def _off_traces(space: SymplecticSpace, sector: str, quadric: int,
                 core_duads: Mapping[int, tuple[int, int]],
-                skip: int | None = None) -> dict[int, DoilyHyperplane]:
+                skip: int | None) -> dict[int, DoilyHyperplane]:
     """The traces of the quadric's off points other than ``skip``, in point
     order; the first broken trace raises."""
     return {w: _trace_hyperplane(space, sector, quadric, w, core_duads)
             for w in points_of(quadric) if w not in core_duads and w != skip}
 
 
-def _seed(space: SymplecticSpace, traces: Mapping[int, DoilyHyperplane]) -> int:
-    """The off point with the lexicographically smallest coordinate label."""
-    return min(traces, key=space.structure.label_of)
+def _model_labels(space: SymplecticSpace, traces: Mapping[int, DoilyHyperplane],
+                  model: IncidenceStructure) -> dict[int, str]:
+    """Give each traced off point one of the sector_labels of its trace.
 
-
-def _hyperbolic_labels(space: SymplecticSpace,
-                       traces: Mapping[int, DoilyHyperplane]) -> dict[int, str]:
-    """Label the 20 off points by 3-subsets of S.
-
-    The labels are forced by the traces up to swapping every complementary
-    pair at once, so the seed gets its trace grid's 1-containing triple T.
-    In the hyperbolic model two triples meet in 3 elements (the same point),
-    1 (collinear points), 2 (non-collinear) or 0 (the seed's partner), so of
-    the two triples {t, S \\ t} of a trace grid, the one meeting T in an odd
-    number of elements labels the point exactly when that point is the seed
-    or collinear with it.  build_magic_line certifies the result against the
-    model.
+    The seed, the off point with the smallest coordinate label, takes its
+    trace's first label, which fixes the sector's one free choice.  For any
+    seed, exactly one label of each two-label trace is collinear in the model
+    with the seed's first label, so a point takes its first label when that
+    collinearity matches W(5,2)'s collinearity of the point with the seed,
+    else its last; a cone point has only one.  _certify checks the result.
     """
-    seed = _seed(space, traces)
-    big_t = frozenset(traces[seed].index)
+    seed = min(traces, key=space.structure.label_of)
+    index = {lab: k for k, lab in enumerate(model.labels)}
+    model_perp = model.perp_masks[index[sector_labels(traces[seed])[0]]]
+    w_perp = space.structure.perp_masks[seed]
     labels = {}
     for w, h in traces.items():
-        t, complement = sector_labels(h)
-        odd = len(big_t.intersection(h.index)) % 2 == 1
-        labels[w] = t if odd == collinear(space.structure, seed, w) else complement
-    return labels
-
-
-def _elliptic_labels(space: SymplecticSpace,
-                     traces: Mapping[int, DoilyHyperplane]) -> dict[int, str]:
-    """Label the 12 off points as 1..6 and 1'..6' by their ovoid traces.
-
-    In the elliptic model the unprimed points are pairwise non-collinear, and
-    i is collinear with every j' but i'.  So the unprimed class is the seed
-    together with the off points not collinear with it, leaving out the
-    seed's partner (the other point of its trace); this fixes the one free
-    choice.  build_magic_line certifies the result against the model.
-    """
-    seed = _seed(space, traces)
-    labels = {}
-    for w, h in traces.items():
-        unprimed = w == seed or (h.mask != traces[seed].mask
-                                 and not collinear(space.structure, seed, w))
-        labels[w] = sector_labels(h)[0 if unprimed else 1]
+        ls = sector_labels(h)
+        same = (model_perp >> index[ls[0]] & 1) == (w_perp >> w & 1)
+        labels[w] = ls[0] if same else ls[-1]
     return labels
 
 
@@ -381,11 +362,15 @@ def build_magic_line() -> MagicLine:
         i for i in cone_points
         if all(space.form.evaluate(i + 1, j + 1) == 0 for j in cone_points)]
     _require(len(nucleus_candidates) == 1,
-             "radical of the form restricted to the cone span must be one point")
+             "radical of the form restricted to the cone span must be one point, "
+             f"got {_names(space.structure, nucleus_candidates)}")
     nucleus_w = nucleus_candidates[0]
-    _require((core_mask >> nucleus_w) & 1 == 0, "nucleus must lie off the core")
-    _require(deep_points_mask(space.structure, cone_mask) == 1 << nucleus_w,
-             "nucleus must be the unique deep point of the cone hyperplane")
+    nucleus = _names(space.structure, [nucleus_w])
+    _require((core_mask >> nucleus_w) & 1 == 0, f"nucleus {nucleus} must lie off the core")
+    deep = deep_points_mask(space.structure, cone_mask)
+    _require(deep == 1 << nucleus_w,
+             f"nucleus {nucleus} must be the unique deep point of the cone hyperplane, "
+             f"got {_names(space.structure, points_of(deep))}")
 
     core_structure, core_w = induced_substructure(space.structure, points_of(core_mask))
     _require(len(core_structure.lines) == 15, "core must carry 15 induced lines")
@@ -393,42 +378,31 @@ def build_magic_line() -> MagicLine:
     _require(iso is not None, "core must be isomorphic to the duad-syntheme doily")
     core_duads = {core_w[local]: DUADS[image] for local, image in iso.items()}
 
-    hyp_traces = _off_traces(space, HYPERBOLIC_SECTOR, qp_mask, core_duads)
-    ell_traces = _off_traces(space, ELLIPTIC_SECTOR, qm_mask, core_duads)
-    cone_traces = _off_traces(space, CONE_SECTOR, cone_mask, core_duads, skip=nucleus_w)
-    label_of: dict[int, str] = {w: duad_label(d) for w, d in core_duads.items()}
-    label_of.update(_hyperbolic_labels(space, hyp_traces))
-    label_of.update(_elliptic_labels(space, ell_traces))
-    label_of.update((w, sector_labels(h)[0]) for w, h in cone_traces.items())
-    label_of[nucleus_w] = NUCLEUS_LABEL
-
     models = build_sector_models()  # its fields are named after the sectors
+    label_of = {w: duad_label(d) for w, d in core_duads.items()} | {nucleus_w: NUCLEUS_LABEL}
+    traces: dict[int, DoilyHyperplane] = {}
     constituents = []
     for name, mask in zip(SECTOR_KIND, (qp_mask, qm_mask, cone_mask)):
+        model = getattr(models, name)
+        sector_traces = _off_traces(space, name, mask, core_duads, skip=nucleus_w)
+        label_of.update(_model_labels(space, sector_traces, model))
+        traces.update(sector_traces)
         w_points = points_of(mask)
         structure, _ = induced_substructure(space.structure, w_points,
                                             [label_of[w] for w in w_points])
         constituents.append(Constituent(name, w_points, structure))
-        _certify(constituents[-1], getattr(models, name))
+        _certify(constituents[-1], model)
     qp, qm, cone = constituents
 
     return MagicLine(
-        space=space,
-        q_plus_form=q_plus_form,
-        q_minus_form=q_minus_form,
-        cone_form=cone_form,
-        q_plus=qp,
-        q_minus=qm,
-        cone=cone,
-        core_w=core_w,
+        space=space, q_plus_form=q_plus_form, q_minus_form=q_minus_form, cone_form=cone_form,
+        q_plus=qp, q_minus=qm, cone=cone, core_w=core_w,
         core_structure=IncidenceStructure(core_structure.point_count, core_structure.lines,
                                           [label_of[w] for w in core_w]),
-        core_duads=MappingProxyType(core_duads),
-        nucleus_w=nucleus_w,
+        core_duads=MappingProxyType(core_duads), nucleus_w=nucleus_w,
         label_of=MappingProxyType(label_of),
         w_of_label=MappingProxyType({lab: w for w, lab in label_of.items()}),
-        traces=MappingProxyType({**hyp_traces, **ell_traces, **cone_traces}),
-    )
+        traces=MappingProxyType(traces))
 
 
 def doily_trace(ml: MagicLine, w: int) -> DoilyHyperplane | None:

@@ -33,6 +33,7 @@ from doilyspace.gf2 import (
 from doilyspace.incidence import (
     IncidenceStructure,
     check_gamma_space,
+    collinear,
     deep_points_mask,
     mask_of,
     perp,
@@ -46,7 +47,9 @@ from doilyspace.magicline import (
     ELLIPTIC_SECTOR,
     HYPERBOLIC_SECTOR,
     NUCLEUS_LABEL,
+    SECTOR_KIND,
     LineImage,
+    SymplecticSpace,
     build_magic_line,
     build_sector_models,
     build_w52,
@@ -59,6 +62,7 @@ from doilyspace.magicline import (
     sector_labels,
     veldkamp_line_image,
     _certify,
+    _model_labels,
     _off_traces,
     _trace_hyperplane,
 )
@@ -483,6 +487,76 @@ def test_seeds_fix_the_free_choices():
     assert ml.label_of[seed].startswith("1")
     seed = min(w_off(ml, ml.q_minus), key=coordinates)
     assert not ml.label_of[seed].endswith("'")
+
+
+@pytest.mark.parametrize("sector", [HYPERBOLIC_SECTOR, ELLIPTIC_SECTOR])
+def test_any_seed_leaves_one_label_of_each_trace_collinear_with_it(sector):
+    # the labeller's condition: whichever hyperplane of the sector's kind the
+    # seed traces, exactly one of the two labels of every such hyperplane is
+    # collinear in the model with the seed's first label
+    model = getattr(build_sector_models(), sector)
+    index = {lab: k for k, lab in enumerate(model.labels)}
+    traces = [h for h in all_named_hyperplanes() if h.kind == SECTOR_KIND[sector]]
+    for seed in traces:
+        seed_label = index[sector_labels(seed)[0]]
+        for h in traces:
+            assert [collinear(model, seed_label, index[lab])
+                    for lab in sector_labels(h)].count(True) == 1
+
+
+def test_a_cone_point_takes_its_only_label_whatever_the_model_says():
+    # a cone model without off-lines makes no off point collinear with the
+    # seed, while W(5,2) does; each point still gets its one label, and
+    # _certify is left to reject the labelling
+    ml = build_magic_line()
+    traces = {w: h for w, h in ml.traces.items() if ml.sector_of(w) == CONE_SECTOR}
+    seed = min(traces, key=ml.space.structure.label_of)
+    assert any(collinear(ml.space.structure, seed, w) for w in traces if w != seed)
+    off_labels = list(build_sector_models().cone.labels[len(DUADS):])
+    no_off_lines = magicline._sector_model(off_labels, [])
+    assert _model_labels(ml.space, traces, no_off_lines) == {w: ml.label_of[w] for w in traces}
+
+
+def named(ml, *points):
+    return ", ".join(f"{ml.space.structure.label_of(w)} (W(5,2) index {w})" for w in points)
+
+
+def with_ambient_evaluate(monkeypatch, evaluate):
+    # W(5,2) whose form keeps its Gram matrix but pairs points by evaluate
+    space = build_w52()
+    form = SymplecticForm(6)
+    form.evaluate = evaluate
+    monkeypatch.setattr(magicline, "build_w52",
+                        lambda: SymplecticSpace(form, space.points, space.structure))
+
+
+def test_construction_names_the_points_of_a_wrong_radical(monkeypatch):
+    ml = build_magic_line()
+    with_ambient_evaluate(monkeypatch, lambda x, y: 0)
+    message = ("^radical of the form restricted to the cone span must be one point, "
+               f"got {re.escape(named(ml, *ml.cone.w_points))}$")
+    with pytest.raises(ConsistencyError, match=message):
+        build_magic_line.__wrapped__()
+
+
+def test_construction_names_a_nucleus_on_the_core(monkeypatch):
+    ml = build_magic_line()
+    on_core = ml.core_w[0]
+    with_ambient_evaluate(monkeypatch, lambda x, y: int(x != on_core + 1))
+    message = f"^nucleus {re.escape(named(ml, on_core))} must lie off the core$"
+    with pytest.raises(ConsistencyError, match=message):
+        build_magic_line.__wrapped__()
+
+
+def test_construction_names_the_deep_points_of_the_cone(monkeypatch):
+    ml = build_magic_line()
+    other = next(w for w in ml.cone.w_points if w != ml.nucleus_w)
+    deep = sorted((ml.nucleus_w, other))
+    monkeypatch.setattr(magicline, "deep_points_mask", lambda g, m: mask_of(deep))
+    message = (f"^nucleus {re.escape(named(ml, ml.nucleus_w))} must be the unique deep "
+               f"point of the cone hyperplane, got {re.escape(named(ml, *deep))}$")
+    with pytest.raises(ConsistencyError, match=message):
+        build_magic_line.__wrapped__()
 
 
 @pytest.mark.parametrize("sector, swapped, line", [

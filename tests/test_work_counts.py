@@ -1,8 +1,8 @@
 """A cold ``verify all`` must compute each magic-line trace, each Veldkamp
 line's family, each permuted hyperplane and the doily's Veldkamp space once,
 search for one isomorphism only (the core onto the doily: the sector models
-are certified by the labels' bijection), and a warm process must not build
-that space again.
+are certified by the labels' bijection) and polarize each form once, and a
+warm process must not build that space again.
 
 The cold run happens in a fresh process, so no cache is warm.  The helpers
 are wrapped in the namespaces that call them, and the counts are exact: they
@@ -23,9 +23,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 COUNT_WORK = """\
 import io, json, sys
 from contextlib import redirect_stdout
-from doilyspace import cli, magicline, veldkamp
+from doilyspace import cli, gf2, magicline, veldkamp
 
-counts = {"trace": 0, "member": 0, "permute": 0, "space": 0, "search": 0}
+counts = {"trace": 0, "member": 0, "permute": 0, "space": 0, "search": 0,
+          "bilinear": 0}
 
 def counted(module, name, key):
     original = getattr(module, name)
@@ -45,13 +46,15 @@ counted(magicline, "_trace_hyperplane", "trace")
 # the family rules classify the three members of each line they classify
 counted(veldkamp, "classify_hyperplane", "member")
 counted(cli, "apply_duad_permutation", "permute")
+counted(gf2.BilinearForm, "__init__", "bilinear")
 with redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "all", "--format", "structured"])
 print(json.dumps({"exit": code, "traces": counts["trace"],
                   "classifications": counts["member"] / 3,
                   "permutations": counts["permute"],
                   "veldkamp_spaces": counts["space"],
-                  "isomorphism_searches": counts["search"]}))
+                  "isomorphism_searches": counts["search"],
+                  "bilinear_forms": counts["bilinear"]}))
 """
 
 
@@ -66,6 +69,7 @@ def test_cold_verify_all_does_each_piece_of_work_once():
         "permutations": 62,  # 31 hyperplanes under each of 2 generators
         "veldkamp_spaces": 1,  # the doily's, shared by both suites that read it
         "isomorphism_searches": 1,  # the core onto the doily
+        "bilinear_forms": 3,  # one polarization each of Q+, Q- and the cone
     }
 
 
