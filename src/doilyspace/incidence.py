@@ -60,7 +60,7 @@ def veldkamp_sum_mask(full_mask: int, m1: int, m2: int) -> int:
 
 
 class IncidenceStructure:
-    """Points 0..point_count-1 together with lines given as point subsets.
+    """Points 0..point_count-1 together with lines given as frozensets of points.
 
     Two structures are equal when their point counts, lines (in order) and
     labels are.  Lines and labels are stored as tuples, whatever sequence
@@ -71,12 +71,14 @@ class IncidenceStructure:
         if type(point_count) is not int or point_count < 0:
             raise ValueError(f"point count {point_count!r} is not a non-negative int")
         lines = tuple(lines)
-        if labels is not None:
-            labels = tuple(labels)
+        labels = None if labels is None else tuple(labels)
         for line in lines:
+            if not isinstance(line, frozenset):
+                raise TypeError(f"line {line!r} is not a frozenset; build the structure from "
+                                "point sequences with IncidenceStructure.from_lines")
             if len(line) < 2:
                 raise ValueError(f"line {set(line)} has fewer than 2 points")
-            if any(not 0 <= p < point_count for p in line):
+            if min(line) < 0 or max(line) >= point_count:
                 raise ValueError(f"line {set(line)} has out-of-range points")
         if len(set(lines)) != len(lines):
             raise ValueError("repeated lines are not allowed")
@@ -108,8 +110,7 @@ class IncidenceStructure:
             if len(unique) != len(points):
                 raise ValueError(f"line {list(points)} names a point twice")
             canon.add(unique)
-        return cls(point_count, tuple(sorted(canon, key=sorted)),
-                   None if labels is None else tuple(labels))
+        return cls(point_count, tuple(sorted(canon, key=sorted)), labels)
 
     @cached_property
     def full_mask(self) -> int:
@@ -136,6 +137,18 @@ class IncidenceStructure:
                 m |= self.line_masks[idx]
             masks.append(m)
         return tuple(masks)
+
+    @cached_property
+    def search_profile(self) -> tuple:
+        """find_isomorphism's view of this side: the point invariants, their
+        multiset, the points of each invariant (ascending), the line-mask set,
+        the partial-linear-space flag and the sorted line sizes."""
+        invs = _point_invariants(self)
+        by_inv: dict[tuple, list[int]] = {}
+        for q, inv in enumerate(invs):
+            by_inv.setdefault(inv, []).append(q)
+        return (invs, Counter(invs), by_inv, frozenset(self.line_masks),
+                is_partial_linear_space(self), sorted(map(len, self.lines)))
 
     def degree(self, p: int) -> int:
         return len(self.lines_through[p])
@@ -327,16 +340,13 @@ def check_gamma_space(g: IncidenceStructure) -> bool:
 def _point_invariants(g: IncidenceStructure) -> list[tuple]:
     """(degree, neighbour-degree multiset) of each point, the multiset given
     as ascending (degree, count) pairs counted on the masks of equal degree."""
+    degrees = [len(t) for t in g.lines_through]
     by_degree: dict[int, int] = {}
-    for p in range(g.point_count):
-        by_degree[g.degree(p)] = by_degree.get(g.degree(p), 0) | 1 << p
+    for p, d in enumerate(degrees):
+        by_degree[d] = by_degree.get(d, 0) | 1 << p
     classes = sorted(by_degree.items())
-    invs = []
-    for p in range(g.point_count):
-        nbrs = g.perp_masks[p] & ~(1 << p)
-        invs.append((g.degree(p), tuple((d, c) for d, m in classes
-                                        if (c := (nbrs & m).bit_count()))))
-    return invs
+    return [(d, tuple([(e, c) for e, m in classes if (c := (nbrs & m).bit_count())]))
+            for d, nbrs in zip(degrees, [pm & ~(1 << p) for p, pm in enumerate(g.perp_masks)])]
 
 
 def find_isomorphism(g1: IncidenceStructure,
@@ -355,21 +365,19 @@ def find_isomorphism(g1: IncidenceStructure,
     and the branch is cut if there is no such line or that point is taken.
     This only cuts branches that hold no isomorphism, so the mapping found
     is the same, key order included, as without it.  The search is bounded:
-    it raises CapacityError after SEARCH_NODE_LIMIT nodes.
+    it raises CapacityError after SEARCH_NODE_LIMIT nodes.  Both sides are
+    read through their cached ``search_profile``.
     """
-    if g1.point_count != g2.point_count or len(g1.lines) != len(g2.lines):
-        return None
-    if sorted(map(len, g1.lines)) != sorted(map(len, g2.lines)):
-        return None
-    inv1 = _point_invariants(g1)
-    inv2 = _point_invariants(g2)
-    if Counter(inv1) != Counter(inv2):
+    inv1, freq, _, _, _, sizes1 = g1.search_profile
+    # propagate: only in a partial linear space is the image of a half-mapped line forced
+    inv2, freq2, by_inv, line_masks2, propagate, sizes2 = g2.search_profile
+    # equal invariant multisets have equal point counts, equal sizes equal line counts
+    if sizes1 != sizes2 or freq != freq2:
         return None
 
     n = g1.point_count
     perp1, perp2 = g1.perp_masks, g2.perp_masks
     # points whose invariant has the same frequency, rarest first
-    freq = Counter(inv1)
     by_freq: dict[int, int] = {}
     for p, inv in enumerate(inv1):
         by_freq[freq[inv]] = by_freq.get(freq[inv], 0) | 1 << p
@@ -386,16 +394,9 @@ def find_isomorphism(g1: IncidenceStructure,
         placed |= 1 << nxt
         reach |= perp1[nxt]
 
-    by_inv: dict[tuple, list[int]] = {}
-    for q in range(n):
-        by_inv.setdefault(inv2[q], []).append(q)
-
     masks1, masks2, through2 = g1.line_masks, g2.line_masks, g2.lines_through
-    line_masks2 = set(masks2)
-    # through two points of g2 passes at most one line only in a partial
-    # linear space; elsewhere the image line of a half-mapped line is not forced
-    propagate = is_partial_linear_space(g2)
     image = [0] * n  # image[p] = 1 << (the image of p), valid for placed points
+    image_of = image.__getitem__
     forced = [0] * n  # forced[p] = 1 << (the only image p may take), or 0
     nodes = 0
 
@@ -441,7 +442,7 @@ def find_isomorphism(g1: IncidenceStructure,
             if used & bit or perp2[q] & used != want:
                 continue
             image[p] = bit
-            if not all(sum(image[pt] for pt in line) in line_masks2 for line in ready):
+            if not all(sum(map(image_of, line)) in line_masks2 for line in ready):
                 continue
             # the one line of g2 through q and the images of the other placed
             # points must have exactly one point left, unused and agreeing
@@ -469,7 +470,7 @@ def find_isomorphism(g1: IncidenceStructure,
 
     if not extend(0, 0, 0):
         return None
-    if {sum(image[p] for p in line) for line in g1.lines} != line_masks2:
+    if {sum(map(image_of, line)) for line in g1.lines} != line_masks2:
         return None
     return {p: image[p].bit_length() - 1 for p in order}
 

@@ -24,7 +24,6 @@ from .incidence import (
     IncidenceStructure,
     is_partial_linear_space,
     null_space_hyperplanes,
-    veldkamp_sum_mask,
 )
 
 FAMILY_PERP_GRID_GRID = "perp-grid-grid"
@@ -43,9 +42,14 @@ FAMILIES = (
 
 
 class VeldkampLine:
-    """An unordered hyperplane triple closed under the Veldkamp sum."""
+    """Three masks, a tuple in ascending order, closed under the Veldkamp sum,
+    with one common core; null_space_hyperplanes (in build_veldkamp_space) or
+    classify_hyperplane (in classify_veldkamp_line) certifies them hyperplanes."""
+
+    __slots__ = ("geometry", "members")
 
     def __init__(self, geometry: IncidenceStructure, members: tuple[int, int, int]) -> None:
+        members = tuple(members)
         if len(members) != 3:
             raise ValueError(f"a Veldkamp line has 3 members, got {len(members)}")
         m1, m2, m3 = members
@@ -53,7 +57,7 @@ class VeldkampLine:
             if len({m1, m2, m3}) != 3:
                 raise ValueError("Veldkamp line members must be distinct")
             raise ValueError("members must be in ascending mask order")
-        if veldkamp_sum_mask(geometry.full_mask, m1, m2) != m3:
+        if geometry.full_mask ^ m1 ^ m2 != m3:  # the Veldkamp sum of m1 and m2
             raise ValueError("members are not closed under the Veldkamp sum")
         core = m1 & m2
         if m1 & m3 != core or m2 & m3 != core:
@@ -95,14 +99,10 @@ def build_veldkamp_space(g: IncidenceStructure) -> VeldkampSpace:
     _require_partial_linear_space(g)
     masks = null_space_hyperplanes(g)  # ascending
     full = g.full_mask
-    # each line {m1 < m2 < m3} is kept once, from its two smallest members,
-    # and the lines come out in ascending order
-    lines = []
-    for m1, m2 in combinations(masks, 2):
-        m3 = veldkamp_sum_mask(full, m1, m2)
-        if m2 < m3:
-            lines.append(VeldkampLine(g, (m1, m2, m3)))
-    return VeldkampSpace(g, tuple(masks), tuple(lines))
+    # each line {m1 < m2 < m3 = m1 (+) m2} comes once, from m1 and m2, in order
+    lines = tuple([VeldkampLine(g, (m1, m2, m3)) for m1, m2 in combinations(masks, 2)
+                   if m2 < (m3 := full ^ m1 ^ m2)])
+    return VeldkampSpace(g, tuple(masks), lines)
 
 
 def doily_veldkamp_space() -> VeldkampSpace:

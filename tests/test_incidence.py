@@ -47,6 +47,18 @@ def test_structure_validation():
         IncidenceStructure(3, (frozenset({0, 1}), frozenset({1, 0})))
     with pytest.raises(ValueError):
         IncidenceStructure(3, (frozenset({0, 1}),), labels=("a",))
+    # a line that is not a frozenset is rejected, not converted: a tuple line
+    # would never compare equal to the frozensets is_isomorphism builds
+    for line in [(0, 1, 2), [0, 1, 2], {0, 1, 2}]:
+        message = (f"^line {re.escape(repr(line))} is not a frozenset; build the structure "
+                   r"from point sequences with IncidenceStructure\.from_lines$")
+        with pytest.raises(TypeError, match=message):
+            IncidenceStructure(3, [line])
+    with pytest.raises(TypeError, match=r"^line \(1, 2\) is not a frozenset"):
+        IncidenceStructure(3, [frozenset({0, 1}), (1, 2)])
+    g = IncidenceStructure.from_lines(3, [(0, 1, 2)])
+    mapping = find_isomorphism(g, g)
+    assert mapping == {0: 0, 1: 1, 2: 2} and is_isomorphism(g, g, mapping)
 
 
 def test_lines_and_labels_are_stored_as_tuples():

@@ -103,6 +103,15 @@ def test_line_validation():
         VeldkampLine(g, (ovoid(1).mask, ovoid(1).mask, ovoid(2).mask))
 
 
+def test_line_members_are_stored_as_a_tuple():
+    members = doily_line(ovoid(1), ovoid(2)).members
+    for given in (list(members), iter(members)):
+        line = VeldkampLine(build_doily(), given)
+        assert line.members == members and type(line.members) is tuple
+        assert classify_veldkamp_line(line) == FAMILY_OVOID_OVOID_PERP
+    assert not hasattr(line, "__dict__")
+
+
 def test_line_validation_messages():
     g = build_doily()
     a, b, c = doily_line(ovoid(1), ovoid(2)).members

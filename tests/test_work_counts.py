@@ -2,7 +2,8 @@
 line's family, each permuted hyperplane and the doily's Veldkamp space once,
 search for one isomorphism only (the core onto the doily: the sector models
 are certified by the labels' bijection) and polarize each form once, and a
-warm process must not build that space again.
+warm process must not build that space again.  Searches against one target
+compute the target's point invariants once.
 
 The cold run happens in a fresh process, so no cache is warm.  The helpers
 are wrapped in the namespaces that call them, and the counts are exact: they
@@ -15,8 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from doilyspace import cli, doily, magicline, veldkamp
-from doilyspace.incidence import IncidenceStructure
+from doilyspace import cli, doily, incidence, magicline, veldkamp
+from doilyspace.incidence import IncidenceStructure, find_isomorphism
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -108,3 +109,19 @@ def test_warm_calls_build_no_veldkamp_space(monkeypatch, capsys):
         assert cli.main(argv) == 0
     capsys.readouterr()
     assert builds == []
+
+
+def test_searches_against_one_target_compute_its_invariants_once(monkeypatch):
+    # each structure keeps its search profile: two sources and one target
+    # make three invariant computations, not four
+    d = doily.build_doily()
+    target = IncidenceStructure(d.point_count, d.lines)
+    sources = [IncidenceStructure.from_lines(
+        d.point_count, ([(p * k) % 15 for p in line] for line in d.lines)) for k in (2, 7)]
+    calls = []
+    original = incidence._point_invariants
+    monkeypatch.setattr(incidence, "_point_invariants", lambda g: calls.append(g) or original(g))
+    for source in sources:
+        mapping = find_isomorphism(source, target)
+        assert incidence.is_isomorphism(source, target, mapping)
+    assert len(calls) == 3 and sum(g is target for g in calls) == 1
