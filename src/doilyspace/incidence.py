@@ -148,7 +148,17 @@ class IncidenceStructure:
         for q, inv in enumerate(invs):
             by_inv.setdefault(inv, []).append(q)
         return (invs, Counter(invs), by_inv, frozenset(self.line_masks),
-                is_partial_linear_space(self), sorted(map(len, self.lines)))
+                self.partial_linear, sorted(map(len, self.lines)))
+
+    @cached_property
+    def partial_linear(self) -> bool:
+        """True iff two lines through a point meet only there.
+
+        The perps count each ordered pair of collinear points once, the lines
+        once per line through both: the counts agree exactly when no two
+        points share two lines."""
+        pairs = sum(m.bit_count() for m in self.perp_masks) - self.point_count
+        return pairs == sum(len(line) * (len(line) - 1) for line in self.lines)
 
     def degree(self, p: int) -> int:
         return len(self.lines_through[p])
@@ -301,13 +311,8 @@ def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
 
 
 def is_partial_linear_space(g: IncidenceStructure) -> bool:
-    """True iff two lines through a point meet only there.
-
-    The perps count each ordered pair of collinear points once, the lines
-    once per line through both: the counts agree exactly when no two
-    points share two lines."""
-    pairs = sum(m.bit_count() for m in g.perp_masks) - g.point_count
-    return pairs == sum(len(line) * (len(line) - 1) for line in g.lines)
+    """True iff two lines through a point meet only there (``g.partial_linear``)."""
+    return g.partial_linear
 
 
 def has_triangle(g: IncidenceStructure) -> bool:

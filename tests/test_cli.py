@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -59,12 +60,31 @@ def test_all_suites_pass():
         assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
-def test_verify_exits_one_on_failed_check(monkeypatch, capsys):
-    import doilyspace.cli as cli
+@pytest.mark.parametrize("suite", ["doily", "veldkamp", "magicline"])
+def test_text_report_agrees_with_the_structured_one(suite, capsys):
+    # line k of the text report is check k of the structured report, with
+    # the reprs of the values the JSON holds; the summary differs only by
+    # the runtime the structured report leaves out
+    assert main(["verify", suite]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert main(["verify", suite, "--format", "structured"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert len(lines) == len(report["checks"])
+    for line, c in zip(lines, report["checks"]):
+        status = "PASS" if c["passed"] else "FAIL"
+        assert line == (f"[{status}] {report['suite']}: {c['name']} ({c['provenance']}) "
+                        f"expected={c['expected']!r} actual={c['actual']!r}")
+    counts = report["summary"]
+    assert re.fullmatch(r"(.*) \(\d+\.\d\ds\)", summary)[1] == (
+        f"suite {report['suite']}: {counts['passed']} passed, {counts['failed']} failed")
 
-    monkeypatch.setattr(
-        cli, "_doily_checks",
-        lambda: [cli.Check("forced failure", 1, 2, cli.DERIVED)])
+
+def test_verify_exits_one_on_failed_check(monkeypatch, capsys):
+    from doilyspace import checks
+
+    monkeypatch.setitem(
+        checks.SUITES, "doily",
+        lambda: [checks.Check("forced failure", 1, 2, checks.DERIVED)])
     assert main(["verify", "doily"]) == 1
     assert "FAIL" in capsys.readouterr().out
 

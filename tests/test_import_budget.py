@@ -42,6 +42,13 @@ def test_cold_verify_never_loads_the_render_module():
     assert "doilyspace.render" not in modules
 
 
+def test_verify_under_python_m_loads_the_checks_but_not_the_cli_by_name():
+    modules = imported(["-m", "doilyspace.cli", "verify", "all"])
+    assert "doilyspace.checks" in modules
+    assert "doilyspace.cli" not in modules
+    assert "doilyspace.render" not in modules
+
+
 def test_export_and_tables_under_python_m_never_import_the_cli_by_name():
     for argv in (["tables", "hyperplanes"],
                  ["export", "--figure", "hyperbolic", "--point", "146", "--format", "json"]):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from doilyspace import cli, magicline
+from doilyspace import checks, magicline
 from doilyspace.doily import S_SET, SYNTHEMES, duad_label
 from doilyspace.incidence import check_gq, find_isomorphism, is_isomorphism
 from doilyspace.magicline import (
@@ -140,6 +140,6 @@ def test_a_changed_label_fails_the_model_check_without_raising(monkeypatch, chan
         struct = ml.constituents[name].structure
         with monkeypatch.context() as patch:
             patch.setattr(struct, "labels", relabelled(name, struct, change))
-            check, = [c for c in cli._magicline_checks() if c.name == MODEL_CHECK]
+            check, = [c for c in checks._magicline_checks() if c.name == MODEL_CHECK]
         assert check.actual == [j != k for j in range(3)]
         assert not check.passed

@@ -12,7 +12,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 
 def test_every_module_is_found():
     assert {m.stem for m in MODULES} >= {
-        "__init__", "cli", "doily", "gf2", "incidence", "magicline", "render",
+        "__init__", "checks", "cli", "doily", "gf2", "incidence", "magicline", "render",
         "veldkamp"}
 
 

@@ -4,7 +4,7 @@ hashing where the package keeps it.  Every other object compares by identity."""
 
 import pytest
 
-from doilyspace.cli import DERIVED, PAPER, Check, VerificationReport
+from doilyspace.checks import DERIVED, PAPER, Check, VerificationReport
 from doilyspace.doily import GRID, OVOID, DoilyHyperplane, build_doily, ovoid
 from doilyspace.gf2 import (
     BilinearForm,

@@ -16,7 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from doilyspace import cli, doily, incidence, magicline, veldkamp
+from doilyspace import checks, cli, doily, incidence, magicline, veldkamp
 from doilyspace.incidence import IncidenceStructure, find_isomorphism
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -24,7 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 COUNT_WORK = """\
 import io, json, sys
 from contextlib import redirect_stdout
-from doilyspace import cli, gf2, magicline, veldkamp
+from doilyspace import checks, cli, gf2, magicline, veldkamp
 
 counts = {"trace": 0, "member": 0, "permute": 0, "space": 0, "search": 0,
           "bilinear": 0}
@@ -36,17 +36,17 @@ def counted(module, name, key):
         return original(*args, **kwargs)
     setattr(module, name, wrapper)
 
-for module in (cli, veldkamp):
+for module in (checks, veldkamp):
     if hasattr(module, "build_veldkamp_space"):
         counted(module, "build_veldkamp_space", "space")
-for module in (cli, magicline):
+for module in (checks, magicline):
     if hasattr(module, "find_isomorphism"):
         counted(module, "find_isomorphism", "search")
 
 counted(magicline, "_trace_hyperplane", "trace")
 # the family rules classify the three members of each line they classify
 counted(veldkamp, "classify_hyperplane", "member")
-counted(cli, "apply_duad_permutation", "permute")
+counted(checks, "apply_duad_permutation", "permute")
 counted(gf2.BilinearForm, "__init__", "bilinear")
 with redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "all", "--format", "structured"])
@@ -99,7 +99,7 @@ def test_a_cold_magic_line_builds_each_constituent_once(monkeypatch):
 def test_warm_calls_build_no_veldkamp_space(monkeypatch, capsys):
     assert cli.main(["tables", "veldkamp_lines"]) == 0
     builds = []
-    for module in (cli, veldkamp):
+    for module in (checks, veldkamp):
         if hasattr(module, "build_veldkamp_space"):
             original = getattr(module, "build_veldkamp_space")
             monkeypatch.setattr(module, "build_veldkamp_space",
@@ -125,3 +125,23 @@ def test_searches_against_one_target_compute_its_invariants_once(monkeypatch):
         mapping = find_isomorphism(source, target)
         assert incidence.is_isomorphism(source, target, mapping)
     assert len(calls) == 3 and sum(g is target for g in calls) == 1
+
+
+def test_a_relabelled_structure_checks_partial_linearity_once(monkeypatch):
+    # as in one relabel-and-search operation: the search profiles, the
+    # gamma-space check and the Veldkamp space all read the flag each
+    # structure computes once
+    d = doily.build_doily()
+    target = IncidenceStructure(d.point_count, d.lines)
+    source = IncidenceStructure.from_lines(
+        d.point_count, ([(p * 2) % 15 for p in line] for line in d.lines))
+    flag = IncidenceStructure.__dict__["partial_linear"]
+    computed = []
+    original = flag.func
+    monkeypatch.setattr(flag, "func", lambda g: computed.append(g) or original(g))
+    mapping = find_isomorphism(source, target)
+    assert incidence.is_isomorphism(source, target, mapping)
+    assert incidence.check_gamma_space(source)
+    assert len(veldkamp.build_veldkamp_space(source).lines) == 155
+    assert incidence.is_partial_linear_space(source)
+    assert sorted(map(id, computed)) == sorted(map(id, (source, target)))
