@@ -42,20 +42,9 @@ def duad_label(duad: tuple[int, int]) -> str:
     return f"{duad[0]}{duad[1]}"
 
 
-def _pairings(elems: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-    if not elems:
-        return [()]
-    first, rest = elems[0], elems[1:]
-    out = []
-    for partner in rest:
-        others = tuple(e for e in rest if e != partner)
-        for sub in _pairings(others):
-            out.append(((first, partner),) + sub)
-    return out
-
-
+# combinations yields the synthemes in ascending order of their sorted duads
 SYNTHEMES: tuple[frozenset[tuple[int, int]], ...] = tuple(
-    sorted((frozenset(p) for p in _pairings(S_ELEMENTS)), key=sorted))
+    frozenset(t) for t in combinations(DUADS, 3) if set().union(*t) == S_SET)
 
 
 @lru_cache(maxsize=None)

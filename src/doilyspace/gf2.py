@@ -17,8 +17,6 @@ ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
 DEGENERATE = "degenerate"
 
-FORM_KINDS = (HYPERBOLIC, ELLIPTIC, PARABOLIC, DEGENERATE)
-
 # projective zero counts of the non-degenerate forms, confirmed by the
 # exhaustive enumerations in the test suite
 _NONDEGENERATE_ZEROS = {

@@ -5,7 +5,7 @@ gamma-space axiom checks, and incidence-preserving isomorphism search.
 Point subsets are handled as bitmasks indexed by point index, so that the
 Veldkamp sum (complement of symmetric difference) is a single word operation;
 the axiom checks and the isomorphism search work on the line and perp masks
-each structure caches.
+each structure builds when it is constructed.
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ def veldkamp_sum_mask(full_mask: int, m1: int, m2: int) -> int:
 class IncidenceStructure:
     """Points 0..point_count-1 together with lines given as frozensets of points.
 
+    The constructor validates the lines and builds the tables the checks
+    read: ``full_mask``, ``line_masks``, ``lines_through``, ``perp_masks``
+    and ``partial_linear``.  Only searches build the two search profiles.
+
     Two structures are equal when their point counts, lines (in order) and
     labels are.  Lines and labels are stored as tuples, whatever sequence
     they came in, so equality and hashing do not depend on it."""
@@ -72,7 +76,10 @@ class IncidenceStructure:
             raise ValueError(f"point count {point_count!r} is not a non-negative int")
         lines = tuple(lines)
         labels = None if labels is None else tuple(labels)
-        for line in lines:
+        line_masks = []
+        through: list[list[int]] = [[] for _ in range(point_count)]
+        perps = [1 << p for p in range(point_count)]
+        for idx, line in enumerate(lines):
             if not isinstance(line, frozenset):
                 raise TypeError(f"line {line!r} is not a frozenset; build the structure from "
                                 "point sequences with IncidenceStructure.from_lines")
@@ -80,13 +87,30 @@ class IncidenceStructure:
                 raise ValueError(f"line {set(line)} has fewer than 2 points")
             if min(line) < 0 or max(line) >= point_count:
                 raise ValueError(f"line {set(line)} has out-of-range points")
-        if len(set(lines)) != len(lines):
+            m = 0
+            for p in line:
+                m |= 1 << p
+                through[p].append(idx)
+            for p in line:
+                perps[p] |= m
+            line_masks.append(m)
+        # distinct frozensets of non-negative ints have distinct masks
+        if len(set(line_masks)) != len(lines):
             raise ValueError("repeated lines are not allowed")
         if labels is not None and len(labels) != point_count:
             raise ValueError("labels must match the point count")
         self.point_count = point_count
         self.lines = lines
         self.labels = labels
+        self.full_mask = (1 << point_count) - 1
+        self.line_masks = tuple(line_masks)
+        self.lines_through = tuple(map(tuple, through))
+        self.perp_masks = tuple(perps)
+        # the perps count each ordered pair of collinear points once, the lines
+        # once per line through both: the counts agree exactly when no two
+        # points share two lines, that is, when the structure is partial linear
+        pairs = sum(m.bit_count() for m in perps) - point_count
+        self.partial_linear = pairs == sum(len(line) * (len(line) - 1) for line in lines)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IncidenceStructure):
@@ -113,52 +137,20 @@ class IncidenceStructure:
         return cls(point_count, tuple(sorted(canon, key=sorted)), labels)
 
     @cached_property
-    def full_mask(self) -> int:
-        return (1 << self.point_count) - 1
-
-    @cached_property
-    def line_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(l) for l in self.lines)
-
-    @cached_property
-    def lines_through(self) -> tuple[tuple[int, ...], ...]:
-        through: list[list[int]] = [[] for _ in range(self.point_count)]
-        for idx, line in enumerate(self.lines):
-            for p in line:
-                through[p].append(idx)
-        return tuple(tuple(t) for t in through)
-
-    @cached_property
-    def perp_masks(self) -> tuple[int, ...]:
-        masks = []
-        for p in range(self.point_count):
-            m = 1 << p
-            for idx in self.lines_through[p]:
-                m |= self.line_masks[idx]
-            masks.append(m)
-        return tuple(masks)
-
-    @cached_property
     def search_profile(self) -> tuple:
-        """find_isomorphism's view of this side: the point invariants, their
-        multiset, the points of each invariant (ascending), the line-mask set,
-        the partial-linear-space flag and the sorted line sizes."""
+        """What find_isomorphism reads of either side: the point invariants,
+        their multiset and the sorted line sizes."""
         invs = _point_invariants(self)
-        by_inv: dict[tuple, list[int]] = {}
-        for q, inv in enumerate(invs):
-            by_inv.setdefault(inv, []).append(q)
-        return (invs, Counter(invs), by_inv, frozenset(self.line_masks),
-                self.partial_linear, sorted(map(len, self.lines)))
+        return invs, Counter(invs), sorted(map(len, self.lines))
 
     @cached_property
-    def partial_linear(self) -> bool:
-        """True iff two lines through a point meet only there.
-
-        The perps count each ordered pair of collinear points once, the lines
-        once per line through both: the counts agree exactly when no two
-        points share two lines."""
-        pairs = sum(m.bit_count() for m in self.perp_masks) - self.point_count
-        return pairs == sum(len(line) * (len(line) - 1) for line in self.lines)
+    def target_profile(self) -> tuple:
+        """What find_isomorphism reads of its target only: the points of each
+        invariant (ascending) and the line-mask set."""
+        by_inv: dict[tuple, list[int]] = {}
+        for q, inv in enumerate(self.search_profile[0]):
+            by_inv.setdefault(inv, []).append(q)
+        return by_inv, frozenset(self.line_masks)
 
     def degree(self, p: int) -> int:
         return len(self.lines_through[p])
@@ -299,7 +291,7 @@ def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
         return False
     if any(g.degree(p) != t + 1 for p in range(g.point_count)):
         return False
-    if not is_partial_linear_space(g):  # no digons
+    if not g.partial_linear:  # no digons
         return False
     if has_triangle(g):
         return False
@@ -308,11 +300,6 @@ def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
         if g.full_mask & ~lm & ~(ones & ~twos):
             return False
     return True
-
-
-def is_partial_linear_space(g: IncidenceStructure) -> bool:
-    """True iff two lines through a point meet only there (``g.partial_linear``)."""
-    return g.partial_linear
 
 
 def has_triangle(g: IncidenceStructure) -> bool:
@@ -333,7 +320,7 @@ def check_gamma_space(g: IncidenceStructure) -> bool:
     """True iff g is a partial linear space (two lines share at most one
     point) in which every point's perp is a subspace: each line meets it in
     0, 1 or all points."""
-    if not is_partial_linear_space(g):
+    if not g.partial_linear:
         return False
     for line in g.lines:
         _, twos, every = _perp_counts(g, line)
@@ -371,14 +358,17 @@ def find_isomorphism(g1: IncidenceStructure,
     This only cuts branches that hold no isomorphism, so the mapping found
     is the same, key order included, as without it.  The search is bounded:
     it raises CapacityError after SEARCH_NODE_LIMIT nodes.  Both sides are
-    read through their cached ``search_profile``.
+    read through their cached ``search_profile``, the target also through
+    its ``target_profile``.
     """
-    inv1, freq, _, _, _, sizes1 = g1.search_profile
-    # propagate: only in a partial linear space is the image of a half-mapped line forced
-    inv2, freq2, by_inv, line_masks2, propagate, sizes2 = g2.search_profile
+    inv1, freq, sizes1 = g1.search_profile
+    inv2, freq2, sizes2 = g2.search_profile
     # equal invariant multisets have equal point counts, equal sizes equal line counts
     if sizes1 != sizes2 or freq != freq2:
         return None
+    by_inv, line_masks2 = g2.target_profile
+    # only in a partial linear space is the image of a half-mapped line forced
+    propagate = g2.partial_linear
 
     n = g1.point_count
     perp1, perp2 = g1.perp_masks, g2.perp_masks

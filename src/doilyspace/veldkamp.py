@@ -20,11 +20,7 @@ from .doily import (
     build_doily,
     classify_hyperplane,
 )
-from .incidence import (
-    IncidenceStructure,
-    is_partial_linear_space,
-    null_space_hyperplanes,
-)
+from .incidence import IncidenceStructure, null_space_hyperplanes
 
 FAMILY_PERP_GRID_GRID = "perp-grid-grid"
 FAMILY_PERP_TRIPLE_DISJOINT = "perp-perp-perp-disjoint"
@@ -123,7 +119,7 @@ def _space_of_doily(doily_id: int) -> VeldkampSpace:
 
 def _require_partial_linear_space(g: IncidenceStructure) -> None:
     """Raise ValueError naming two lines that share two points, if any do."""
-    if is_partial_linear_space(g):
+    if g.partial_linear:
         return
     line_of_pair: dict[tuple[int, int], int] = {}
     for idx, line in enumerate(g.lines):

@@ -22,6 +22,7 @@ from doilyspace.incidence import (
     check_gq,
     find_isomorphism,
     has_triangle,
+    mask_of,
     points_of,
 )
 from doilyspace.magicline import build_magic_line, build_sector_models
@@ -234,6 +235,23 @@ def test_axiom_checks_match_reference_on_random_geometries(g):
     s = len(g.lines[0]) - 1 if g.lines else 1
     for t in {g.degree(0) - 1, 1}:
         assert check_gq(g, s, t) == ref_check_gq(g, s, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_geometries())
+@example(NAMED["digon"][0])
+def test_constructor_tables_match_reference_on_random_geometries(g):
+    # the tables are plain attributes, set by the constructor
+    assert {"full_mask", "line_masks", "lines_through", "perp_masks",
+            "partial_linear"} <= vars(g).keys()
+    n = g.point_count
+    assert g.full_mask == (1 << n) - 1
+    assert g.line_masks == tuple(mask_of(line) for line in g.lines)
+    through = [tuple(idx for idx, line in enumerate(g.lines) if p in line) for p in range(n)]
+    assert g.lines_through == tuple(through)
+    assert g.perp_masks == tuple(mask_of([p, *(q for idx in t for q in g.lines[idx])])
+                                 for p, t in enumerate(through))
+    assert g.partial_linear == all(len(l1 & l2) < 2 for l1, l2 in combinations(g.lines, 2))
 
 
 @given(st.integers(min_value=0, max_value=(1 << 130) - 1))

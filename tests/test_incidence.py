@@ -25,7 +25,6 @@ from doilyspace.incidence import (
     induced_substructure,
     is_geometric_hyperplane,
     is_isomorphism,
-    is_partial_linear_space,
     mask_of,
     null_space_hyperplanes,
     perp,
@@ -296,7 +295,7 @@ def test_check_gamma_space():
     assert not check_gamma_space(example)
     # every perp is the whole point set, but the first two lines share 0 and 1
     digon = IncidenceStructure.from_lines(4, [(0, 1, 2), (0, 1, 3), (2, 3)])
-    assert not is_partial_linear_space(digon)
+    assert not digon.partial_linear
     assert not check_gamma_space(digon)
 
 

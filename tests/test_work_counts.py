@@ -127,21 +127,36 @@ def test_searches_against_one_target_compute_its_invariants_once(monkeypatch):
     assert len(calls) == 3 and sum(g is target for g in calls) == 1
 
 
-def test_a_relabelled_structure_checks_partial_linearity_once(monkeypatch):
-    # as in one relabel-and-search operation: the search profiles, the
-    # gamma-space check and the Veldkamp space all read the flag each
-    # structure computes once
+def test_only_the_target_of_a_search_keeps_a_target_profile():
     d = doily.build_doily()
     target = IncidenceStructure(d.point_count, d.lines)
     source = IncidenceStructure.from_lines(
         d.point_count, ([(p * 2) % 15 for p in line] for line in d.lines))
-    flag = IncidenceStructure.__dict__["partial_linear"]
-    computed = []
-    original = flag.func
-    monkeypatch.setattr(flag, "func", lambda g: computed.append(g) or original(g))
+    assert find_isomorphism(source, target) is not None
+    assert "search_profile" in vars(source) and "search_profile" in vars(target)
+    assert "target_profile" in vars(target) and "target_profile" not in vars(source)
+
+
+def test_a_relabelled_structure_checks_partial_linearity_once(monkeypatch):
+    # the constructor builds a structure's tables, its partial-linearity flag
+    # included; as in one relabel-and-search operation, the search, the
+    # gamma-space check and the Veldkamp space construct no structure but
+    # the relabelled source
+    d = doily.build_doily()
+    target = IncidenceStructure(d.point_count, d.lines)
+    built = []
+    original = IncidenceStructure.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(IncidenceStructure, "__init__", counted)
+    source = IncidenceStructure.from_lines(
+        d.point_count, ([(p * 2) % 15 for p in line] for line in d.lines))
     mapping = find_isomorphism(source, target)
     assert incidence.is_isomorphism(source, target, mapping)
     assert incidence.check_gamma_space(source)
     assert len(veldkamp.build_veldkamp_space(source).lines) == 155
-    assert incidence.is_partial_linear_space(source)
-    assert sorted(map(id, computed)) == sorted(map(id, (source, target)))
+    assert source.partial_linear
+    assert len(built) == 1 and built[0] is source
