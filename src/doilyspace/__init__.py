@@ -29,7 +29,6 @@ from .incidence import (
     is_geometric_hyperplane,
     is_isomorphism,
     null_space_hyperplanes,
-    perp,
 )
 from .doily import (
     DUADS,
@@ -55,7 +54,6 @@ from .magicline import (
     ConsistencyError,
     MagicLine,
     PolarPairReport,
-    SectorModels,
     build_magic_line,
     build_sector_models,
     build_w52,
@@ -76,13 +74,13 @@ __all__ = [
     "CapacityError", "IncidenceStructure", "check_gamma_space", "check_gq",
     "collinear", "enumerate_hyperplanes", "find_isomorphism",
     "induced_substructure", "is_geometric_hyperplane", "is_isomorphism",
-    "null_space_hyperplanes", "perp",
+    "null_space_hyperplanes",
     "DUADS", "SYNTHEMES", "DoilyHyperplane", "all_named_hyperplanes",
     "build_doily", "classify_hyperplane", "grid", "ovoid", "perp_set",
     "veldkamp_sum",
     "FAMILIES", "VeldkampLine", "VeldkampSpace", "build_veldkamp_space",
     "classify_veldkamp_line", "family_census",
-    "ConsistencyError", "MagicLine", "PolarPairReport", "SectorModels",
+    "ConsistencyError", "MagicLine", "PolarPairReport",
     "build_magic_line", "build_sector_models", "build_w52",
     "complementary_point", "doily_trace", "image_matches_family",
     "polar_pair_check", "sector_image", "sector_labels", "veldkamp_line_image",

@@ -216,8 +216,7 @@ def _magicline_checks() -> list[Check]:
     ml = build_magic_line()
     w = ml.space.structure
     constituents = ml.constituents.values()
-    off = [[v for v in c.w_points if v not in ml.core_set and v != ml.nucleus_w]
-           for c in constituents]
+    off = [[v for v in c.w_points if v in ml.traces] for c in constituents]
     # sector -> each hyperplane of its kind -> the points its sector_labels
     # name: they must trace it, and be exactly the sector's off points
     pairs = {c.name: {h: [ml.w_of_label[lab] for lab in sector_labels(h)]
@@ -231,10 +230,10 @@ def _magicline_checks() -> list[Check]:
     ell_reports = [polar_pair_check(ml, a, b) for a, b in pairs[ELLIPTIC_SECTOR].values()]
     models = build_sector_models()
     # the certified labels give each model's bijection onto its constituent
-    model_ok = [set(model.labels) == set(c.structure.labels)
-                and is_isomorphism(model, c.structure, label_map(model, c.structure))
-                for model, c in ((models.hyperbolic, ml.q_plus), (models.elliptic, ml.q_minus),
-                                 (models.cone, ml.cone))]
+    model_ok = [set(models[c.name].labels) == set(c.structure.labels)
+                and is_isomorphism(models[c.name], c.structure,
+                                   label_map(models[c.name], c.structure))
+                for c in constituents]
     return [
         Check("W(5,2) point count", 63, w.point_count, DERIVED),
         Check("W(5,2) line count", 315, len(w.lines), DERIVED),
@@ -255,8 +254,7 @@ def _magicline_checks() -> list[Check]:
               and all(ml.space.form.evaluate(ml.space.points[ml.nucleus_w],
                                              ml.space.points[v]) == 0
                       for v in ml.cone.w_points)
-              and deep_points_mask(w, sum(1 << v for v in ml.cone.w_points))
-              == 1 << ml.nucleus_w, PAPER),
+              and deep_points_mask(w, ml.cone.mask) == 1 << ml.nucleus_w, PAPER),
         *(Check(f"{c.name} off-point line count", [degree],
                 sorted({c.structure.degree(c.local_index(v)) for v in c_off}), source)
           for c, c_off, degree, source
@@ -293,7 +291,7 @@ def _magicline_checks() -> list[Check]:
                check_gamma_space(ml.core_structure)], DERIVED),
         Check("sector models isomorphic to the coordinate constituents",
               [True, True, True], model_ok, DERIVED),
-        Check("elliptic model is a GQ(2,4)", True, check_gq(models.elliptic, 2, 4), PAPER),
+        Check("elliptic model is a GQ(2,4)", True, check_gq(models[ELLIPTIC_SECTOR], 2, 4), PAPER),
     ]
 
 

@@ -174,12 +174,6 @@ def collinear(g: IncidenceStructure, p: int, q: int) -> bool:
     return bool((g.perp_masks[p] >> q) & 1)
 
 
-def perp(g: IncidenceStructure, p: int) -> frozenset[int]:
-    """All points collinear with p, including p itself."""
-    _check_index(g, p)
-    return frozenset(points_of(g.perp_masks[p]))
-
-
 def is_geometric_hyperplane(g: IncidenceStructure, m: int) -> bool:
     """The point mask m lies inside the point set, with every line contained
     in it or met once."""
@@ -283,17 +277,17 @@ def _perp_counts(g: IncidenceStructure, line: Iterable[int]) -> tuple[int, int, 
 def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
     """Generalized-quadrangle test for order (s, t).
 
-    Requires s+1 points per line, t+1 lines per point, no digons or
-    triangles, and for every non-incident point-line pair exactly one point
-    of the line collinear with the point.
+    Requires s+1 points per line, t+1 lines per point, and for every
+    non-incident point-line pair exactly one point of the line collinear
+    with the point.  That last axiom rules out digons and triangles: two
+    lines L != M of equal size sharing two points leave a point of M off L
+    that sees two points of L, and of three pairwise-collinear points not on
+    one line, the first lies off the line through the other two and sees
+    two of its points.
     """
     if any(len(line) != s + 1 for line in g.lines):
         return False
     if any(g.degree(p) != t + 1 for p in range(g.point_count)):
-        return False
-    if not g.partial_linear:  # no digons
-        return False
-    if has_triangle(g):
         return False
     for line, lm in zip(g.lines, g.line_masks):
         ones, twos, _ = _perp_counts(g, line)

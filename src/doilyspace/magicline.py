@@ -51,13 +51,11 @@ from .gf2 import (
 )
 from .incidence import (
     IncidenceStructure,
-    collinear,
     deep_points_mask,
     find_isomorphism,
     induced_substructure,
     is_geometric_hyperplane,
     mask_of,
-    perp,
     points_of,
     popcount,
     veldkamp_sum_mask,
@@ -128,21 +126,16 @@ def build_w52() -> SymplecticSpace:
 
 
 class Constituent:
-    """One member of the magic line, with its induced line structure."""
+    """One member of the magic line: its W(5,2) points, ascending, their
+    mask, and its induced line structure, whose point k is ``w_points[k]``."""
 
     def __init__(self, name: str, w_points: tuple[int, ...],
                  structure: IncidenceStructure) -> None:
         self.name = name
         self.w_points = w_points
         self.structure = structure
-
-    @cached_property
-    def w_set(self) -> frozenset[int]:
-        return frozenset(self.w_points)
-
-    @cached_property
-    def _local(self) -> dict[int, int]:
-        return {w: k for k, w in enumerate(self.w_points)}
+        self.mask = mask_of(w_points)
+        self._local = {w: k for k, w in enumerate(w_points)}
 
     def local_index(self, w: int) -> int:
         return self._local[w]
@@ -180,23 +173,19 @@ class MagicLine:
         self.label_of = label_of
         self.w_of_label = w_of_label
         self.traces = traces
-
-    @cached_property
-    def core_set(self) -> frozenset[int]:
-        return frozenset(self.core_w)
-
-    @cached_property
-    def constituents(self) -> Mapping[str, Constituent]:
-        """Sector name -> constituent, in the order hyperbolic, elliptic, cone."""
-        return MappingProxyType({c.name: c for c in (self.q_plus, self.q_minus, self.cone)})
+        self.core_set = frozenset(core_w)
+        # sector name -> constituent, in the order hyperbolic, elliptic, cone
+        self.constituents = MappingProxyType({c.name: c for c in (q_plus, q_minus, cone)})
 
     def sector_of(self, w: int) -> str:
+        if type(w) is not int:
+            raise TypeError(f"point index must be an int, got {type(w).__name__}")
         if not 0 <= w < len(self.space.points):
             raise IndexError(f"point index {w} out of range")
         if w in self.core_set:
             return CORE
         for sector, constituent in self.constituents.items():
-            if w in constituent.w_set:
+            if constituent.mask >> w & 1:
                 return sector
         raise ConsistencyError(f"point {w} lies in no constituent")
 
@@ -206,12 +195,6 @@ class MagicLine:
         labels = {h.mask: sector_labels(h) for h in all_named_hyperplanes()}
         return MappingProxyType({m: SectorImage(self.sector_of(self.w_of_label[ls[0]]), ls)
                                  for m, ls in labels.items()})
-
-    def constituent_of(self, w: int) -> Constituent:
-        sector = self.sector_of(w)
-        if sector == CORE:
-            raise ValueError("core points belong to all three constituents")
-        return self.constituents[sector]
 
     def __repr__(self) -> str:
         return "MagicLine(hyperbolic/elliptic/cone over W(5,2))"
@@ -343,8 +326,6 @@ def build_magic_line() -> MagicLine:
 
     core_mask = qp_mask & qm_mask
     _require(popcount(core_mask) == 15, "core must have 15 points")
-    _require(qp_mask & cone_mask == core_mask and qm_mask & cone_mask == core_mask,
-             "pairwise intersections of the constituents must equal the core")
     for name, m in (("Q+", qp_mask), ("Q-", qm_mask), ("cone", cone_mask)):
         _require(is_geometric_hyperplane(space.structure, m),
                  f"{name} must be a geometric hyperplane of W(5,2)")
@@ -378,12 +359,12 @@ def build_magic_line() -> MagicLine:
     _require(iso is not None, "core must be isomorphic to the duad-syntheme doily")
     core_duads = {core_w[local]: DUADS[image] for local, image in iso.items()}
 
-    models = build_sector_models()  # its fields are named after the sectors
+    models = build_sector_models()
     label_of = {w: duad_label(d) for w, d in core_duads.items()} | {nucleus_w: NUCLEUS_LABEL}
     traces: dict[int, DoilyHyperplane] = {}
     constituents = []
     for name, mask in zip(SECTOR_KIND, (qp_mask, qm_mask, cone_mask)):
-        model = getattr(models, name)
+        model = models[name]
         sector_traces = _off_traces(space, name, mask, core_duads, skip=nucleus_w)
         label_of.update(_model_labels(space, sector_traces, model))
         traces.update(sector_traces)
@@ -397,8 +378,7 @@ def build_magic_line() -> MagicLine:
     return MagicLine(
         space=space, q_plus_form=q_plus_form, q_minus_form=q_minus_form, cone_form=cone_form,
         q_plus=qp, q_minus=qm, cone=cone, core_w=core_w,
-        core_structure=IncidenceStructure(core_structure.point_count, core_structure.lines,
-                                          [label_of[w] for w in core_w]),
+        core_structure=core_structure,
         core_duads=MappingProxyType(core_duads), nucleus_w=nucleus_w,
         label_of=MappingProxyType(label_of),
         w_of_label=MappingProxyType({lab: w for w, lab in label_of.items()}),
@@ -531,52 +511,41 @@ class PolarPairReport:
 
 
 def polar_pair_check(ml: MagicLine, p: int, q: int) -> PolarPairReport:
-    """Inspect the mutual perp of a complementary pair inside its constituent."""
+    """Inspect the mutual perp of a complementary pair inside its constituent,
+    read off W(5,2)'s perps and lines cut to its mask: points of Q+ or Q- are
+    collinear in the quadric exactly when they are in W(5,2) (see _trace_hyperplane)."""
+    sector = ml.sector_of(p)
+    ml.sector_of(q)  # q too must be a point index
     if p == q:
         raise ValueError("a polar-pair check needs two distinct points")
-    sector = ml.sector_of(p)
     if sector not in (HYPERBOLIC_SECTOR, ELLIPTIC_SECTOR):
         raise ValueError(f"polar-pair checks apply to hyperbolic and elliptic pairs, got {sector}")
     if complementary_point(ml, p) != q:
         raise ValueError(f"points {p} and {q} are not a complementary pair")
 
-    constituent = ml.constituent_of(p)
-    struct = constituent.structure
-    lp, lq = constituent.local_index(p), constituent.local_index(q)
-    pair_collinear = collinear(struct, lp, lq)
-    mutual = sorted(perp(struct, lp) & perp(struct, lq))
-    mutual_w = {constituent.w_points[x] for x in mutual}
-
-    trace = doily_trace(ml, p)
-    trace_w = {ml.w_of_label[duad_label(d)] for d in trace.duads}
-    mutual_mask = mask_of(mutual)
-    inside = [lm for lm in struct.line_masks if lm & ~mutual_mask == 0]
-    every_on_line = all(any((lm >> x) & 1 for lm in inside) for x in mutual)
+    struct = ml.space.structure
+    mutual_mask = struct.perp_masks[p] & struct.perp_masks[q] & ml.constituents[sector].mask
+    mutual = points_of(mutual_mask)
+    trace = ml.traces[p]
+    trace_mask = mask_of(ml.w_of_label[duad_label(d)] for d in trace.duads)
+    inside = {idx for x in mutual for idx in struct.lines_through[x]
+              if struct.line_masks[idx] & ~mutual_mask == 0}
+    every_on_line = all(any(struct.line_masks[idx] >> x & 1 for idx in inside) for x in mutual)
     universal = any(mutual_mask & ~struct.perp_masks[x] == 0 for x in mutual)
     non_collinear = all(struct.perp_masks[x] & mutual_mask == 1 << x for x in mutual)
 
     return PolarPairReport(
         sector=sector,
         pair_labels=(ml.label_of[p], ml.label_of[q]),
-        pair_collinear=pair_collinear,
-        mutual_perp_labels=tuple(ml.label_of[constituent.w_points[x]] for x in mutual),
+        pair_collinear=bool(struct.perp_masks[p] >> q & 1),
+        mutual_perp_labels=tuple(ml.label_of[x] for x in mutual),
         trace_name=trace.name,
-        matches_trace=mutual_w == trace_w,
+        matches_trace=mutual_mask == trace_mask,
         induced_line_count=len(inside),
         every_point_on_induced_line=every_on_line,
         has_universal_point=universal,
         pairwise_non_collinear=non_collinear,
     )
-
-
-class SectorModels:
-    """Coordinate-free models of the three constituents, built by rule."""
-
-    def __init__(self, hyperbolic: IncidenceStructure, elliptic: IncidenceStructure,
-                 cone: IncidenceStructure) -> None:
-        self.hyperbolic = hyperbolic
-        self.elliptic = elliptic
-        self.cone = cone
 
 
 def _sector_model(labels: list[str], off_lines: list[list[str]]) -> IncidenceStructure:
@@ -590,10 +559,12 @@ def _sector_model(labels: list[str], off_lines: list[list[str]]) -> IncidenceStr
 
 
 @lru_cache(maxsize=None)
-def build_sector_models() -> SectorModels:
-    """The combinatorial models around the duad-syntheme doily, each sector's
-    lines given by one rule; build_magic_line certifies its labelling against
-    them, and verify checks label_map onto each coordinate quadric with is_isomorphism.
+def build_sector_models() -> Mapping[str, IncidenceStructure]:
+    """The combinatorial models around the duad-syntheme doily, a read-only
+    mapping from sector name to model in the order hyperbolic, elliptic, cone,
+    each sector's lines given by one rule; build_magic_line certifies its
+    labelling against them, and verify checks label_map onto each coordinate
+    quadric with is_isomorphism.
 
     Hyperbolic: 20 triples; two triples X, Y meeting in one element lie on a
     line with the duad (X n Y) u (S \\ (X u Y)), the 90 lines {abc, aij, ak}.
@@ -619,4 +590,5 @@ def build_sector_models() -> SectorModels:
         [[NUCLEUS_LABEL, quad(d), duad_label(d)] for d in DUADS]
         + [[quad(a), quad(b), duad_label(c)] for syn in SYNTHEMES
            for a, b, c in permutations(syn)])
-    return SectorModels(hyperbolic, elliptic, cone)
+    return MappingProxyType({HYPERBOLIC_SECTOR: hyperbolic, ELLIPTIC_SECTOR: elliptic,
+                             CONE_SECTOR: cone})

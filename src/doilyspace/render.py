@@ -21,9 +21,7 @@ def sector_skeleton(ml: magicline.MagicLine, figure: str):
     nor traced, each line's id, sorted labels and role when not concurrent."""
     constituent = ml.constituents[figure]
     struct = constituent.structure
-    valid = tuple(sorted(
-        ml.label_of[v] for v in constituent.w_points
-        if v not in ml.core_set and v != ml.nucleus_w))
+    valid = tuple(sorted(ml.label_of[v] for v in constituent.w_points if v in ml.traces))
     nodes = tuple((struct.labels[local], "core" if w_idx in ml.core_set else "sector")
                   for local, w_idx in enumerate(constituent.w_points))
     lines = tuple(

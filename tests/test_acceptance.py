@@ -34,6 +34,9 @@ from doilyspace.incidence import (
     veldkamp_sum_mask,
 )
 from doilyspace.magicline import (
+    CONE_SECTOR,
+    ELLIPTIC_SECTOR,
+    HYPERBOLIC_SECTOR,
     build_magic_line,
     build_sector_models,
     build_w52,
@@ -267,14 +270,14 @@ def test_criterion_11_sector_images():
 def test_criterion_12_combinatorial_vs_coordinate():
     ml = build_magic_line()
     models = build_sector_models()
-    for model, constituent in ((models.hyperbolic, ml.q_plus),
-                               (models.elliptic, ml.q_minus),
-                               (models.cone, ml.cone)):
+    for model, constituent in ((models[HYPERBOLIC_SECTOR], ml.q_plus),
+                               (models[ELLIPTIC_SECTOR], ml.q_minus),
+                               (models[CONE_SECTOR], ml.cone)):
         mapping = find_isomorphism(model, constituent.structure)
         assert mapping is not None
         image = {frozenset(mapping[p] for p in line) for line in model.lines}
         assert image == set(constituent.structure.lines)
-    assert check_gq(models.elliptic, 2, 4)
+    assert check_gq(models[ELLIPTIC_SECTOR], 2, 4)
     _passed(12, "combinatorial sector models are isomorphic to the coordinate quadrics; elliptic model is GQ(2,4)")
 
 

@@ -284,9 +284,8 @@ def test_core_isomorphism_matches_reference():
 def test_sector_model_isomorphisms_match_reference():
     ml = build_magic_line()
     models = build_sector_models()
-    for model, constituent in zip((models.hyperbolic, models.elliptic, models.cone),
-                                  ml.constituents.values()):
-        _same_result(model, constituent.structure)
+    for sector, constituent in ml.constituents.items():
+        _same_result(models[sector], constituent.structure)
 
 
 def _relabelled(g: IncidenceStructure, rng: random.Random) -> IncidenceStructure:

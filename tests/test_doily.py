@@ -29,7 +29,6 @@ from doilyspace.doily import (
 from doilyspace.incidence import (
     collinear,
     enumerate_hyperplanes,
-    perp,
     points_of,
     popcount,
 )
@@ -75,7 +74,7 @@ def test_ovoid_examples():
 def test_perp_set_examples():
     p12 = perp_set(1, 2)
     assert set(p12.duads) == {(1, 2), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)}
-    assert p12.mask == sum(1 << p for p in perp(build_doily(), DUAD_INDEX[(1, 2)]))
+    assert p12.mask == sum(1 << p for p in points_of(build_doily().perp_masks[DUAD_INDEX[(1, 2)]]))
     assert p12.name == "p_12"
     with pytest.raises(ValueError):
         perp_set(2, 2)

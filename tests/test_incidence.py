@@ -27,7 +27,6 @@ from doilyspace.incidence import (
     is_isomorphism,
     mask_of,
     null_space_hyperplanes,
-    perp,
     points_of,
 )
 from doilyspace.magicline import build_magic_line, build_w52
@@ -102,15 +101,15 @@ def test_perp_examples():
     g = build_doily()
     expected = {DUAD_INDEX[d]
                 for d in [(1, 2), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]}
-    assert perp(g, DUAD_INDEX[(1, 2)]) == expected
-    assert perp(SINGLE_LINE, 0) == {0, 1, 2}
+    assert set(points_of(g.perp_masks[DUAD_INDEX[(1, 2)]])) == expected
+    assert points_of(SINGLE_LINE.perp_masks[0]) == (0, 1, 2)
 
 
 def test_perp_symmetry():
     g = build_doily()
     for p in range(g.point_count):
         for q in range(g.point_count):
-            assert (q in perp(g, p)) == (p in perp(g, q))
+            assert (q in points_of(g.perp_masks[p])) == (p in points_of(g.perp_masks[q]))
 
 
 def test_is_geometric_hyperplane():

@@ -36,7 +36,7 @@ from doilyspace.incidence import (
     collinear,
     deep_points_mask,
     mask_of,
-    perp,
+    points_of,
     veldkamp_sum_mask,
 )
 from doilyspace.magicline import (
@@ -175,7 +175,7 @@ def test_perp_size_in_q_plus():
     ml = build_magic_line()
     struct = ml.q_plus.structure
     for p in range(struct.point_count):
-        assert len(perp(struct, p)) == 19
+        assert len(points_of(struct.perp_masks[p])) == 19
 
 
 def test_core_isomorphism_carries_lines_onto_synthemes():
@@ -277,7 +277,7 @@ def test_recorded_traces_equal_fresh_traces():
     off = [w for c in ml.constituents.values() for w in w_off(ml, c) if w != ml.nucleus_w]
     assert sorted(ml.traces) == sorted(off) and len(off) == 47
     for w in off:
-        c = ml.constituent_of(w)
+        c = ml.constituents[ml.sector_of(w)]
         fresh = _trace_hyperplane(ml.space, c.name, mask_of(c.w_points), w, ml.core_duads)
         recorded = doily_trace(ml, w)
         assert recorded is ml.traces[w]
@@ -494,7 +494,7 @@ def test_any_seed_leaves_one_label_of_each_trace_collinear_with_it(sector):
     # the labeller's condition: whichever hyperplane of the sector's kind the
     # seed traces, exactly one of the two labels of every such hyperplane is
     # collinear in the model with the seed's first label
-    model = getattr(build_sector_models(), sector)
+    model = build_sector_models()[sector]
     index = {lab: k for k, lab in enumerate(model.labels)}
     traces = [h for h in all_named_hyperplanes() if h.kind == SECTOR_KIND[sector]]
     for seed in traces:
@@ -512,7 +512,7 @@ def test_a_cone_point_takes_its_only_label_whatever_the_model_says():
     traces = {w: h for w, h in ml.traces.items() if ml.sector_of(w) == CONE_SECTOR}
     seed = min(traces, key=ml.space.structure.label_of)
     assert any(collinear(ml.space.structure, seed, w) for w in traces if w != seed)
-    off_labels = list(build_sector_models().cone.labels[len(DUADS):])
+    off_labels = list(build_sector_models()[CONE_SECTOR].labels[len(DUADS):])
     no_off_lines = magicline._sector_model(off_labels, [])
     assert _model_labels(ml.space, traces, no_off_lines) == {w: ml.label_of[w] for w in traces}
 
@@ -566,7 +566,7 @@ def test_construction_names_the_deep_points_of_the_cone(monkeypatch):
 ])
 def test_certificate_names_a_labelled_line_off_the_model(sector, swapped, line):
     ml = build_magic_line()
-    model = getattr(build_sector_models(), sector)
+    model = build_sector_models()[sector]
     constituent = ml.constituents[sector]
     _certify(constituent, model)
     structure = constituent.structure
@@ -646,7 +646,7 @@ def test_certificate_names_a_model_line_the_quadric_lacks():
     message = (rf"^elliptic line \{{{line}\}} of the sector model "
                "is missing from the labelled quadric$")
     with pytest.raises(ConsistencyError, match=message):
-        _certify(constituent, build_sector_models().elliptic)
+        _certify(constituent, build_sector_models()[ELLIPTIC_SECTOR])
 
 
 def test_sector_image_spot_values():
@@ -700,6 +700,43 @@ def test_polar_pair_reports_elliptic():
         assert report.trace_name == h.name
 
 
+def local_polar_report(ml, a, b):
+    """The report polar_pair_check must give, computed in the constituent's
+    local indices with collinearity read off its own lines."""
+    c = ml.constituents[ml.sector_of(a)]
+    struct = c.structure
+
+    def perp_of(x):
+        return {x} | {y for line in struct.lines if x in line for y in line}
+
+    mutual = sorted(perp_of(c.local_index(a)) & perp_of(c.local_index(b)))
+    inside = [line for line in struct.lines if line <= set(mutual)]
+    trace = doily_trace(ml, a)
+    return {
+        "sector": c.name,
+        "pair_labels": (ml.label_of[a], ml.label_of[b]),
+        "pair_collinear": c.local_index(b) in perp_of(c.local_index(a)),
+        "mutual_perp_labels": tuple(struct.labels[x] for x in mutual),
+        "trace_name": trace.name,
+        "matches_trace": ({struct.labels[x] for x in mutual}
+                          == {duad_label(d) for d in trace.duads}),
+        "induced_line_count": len(inside),
+        "every_point_on_induced_line": all(any(x in line for line in inside) for x in mutual),
+        "has_universal_point": any(set(mutual) <= perp_of(x) for x in mutual),
+        "pairwise_non_collinear": all(perp_of(x) & set(mutual) == {x} for x in mutual),
+    }
+
+
+def test_polar_pair_reports_match_the_constituent_local_oracle():
+    # the check reads W(5,2)'s perps and lines cut to the quadric's mask
+    ml = build_magic_line()
+    pairs = labelled_pairs(ml, GRID) + labelled_pairs(ml, OVOID)
+    assert len(pairs) == 16
+    for _, a, b in pairs:
+        for p, q in ((a, b), (b, a)):
+            assert vars(polar_pair_check(ml, p, q)) == local_polar_report(ml, p, q)
+
+
 def test_polar_pair_errors():
     ml = build_magic_line()
     a = ml.w_of_label["123"]
@@ -731,7 +768,30 @@ def test_sector_of():
     assert list(ml.constituents) == [HYPERBOLIC_SECTOR, ELLIPTIC_SECTOR, CONE_SECTOR]
     for sector, constituent in ml.constituents.items():
         assert constituent.name == sector
-        assert all(ml.constituent_of(w) is constituent for w in w_off(ml, constituent))
+        assert all(ml.constituents[ml.sector_of(w)] is constituent
+                   for w in w_off(ml, constituent))
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3", None])
+def test_point_arguments_must_be_ints(bad):
+    ml = build_magic_line()
+    message = rf"^point index must be an int, got {type(bad).__name__}$"
+    one, one_prime = ml.w_of_label["1"], ml.w_of_label["1'"]  # a complementary pair
+    for call in (lambda: ml.sector_of(bad), lambda: doily_trace(ml, bad),
+                 lambda: complementary_point(ml, bad), lambda: polar_pair_check(ml, bad, bad),
+                 lambda: polar_pair_check(ml, one_prime, bad),
+                 lambda: polar_pair_check(ml, bad, one)):
+        with pytest.raises(TypeError, match=message):
+            call()
+
+
+def test_magic_line_records_are_plain_data():
+    ml = build_magic_line()
+    assert {"core_set", "constituents"} <= set(vars(ml))
+    assert ml.core_set == frozenset(ml.core_w)
+    for c in ml.constituents.values():
+        assert vars(c)["mask"] == mask_of(c.w_points)
+        assert all(c.local_index(w) == k for k, w in enumerate(c.w_points))
 
 
 def test_construction_is_deterministic():

@@ -6,6 +6,9 @@ from doilyspace import checks, magicline
 from doilyspace.doily import S_SET, SYNTHEMES, duad_label
 from doilyspace.incidence import check_gq, find_isomorphism, is_isomorphism
 from doilyspace.magicline import (
+    CONE_SECTOR,
+    ELLIPTIC_SECTOR,
+    HYPERBOLIC_SECTOR,
     NUCLEUS_LABEL,
     build_magic_line,
     build_sector_models,
@@ -15,29 +18,29 @@ from doilyspace.magicline import (
 
 def test_model_counts():
     models = build_sector_models()
-    assert models.hyperbolic.point_count == 35
-    assert len(models.hyperbolic.lines) == 105
-    assert models.elliptic.point_count == 27
-    assert len(models.elliptic.lines) == 45
-    assert models.cone.point_count == 31
-    assert len(models.cone.lines) == 75
+    assert models[HYPERBOLIC_SECTOR].point_count == 35
+    assert len(models[HYPERBOLIC_SECTOR].lines) == 105
+    assert models[ELLIPTIC_SECTOR].point_count == 27
+    assert len(models[ELLIPTIC_SECTOR].lines) == 45
+    assert models[CONE_SECTOR].point_count == 31
+    assert len(models[CONE_SECTOR].lines) == 75
 
 
 def test_hyperbolic_model_degrees():
     models = build_sector_models()
-    g = models.hyperbolic
+    g = models[HYPERBOLIC_SECTOR]
     for p in range(g.point_count):
         assert g.degree(p) == 9
 
 
 def test_elliptic_model_is_gq_2_4():
     models = build_sector_models()
-    assert check_gq(models.elliptic, 2, 4)
+    assert check_gq(models[ELLIPTIC_SECTOR], 2, 4)
 
 
 def test_cone_model_degrees():
     models = build_sector_models()
-    g = models.cone
+    g = models[CONE_SECTOR]
     nucleus = g.labels.index(NUCLEUS_LABEL)
     for p in range(g.point_count):
         assert g.degree(p) == (15 if p == nucleus else 7)
@@ -46,9 +49,9 @@ def test_cone_model_degrees():
 def test_models_isomorphic_to_coordinate_constituents():
     ml = build_magic_line()
     models = build_sector_models()
-    for model, constituent in ((models.hyperbolic, ml.q_plus),
-                               (models.elliptic, ml.q_minus),
-                               (models.cone, ml.cone)):
+    for model, constituent in ((models[HYPERBOLIC_SECTOR], ml.q_plus),
+                               (models[ELLIPTIC_SECTOR], ml.q_minus),
+                               (models[CONE_SECTOR], ml.cone)):
         mapping = find_isomorphism(model, constituent.structure)
         assert mapping is not None
         # independent re-check: the map carries lines exactly onto lines
@@ -58,11 +61,11 @@ def test_models_isomorphic_to_coordinate_constituents():
 def test_model_labels_are_the_sector_labels():
     ml = build_magic_line()
     models = build_sector_models()
-    assert set(models.hyperbolic.labels) == {
+    assert set(models[HYPERBOLIC_SECTOR].labels) == {
         ml.label_of[w] for w in ml.q_plus.w_points}
-    assert set(models.elliptic.labels) == {
+    assert set(models[ELLIPTIC_SECTOR].labels) == {
         ml.label_of[w] for w in ml.q_minus.w_points}
-    assert set(models.cone.labels) == {
+    assert set(models[CONE_SECTOR].labels) == {
         ml.label_of[w] for w in ml.cone.w_points}
 
 
@@ -73,7 +76,7 @@ def test_models_are_built_without_the_magic_line(monkeypatch):
     monkeypatch.setattr(magicline, "build_magic_line", refuse)
     build_sector_models.cache_clear()
     models = build_sector_models()
-    assert len(models.cone.lines) == 75
+    assert len(models[CONE_SECTOR].lines) == 75
 
 
 def test_cone_off_lines_follow_the_syntheme_rule():
@@ -89,7 +92,7 @@ def test_cone_off_lines_follow_the_syntheme_rule():
             rule.add(frozenset((quad(ij), quad(kl), duad_label(mn))))
     assert len(rule) == 45
 
-    g = build_sector_models().cone
+    g = build_sector_models()[CONE_SECTOR]
     spelled = {frozenset(g.labels[p] for p in line) for line in g.lines}
     synthemes = {frozenset(duad_label(d) for d in syn) for syn in SYNTHEMES}
     vertex_lines = {line for line in spelled if NUCLEUS_LABEL in line}
@@ -112,7 +115,7 @@ def test_label_map_has_the_effect_of_the_searched_isomorphism():
     ml = build_magic_line()
     models = build_sector_models()
     for name in CONSTITUENTS:
-        model, struct = getattr(models, name), ml.constituents[name].structure
+        model, struct = models[name], ml.constituents[name].structure
         mapping = label_map(model, struct)
         found = find_isomorphism(model, struct)
         assert is_isomorphism(model, struct, mapping)

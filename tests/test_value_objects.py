@@ -19,7 +19,6 @@ from doilyspace.magicline import (
     LineImage,
     PolarPairReport,
     SectorImage,
-    SectorModels,
     SymplecticSpace,
     build_magic_line,
     build_sector_models,
@@ -145,8 +144,10 @@ def test_magic_line_objects():
     assert c.local_index(ml.cone.w_points[3]) == 3
     assert c != ml.cone
     models = build_sector_models()
-    rebuilt = SectorModels(models.hyperbolic, models.elliptic, cone=models.cone)
-    assert rebuilt.cone is models.cone
+    # a read-only mapping in the constituents' order
+    assert list(models) == list(ml.constituents)
+    with pytest.raises(TypeError):
+        models["cone"] = models["elliptic"]
 
 
 def test_sector_and_line_images():
