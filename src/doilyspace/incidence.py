@@ -59,6 +59,11 @@ def veldkamp_sum_mask(full_mask: int, m1: int, m2: int) -> int:
     return full_mask ^ m1 ^ m2
 
 
+def _check_index(g: IncidenceStructure, p: int) -> None:
+    if not 0 <= p < g.point_count:
+        raise IndexError(f"point index {p} out of range (0..{g.point_count - 1})")
+
+
 class IncidenceStructure:
     """Points 0..point_count-1 together with lines given as frozensets of points.
 
@@ -153,18 +158,15 @@ class IncidenceStructure:
         return by_inv, frozenset(self.line_masks)
 
     def degree(self, p: int) -> int:
+        _check_index(self, p)
         return len(self.lines_through[p])
 
     def label_of(self, p: int) -> str:
+        _check_index(self, p)
         return self.labels[p] if self.labels is not None else str(p)
 
     def __repr__(self) -> str:
         return f"IncidenceStructure({self.point_count} points, {len(self.lines)} lines)"
-
-
-def _check_index(g: IncidenceStructure, p: int) -> None:
-    if not 0 <= p < g.point_count:
-        raise IndexError(f"point index {p} out of range (0..{g.point_count - 1})")
 
 
 def collinear(g: IncidenceStructure, p: int, q: int) -> bool:
@@ -190,6 +192,8 @@ def is_geometric_hyperplane(g: IncidenceStructure, m: int) -> bool:
 
 def deep_points_mask(g: IncidenceStructure, mask: int) -> int:
     """Points of the subset all of whose lines lie inside the subset."""
+    if mask & ~g.full_mask:  # also true of every negative mask
+        raise ValueError(f"mask {mask} is outside 0..{g.full_mask}")
     out = 0
     for p in points_of(mask):
         if all(g.line_masks[idx] & ~mask == 0 for idx in g.lines_through[p]):
@@ -230,19 +234,25 @@ def null_space_hyperplanes(g: IncidenceStructure) -> list[int]:
     """
     if any(len(line) != 3 for line in g.lines):
         raise ValueError("null-space hyperplane enumeration requires 3 points per line")
-    # reduced row echelon form: pivot bit -> row holding no other pivot bit
+    # reduced row echelon form: pivot bit -> row holding no other pivot bit,
+    # so reducing by one pivot row leaves the other pivot bits of a row as
+    # they are, and a row is reduced by exactly the pivots it holds at first
     rows: dict[int, int] = {}
+    pivots = 0
     for row in g.line_masks:
-        for pivot, prow in rows.items():
-            if row & pivot:
-                row ^= prow
+        held = row & pivots
+        while held:
+            pivot = held & -held
+            row ^= rows[pivot]
+            held ^= pivot
         if row:
             pivot = row & -row
             for other, orow in rows.items():
                 if orow & pivot:
                     rows[other] = orow ^ row
             rows[pivot] = row
-    free = [1 << p for p in points_of(g.full_mask & ~sum(rows))]  # keys are distinct bits
+            pivots |= pivot
+    free = [1 << p for p in points_of(g.full_mask & ~pivots)]
     if len(free) > NULLITY_LIMIT:
         raise CapacityError(
             f"hyperplane null space has dimension {len(free)} on {g.point_count} points; "
@@ -260,20 +270,6 @@ def null_space_hyperplanes(g: IncidenceStructure) -> list[int]:
     return masks
 
 
-def _perp_counts(g: IncidenceStructure, line: Iterable[int]) -> tuple[int, int, int]:
-    """How many points of the line each point is collinear with, bit-sliced
-    over the line's perps: the masks of the points collinear with at least
-    one, at least two and all of them."""
-    ones = twos = 0
-    every = g.full_mask
-    for q in line:
-        pm = g.perp_masks[q]
-        twos |= ones & pm
-        ones |= pm
-        every &= pm
-    return ones, twos, every
-
-
 def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
     """Generalized-quadrangle test for order (s, t).
 
@@ -287,10 +283,17 @@ def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
     """
     if any(len(line) != s + 1 for line in g.lines):
         return False
-    if any(g.degree(p) != t + 1 for p in range(g.point_count)):
+    if any(len(through) != t + 1 for through in g.lines_through):
         return False
+    perps = g.perp_masks
     for line, lm in zip(g.lines, g.line_masks):
-        ones, twos, _ = _perp_counts(g, line)
+        # bit-sliced counts over the line's perps: the points collinear with
+        # at least one and with at least two of its points
+        ones = twos = 0
+        for q in line:
+            pm = perps[q]
+            twos |= ones & pm
+            ones |= pm
         if g.full_mask & ~lm & ~(ones & ~twos):
             return False
     return True
@@ -316,8 +319,16 @@ def check_gamma_space(g: IncidenceStructure) -> bool:
     0, 1 or all points."""
     if not g.partial_linear:
         return False
+    perps = g.perp_masks
     for line in g.lines:
-        _, twos, every = _perp_counts(g, line)
+        # the points collinear with at least two and with all of its points
+        ones = twos = 0
+        every = g.full_mask
+        for q in line:
+            pm = perps[q]
+            twos |= ones & pm
+            ones |= pm
+            every &= pm
         if twos & ~every:
             return False
     return True
@@ -377,7 +388,10 @@ def find_isomorphism(g1: IncidenceStructure,
         # the rarest unplaced point collinear with a placed one, if any,
         # lowest index first
         pool = reach & ~placed or g1.full_mask & ~placed
-        pick = next(pool & m for m in freq_masks if pool & m)
+        for m in freq_masks:
+            if pool & m:
+                break
+        pick = pool & m
         nxt = (pick & -pick).bit_length() - 1
         order.append(nxt)
         placed |= 1 << nxt
@@ -407,19 +421,24 @@ def find_isomorphism(g1: IncidenceStructure,
             want |= image[low.bit_length() - 1]
             m ^= low
         placed |= 1 << p
+        # per line through p that is placed now, the image of its other points
+        # (the line's image holds it and q's bit); per line with one point r
+        # left, r and the image of its placed points other than p
         ready = []
-        closing = []  # (last unplaced point, image of the other placed points)
+        closing = []
         for idx in g1.lines_through[p]:
             rest = masks1[idx] & ~placed
+            if rest and (not propagate or rest & (rest - 1)):
+                continue
+            m = masks1[idx] & placed & ~(1 << p)
+            img = 0
+            while m:
+                low = m & -m
+                img |= image[low.bit_length() - 1]
+                m ^= low
             if not rest:
-                ready.append(g1.lines[idx])
-            elif (propagate and not rest & (rest - 1)
-                  and (m := masks1[idx] & placed & ~(1 << p))):
-                img = 0
-                while m:
-                    low = m & -m
-                    img |= image[low.bit_length() - 1]
-                    m ^= low
+                ready.append(img)
+            elif img:
                 closing.append((rest.bit_length() - 1, img))
         if forced[p]:
             q = forced[p].bit_length() - 1
@@ -430,31 +449,33 @@ def find_isomorphism(g1: IncidenceStructure,
             bit = 1 << q
             if used & bit or perp2[q] & used != want:
                 continue
-            image[p] = bit
-            if not all(sum(map(image_of, line)) in line_masks2 for line in ready):
-                continue
-            # the one line of g2 through q and the images of the other placed
-            # points must have exactly one point left, unused and agreeing
-            # with any earlier forcing of r: the image of the last point r
-            set_here = []
-            for r, img in closing:
-                img |= bit
-                last = 0
-                for idx in through2[q]:
-                    if masks2[idx] & img == img:
-                        last = masks2[idx] ^ img
-                        break
-                if (not last or last & (last - 1) or last & used
-                        or forced[r] and forced[r] != last):
+            for img in ready:
+                if img | bit not in line_masks2:
                     break
-                if not forced[r]:
-                    forced[r] = last
-                    set_here.append(r)
             else:
-                if extend(k + 1, placed, used | bit):
-                    return True
-            for r in set_here:
-                forced[r] = 0
+                image[p] = bit
+                # the one line of g2 through q and the images of the other
+                # placed points must have exactly one point left, unused and
+                # agreeing with any earlier forcing of r: the image of r
+                set_here = []
+                for r, img in closing:
+                    img |= bit
+                    last = 0
+                    for idx in through2[q]:
+                        if masks2[idx] & img == img:
+                            last = masks2[idx] ^ img
+                            break
+                    if (not last or last & (last - 1) or last & used
+                            or forced[r] and forced[r] != last):
+                        break
+                    if not forced[r]:
+                        forced[r] = last
+                        set_here.append(r)
+                else:
+                    if extend(k + 1, placed, used | bit):
+                        return True
+                for r in set_here:
+                    forced[r] = 0
         return False
 
     if not extend(0, 0, 0):

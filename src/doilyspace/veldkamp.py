@@ -40,7 +40,9 @@ FAMILIES = (
 class VeldkampLine:
     """Three masks, a tuple in ascending order, closed under the Veldkamp sum,
     with one common core; null_space_hyperplanes (in build_veldkamp_space) or
-    classify_hyperplane (in classify_veldkamp_line) certifies them hyperplanes."""
+    classify_hyperplane (in classify_veldkamp_line) certifies them hyperplanes.
+    build_veldkamp_space makes its lines without the constructor, whose
+    checks hold there by construction."""
 
     __slots__ = ("geometry", "members")
 
@@ -93,12 +95,22 @@ def build_veldkamp_space(g: IncidenceStructure) -> VeldkampSpace:
     if not g.lines:
         raise ValueError("Veldkamp space construction requires at least one line")
     _require_partial_linear_space(g)
-    masks = null_space_hyperplanes(g)  # ascending
+    masks = null_space_hyperplanes(g)  # ascending, each inside full_mask
     full = g.full_mask
-    # each line {m1 < m2 < m3 = m1 (+) m2} comes once, from m1 and m2, in order
-    lines = tuple([VeldkampLine(g, (m1, m2, m3)) for m1, m2 in combinations(masks, 2)
-                   if m2 < (m3 := full ^ m1 ^ m2)])
-    return VeldkampSpace(g, tuple(masks), lines)
+    # each line {m1 < m2 < m3 = m1 (+) m2} comes once, from m1 and m2, in
+    # order.  It skips VeldkampLine's checks, which hold by construction: the
+    # members ascend, m3 is the Veldkamp sum, and for masks inside full_mask
+    # that sum gives m1 & m3 == m2 & m3 == m1 & m2, the common core.
+    new = VeldkampLine.__new__
+    lines = []
+    for m1, m2 in combinations(masks, 2):
+        m3 = full ^ m1 ^ m2
+        if m2 < m3:
+            line = new(VeldkampLine)
+            line.geometry = g
+            line.members = (m1, m2, m3)
+            lines.append(line)
+    return VeldkampSpace(g, tuple(masks), tuple(lines))
 
 
 def doily_veldkamp_space() -> VeldkampSpace:

@@ -14,14 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from doilyspace import incidence
 from doilyspace.doily import build_doily
 from doilyspace.gf2 import projective_points
 from doilyspace.incidence import (
+    CapacityError,
     IncidenceStructure,
     check_gamma_space,
     check_gq,
     find_isomorphism,
     has_triangle,
+    is_isomorphism,
     mask_of,
     points_of,
 )
@@ -310,6 +313,37 @@ def test_relabelled_search_matches_reference(name):
     rng = random.Random(f"relabel-{name}")
     for _ in range(50):
         _same_result(_relabelled(g, rng), g)
+
+
+# nodes that find_isomorphism(h, g) enters for the first twelve relabellings
+# h of each geometry drawn by _relabelled from random.Random(f"nodes-{name}"),
+# measured before the search loops were rewritten; n + 1 nodes on n points
+# mean that no candidate was backtracked
+SEARCH_NODES = {
+    "doily": (16, 16, 16, 17, 16, 16, 16, 16, 16, 16, 16, 16),
+    "pg32": (17, 16, 17, 17, 16, 17, 17, 16, 29, 17, 17, 16),
+    "q_minus": (28,) * 12,
+    "cone": (33, 32, 34, 34, 32, 37, 33, 35, 32, 38, 32, 45),
+    "q_plus": (36, 36, 38, 36, 36, 36, 40, 36, 36, 36, 36, 39),
+    "w52": (64, 69, 64, 65, 65, 69, 64, 64, 64, 74, 64, 64),
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCHED))
+def test_relabelled_search_node_counts_are_pinned(name, monkeypatch):
+    # the search succeeds with SEARCH_NODE_LIMIT at its node count and
+    # raises one below it
+    g = SEARCHED[name]
+    rng = random.Random(f"nodes-{name}")
+    for count in SEARCH_NODES[name]:
+        h = _relabelled(g, rng)
+        monkeypatch.setattr(incidence, "SEARCH_NODE_LIMIT", count)
+        mapping = find_isomorphism(h, g)
+        assert mapping is not None and is_isomorphism(h, g, mapping)
+        monkeypatch.setattr(incidence, "SEARCH_NODE_LIMIT", count - 1)
+        with pytest.raises(CapacityError,
+                           match=f"^isomorphism search passed {count - 1} nodes "):
+            find_isomorphism(h, g)
 
 
 def test_search_into_a_geometry_with_digons_matches_reference():

@@ -273,6 +273,25 @@ def test_deep_points():
     assert deep_points_mask(g, grid(1, 2, 3).mask) == 0
 
 
+@pytest.mark.parametrize("mask", [1 << 15, 1 << 20, -1])
+def test_deep_points_reject_a_mask_outside_the_point_set(mask):
+    with pytest.raises(ValueError, match=rf"^mask {mask} is outside 0\.\.32767$"):
+        deep_points_mask(build_doily(), mask)
+
+
+@pytest.mark.parametrize("g", [build_doily(), GRID9], ids=["labelled", "unlabelled"])
+def test_point_lookups_reject_an_out_of_range_index(g):
+    n = g.point_count
+    for p in (-1, n):
+        message = rf"^point index {p} out of range \(0\.\.{n - 1}\)$"
+        with pytest.raises(IndexError, match=message):
+            g.label_of(p)
+        with pytest.raises(IndexError, match=message):
+            g.degree(p)
+    assert g.label_of(n - 1) == (g.labels[n - 1] if g.labels else str(n - 1))
+    assert g.degree(n - 1) == len(g.lines_through[n - 1])
+
+
 def test_check_gq():
     assert check_gq(build_doily(), 2, 2)
     assert not check_gq(build_doily(), 2, 1)

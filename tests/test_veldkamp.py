@@ -4,6 +4,8 @@ from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doilyspace.doily import (
     S_ELEMENTS,
@@ -13,6 +15,7 @@ from doilyspace.doily import (
     ovoid,
     perp_set,
 )
+from doilyspace.gf2 import projective_points
 from doilyspace.incidence import (
     CapacityError,
     IncidenceStructure,
@@ -143,6 +146,47 @@ def test_lines_match_the_pairwise_sum_construction(name):
     triples = {tuple(sorted((m1, m2, veldkamp_sum_mask(g.full_mask, m1, m2))))
                for m1, m2 in combinations(masks, 2)}
     assert [line.members for line in space.lines] == sorted(triples)
+
+
+def _assert_lines_pass_the_checked_constructor(g: IncidenceStructure) -> None:
+    space = build_veldkamp_space(g)
+    for line in space.lines:
+        checked = VeldkampLine(g, line.members)
+        assert type(line) is VeldkampLine and line.geometry is g
+        assert type(line.members) is tuple and line.members == checked.members
+
+
+def _pg32() -> IncidenceStructure:
+    points = projective_points(4)
+    return IncidenceStructure.from_lines(15, {
+        frozenset((i, j, (points[i] ^ points[j]).to_int() - 1))
+        for i, j in combinations(range(15), 2)})
+
+
+@pytest.mark.parametrize("name", ["doily", "pg32", "w52"])
+def test_built_lines_pass_the_checked_constructor(name):
+    # build_veldkamp_space makes its lines without VeldkampLine's checks
+    g = {"doily": build_doily, "pg32": _pg32, "w52": lambda: build_w52().structure}[name]()
+    _assert_lines_pass_the_checked_constructor(g)
+
+
+@st.composite
+def partial_linear_three_per_line_geometries(draw):
+    """Random 3-point lines, each kept when it shares at most one point
+    with every line kept before it."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    lines: list[frozenset] = []
+    for line in draw(st.lists(st.sampled_from(list(combinations(range(n), 3))),
+                              min_size=1, max_size=12)):
+        if all(len(frozenset(line) & kept) <= 1 for kept in lines):
+            lines.append(frozenset(line))
+    return IncidenceStructure.from_lines(n, lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(partial_linear_three_per_line_geometries())
+def test_built_lines_pass_the_checked_constructor_on_random_geometries(g):
+    _assert_lines_pass_the_checked_constructor(g)
 
 
 def test_classify_representatives():
