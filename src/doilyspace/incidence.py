@@ -10,7 +10,6 @@ each structure builds when it is constructed.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from functools import cached_property
 
@@ -60,6 +59,8 @@ def veldkamp_sum_mask(full_mask: int, m1: int, m2: int) -> int:
 
 
 def _check_index(g: IncidenceStructure, p: int) -> None:
+    if type(p) is not int:
+        raise TypeError(f"point index must be an int, got {type(p).__name__}")
     if not 0 <= p < g.point_count:
         raise IndexError(f"point index {p} out of range (0..{g.point_count - 1})")
 
@@ -84,11 +85,13 @@ class IncidenceStructure:
         line_masks = []
         through: list[list[int]] = [[] for _ in range(point_count)]
         perps = [1 << p for p in range(point_count)]
+        line_pairs = 0  # ordered pairs of distinct points of a line, summed over the lines
         for idx, line in enumerate(lines):
             if not isinstance(line, frozenset):
                 raise TypeError(f"line {line!r} is not a frozenset; build the structure from "
                                 "point sequences with IncidenceStructure.from_lines")
-            if len(line) < 2:
+            size = len(line)
+            if size < 2:
                 raise ValueError(f"line {set(line)} has fewer than 2 points")
             if min(line) < 0 or max(line) >= point_count:
                 raise ValueError(f"line {set(line)} has out-of-range points")
@@ -99,6 +102,7 @@ class IncidenceStructure:
             for p in line:
                 perps[p] |= m
             line_masks.append(m)
+            line_pairs += size * (size - 1)
         # distinct frozensets of non-negative ints have distinct masks
         if len(set(line_masks)) != len(lines):
             raise ValueError("repeated lines are not allowed")
@@ -114,8 +118,10 @@ class IncidenceStructure:
         # the perps count each ordered pair of collinear points once, the lines
         # once per line through both: the counts agree exactly when no two
         # points share two lines, that is, when the structure is partial linear
-        pairs = sum(m.bit_count() for m in perps) - point_count
-        self.partial_linear = pairs == sum(len(line) * (len(line) - 1) for line in lines)
+        pairs = -point_count
+        for m in perps:
+            pairs += m.bit_count()
+        self.partial_linear = pairs == line_pairs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IncidenceStructure):
@@ -144,9 +150,13 @@ class IncidenceStructure:
     @cached_property
     def search_profile(self) -> tuple:
         """What find_isomorphism reads of either side: the point invariants,
-        their multiset and the sorted line sizes."""
+        their multiset (a dict from invariant to count) and the sorted line
+        sizes."""
         invs = _point_invariants(self)
-        return invs, Counter(invs), sorted(map(len, self.lines))
+        freq: dict[tuple, int] = {}
+        for inv in invs:
+            freq[inv] = freq.get(inv, 0) + 1
+        return invs, freq, sorted(map(len, self.lines))
 
     @cached_property
     def target_profile(self) -> tuple:
@@ -192,6 +202,8 @@ def is_geometric_hyperplane(g: IncidenceStructure, m: int) -> bool:
 
 def deep_points_mask(g: IncidenceStructure, mask: int) -> int:
     """Points of the subset all of whose lines lie inside the subset."""
+    if type(mask) is not int:
+        raise TypeError(f"subset must be an int mask, got {type(mask).__name__}")
     if mask & ~g.full_mask:  # also true of every negative mask
         raise ValueError(f"mask {mask} is outside 0..{g.full_mask}")
     out = 0
@@ -259,7 +271,10 @@ def null_space_hyperplanes(g: IncidenceStructure) -> list[int]:
             f"enumeration is limited to dimension {NULLITY_LIMIT}")
     null_vectors = [0]
     for f in free:
-        basis = f | sum(pivot for pivot, prow in rows.items() if prow & f)
+        basis = f
+        for pivot, prow in rows.items():
+            if prow & f:
+                basis |= pivot
         null_vectors += [v ^ basis for v in null_vectors]
     # v = 0 gives the full point set; v = full, possible only without lines, the empty set
     masks = sorted(g.full_mask ^ v for v in null_vectors if v and v != g.full_mask)
@@ -342,8 +357,16 @@ def _point_invariants(g: IncidenceStructure) -> list[tuple]:
     for p, d in enumerate(degrees):
         by_degree[d] = by_degree.get(d, 0) | 1 << p
     classes = sorted(by_degree.items())
-    return [(d, tuple([(e, c) for e, m in classes if (c := (nbrs & m).bit_count())]))
-            for d, nbrs in zip(degrees, [pm & ~(1 << p) for p, pm in enumerate(g.perp_masks)])]
+    invs = []
+    for p, d in enumerate(degrees):
+        nbrs = g.perp_masks[p] & ~(1 << p)
+        counts = []
+        for e, m in classes:
+            c = (nbrs & m).bit_count()
+            if c:
+                counts.append((e, c))
+        invs.append((d, tuple(counts)))
+    return invs
 
 
 def find_isomorphism(g1: IncidenceStructure,
@@ -399,7 +422,6 @@ def find_isomorphism(g1: IncidenceStructure,
 
     masks1, masks2, through2 = g1.line_masks, g2.line_masks, g2.lines_through
     image = [0] * n  # image[p] = 1 << (the image of p), valid for placed points
-    image_of = image.__getitem__
     forced = [0] * n  # forced[p] = 1 << (the only image p may take), or 0
     nodes = 0
 
@@ -480,20 +502,39 @@ def find_isomorphism(g1: IncidenceStructure,
 
     if not extend(0, 0, 0):
         return None
-    if {sum(map(image_of, line)) for line in g1.lines} != line_masks2:
+    images = set()
+    for line in g1.lines:
+        m = 0
+        for p in line:
+            m |= image[p]
+        images.add(m)
+    if images != line_masks2:
         return None
     return {p: image[p].bit_length() - 1 for p in order}
 
 
 def is_isomorphism(g1: IncidenceStructure, g2: IncidenceStructure,
                    mapping: dict[int, int]) -> bool:
-    """Independent re-check that a point bijection maps lines exactly onto lines."""
+    """Independent re-check that a point bijection maps lines exactly onto lines.
+
+    A mapping value that is not an int, or is a bool, raises TypeError.
+    Each line's image is compared with g2's lines as a point mask."""
+    values = mapping.values()
+    if not set(map(type, values)) <= {int}:
+        bad = next(q for q in values if type(q) is not int)
+        raise TypeError(f"mapping value must be an int, got {type(bad).__name__}")
     if sorted(mapping) != list(range(g1.point_count)):
         return False
-    if sorted(mapping.values()) != list(range(g2.point_count)):
+    if sorted(values) != list(range(g2.point_count)):
         return False
-    image = {frozenset(mapping[p] for p in line) for line in g1.lines}
-    return image == set(g2.lines)
+    bits = [1 << mapping[p] for p in range(g1.point_count)]
+    images = set()
+    for line in g1.lines:
+        m = 0
+        for p in line:
+            m |= bits[p]
+        images.add(m)
+    return images == set(g2.line_masks)
 
 
 def induced_substructure(g: IncidenceStructure,

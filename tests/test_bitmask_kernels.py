@@ -92,6 +92,29 @@ def _ref_point_invariants(g: IncidenceStructure) -> list[tuple]:
             for p in range(g.point_count)]
 
 
+def ref_point_invariants_comprehension(g: IncidenceStructure) -> list[tuple]:
+    # incidence._point_invariants as a nested comprehension, as it was
+    # before its loops were written out
+    degrees = [len(t) for t in g.lines_through]
+    by_degree: dict[int, int] = {}
+    for p, d in enumerate(degrees):
+        by_degree[d] = by_degree.get(d, 0) | 1 << p
+    classes = sorted(by_degree.items())
+    return [(d, tuple([(e, c) for e, m in classes if (c := (nbrs & m).bit_count())]))
+            for d, nbrs in zip(degrees, [pm & ~(1 << p) for p, pm in enumerate(g.perp_masks)])]
+
+
+def ref_is_isomorphism(g1: IncidenceStructure, g2: IncidenceStructure,
+                       mapping: dict[int, int]) -> bool:
+    # is_isomorphism as it was before it compared line masks
+    if sorted(mapping) != list(range(g1.point_count)):
+        return False
+    if sorted(mapping.values()) != list(range(g2.point_count)):
+        return False
+    image = {frozenset(mapping[p] for p in line) for line in g1.lines}
+    return image == set(g2.lines)
+
+
 def ref_find_isomorphism(g1: IncidenceStructure,
                          g2: IncidenceStructure) -> Optional[dict[int, int]]:
     if g1.point_count != g2.point_count or len(g1.lines) != len(g2.lines):
@@ -313,6 +336,82 @@ def test_relabelled_search_matches_reference(name):
     rng = random.Random(f"relabel-{name}")
     for _ in range(50):
         _same_result(_relabelled(g, rng), g)
+
+
+def _assert_invariants_match_reference(g: IncidenceStructure) -> None:
+    invs = incidence._point_invariants(g)
+    assert invs == ref_point_invariants_comprehension(g)
+    # a fresh structure, so that the profile is built from the loops above
+    fresh = IncidenceStructure(g.point_count, g.lines, g.labels)
+    profile_invs, freq, sizes = fresh.search_profile
+    assert profile_invs == invs
+    assert type(freq) is dict and freq == Counter(ref_point_invariants_comprehension(g))
+    assert sizes == sorted(map(len, g.lines))
+
+
+@pytest.mark.parametrize("name", list(SEARCHED))
+def test_point_invariants_match_reference(name):
+    g = SEARCHED[name]
+    _assert_invariants_match_reference(g)
+    _assert_invariants_match_reference(_relabelled(g, random.Random(f"invariants-{name}")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_geometries())
+def test_point_invariants_match_reference_on_random_geometries(g):
+    _assert_invariants_match_reference(g)
+
+
+@pytest.mark.parametrize("name", list(SEARCHED))
+def test_isomorphism_check_matches_reference(name):
+    g = SEARCHED[name]
+    rng = random.Random(f"check-{name}")
+    for _ in range(5):
+        h = _relabelled(g, rng)
+        mapping = find_isomorphism(h, g)
+        swapped = dict(mapping)
+        p, q = rng.sample(range(g.point_count), 2)
+        swapped[p], swapped[q] = swapped[q], swapped[p]
+        for m in (mapping, swapped, {p: p for p in range(g.point_count)}):
+            assert is_isomorphism(h, g, m) == ref_is_isomorphism(h, g, m)
+        assert is_isomorphism(h, g, mapping) and not is_isomorphism(h, g, swapped)
+
+
+@st.composite
+def mapped_pairs(draw):
+    """A random geometry g1, a relabelling g2 of it (or an independent
+    geometry on as many points) and a mapping of g1's points: the
+    relabelling, the identity or a random permutation, possibly with two
+    images swapped, two points sent to one image, or a key missing."""
+    g1 = draw(small_geometries())
+    n = g1.point_count
+    perm = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        g2 = IncidenceStructure.from_lines(n, [[perm[p] for p in line] for line in g1.lines])
+    else:
+        subsets = st.sets(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=4)
+        g2 = IncidenceStructure.from_lines(n, draw(st.lists(subsets, max_size=14)))
+    base = draw(st.sampled_from(["relabelling", "identity", "random"]))
+    images = {"relabelling": perm, "identity": list(range(n)),
+              "random": draw(st.permutations(range(n)))}[base]
+    mapping = dict(enumerate(images))
+    p, q = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                         min_size=2, max_size=2, unique=True))
+    change = draw(st.sampled_from(["none", "swap", "collapse", "drop"]))
+    if change == "swap":
+        mapping[p], mapping[q] = mapping[q], mapping[p]
+    elif change == "collapse":
+        mapping[p] = mapping[q]
+    elif change == "drop":
+        del mapping[p]
+    return g1, g2, mapping
+
+
+@settings(max_examples=300, deadline=None)
+@given(mapped_pairs())
+def test_isomorphism_check_matches_reference_on_random_mappings(case):
+    g1, g2, mapping = case
+    assert is_isomorphism(g1, g2, mapping) == ref_is_isomorphism(g1, g2, mapping)
 
 
 # nodes that find_isomorphism(h, g) enters for the first twelve relabellings

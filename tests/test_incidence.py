@@ -46,7 +46,7 @@ def test_structure_validation():
     with pytest.raises(ValueError):
         IncidenceStructure(3, (frozenset({0, 1}),), labels=("a",))
     # a line that is not a frozenset is rejected, not converted: a tuple line
-    # would never compare equal to the frozensets is_isomorphism builds
+    # would never compare equal to the frozenset lines from_lines builds
     for line in [(0, 1, 2), [0, 1, 2], {0, 1, 2}]:
         message = (f"^line {re.escape(repr(line))} is not a frozenset; build the structure "
                    r"from point sequences with IncidenceStructure\.from_lines$")
@@ -57,6 +57,21 @@ def test_structure_validation():
     g = IncidenceStructure.from_lines(3, [(0, 1, 2)])
     mapping = find_isomorphism(g, g)
     assert mapping == {0: 0, 1: 1, 2: 2} and is_isomorphism(g, g, mapping)
+
+
+@pytest.mark.parametrize("value, kind", [(1.0, "float"), (True, "bool"), ("1", "str")])
+def test_isomorphism_check_rejects_a_non_int_image(value, kind):
+    g = build_doily()
+    mapping = {p: p for p in range(g.point_count)}
+    mapping[1] = value
+    with pytest.raises(TypeError, match=rf"^mapping value must be an int, got {kind}$"):
+        is_isomorphism(g, g, mapping)
+
+
+def test_isomorphism_check_rejects_float_images_equal_to_ints():
+    g = build_doily()
+    with pytest.raises(TypeError, match=r"^mapping value must be an int, got float$"):
+        is_isomorphism(g, g, {p: float(p) for p in range(g.point_count)})
 
 
 def test_lines_and_labels_are_stored_as_tuples():
@@ -279,17 +294,48 @@ def test_deep_points_reject_a_mask_outside_the_point_set(mask):
         deep_points_mask(build_doily(), mask)
 
 
+@pytest.mark.parametrize("mask", [True, 1.0, frozenset({1})])
+def test_deep_points_reject_a_non_int_mask(mask):
+    message = rf"^subset must be an int mask, got {type(mask).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        deep_points_mask(build_doily(), mask)
+
+
+def test_deep_points_of_the_mask_equal_to_the_point_count():
+    # 15 is the mask of points 0..3; deep points computed by hand from the lines
+    g = build_doily()
+    mask = g.point_count
+    expected = mask_of(p for p in points_of(mask)
+                       if all(line <= set(points_of(mask)) for line in g.lines if p in line))
+    assert deep_points_mask(g, mask) == expected
+
+
+def _point_lookups(g: IncidenceStructure) -> list:
+    """Each entry point that takes a point index, as a function of it."""
+    return [g.label_of, g.degree, lambda p: collinear(g, p, 2), lambda p: collinear(g, 2, p)]
+
+
 @pytest.mark.parametrize("g", [build_doily(), GRID9], ids=["labelled", "unlabelled"])
 def test_point_lookups_reject_an_out_of_range_index(g):
     n = g.point_count
     for p in (-1, n):
         message = rf"^point index {p} out of range \(0\.\.{n - 1}\)$"
-        with pytest.raises(IndexError, match=message):
-            g.label_of(p)
-        with pytest.raises(IndexError, match=message):
-            g.degree(p)
+        for lookup in _point_lookups(g):
+            with pytest.raises(IndexError, match=message):
+                lookup(p)
     assert g.label_of(n - 1) == (g.labels[n - 1] if g.labels else str(n - 1))
     assert g.degree(n - 1) == len(g.lines_through[n - 1])
+    assert collinear(g, n - 1, n - 1)
+
+
+@pytest.mark.parametrize("g", [build_doily(), GRID9], ids=["labelled", "unlabelled"])
+@pytest.mark.parametrize("p", [True, 1.0])
+def test_point_lookups_reject_a_non_int_index(g, p):
+    # a bool or a float that equals a valid index is refused, not read as that index
+    message = rf"^point index must be an int, got {type(p).__name__}$"
+    for lookup in _point_lookups(g):
+        with pytest.raises(TypeError, match=message):
+            lookup(p)
 
 
 def test_check_gq():
