@@ -118,11 +118,9 @@ def build_w52() -> SymplecticSpace:
     """63 points; the lines {x, y, x+y} with theta(x, y) = 0, each built once, from x < y < x+y."""
     form = SymplecticForm(6)
     points = coordinate_masks(range(1, 1 << form.dim), form.dim)
-    # the pairs come in lexicographic order, so the lines are already in
-    # from_lines' canonical order, each once
-    lines = [frozenset((x - 1, y - 1, (x ^ y) - 1)) for x, y in combinations(points, 2)
+    lines = [(x - 1, y - 1, (x ^ y) - 1) for x, y in combinations(points, 2)
              if y < x ^ y and form.theta(x, y) == 0]
-    structure = IncidenceStructure(
+    structure = IncidenceStructure.from_lines(
         len(points), lines, labels=[format(v, "06b")[::-1] for v in points])
     return SymplecticSpace(form, points, structure)
 
@@ -221,34 +219,24 @@ def _trace_hyperplane(space: SymplecticSpace, sector: str, quadric: int, w: int,
     Q(x + y) = Q(x) + Q(y) + theta(x, y), points of Q+, Q- or the cone are
     collinear in W(5,2) exactly when their line lies in the quadric."""
     struct = space.structure
+    point = f"{sector} point {_names(struct, [w])}"
     mask = 0
     for idx in struct.lines_through[w]:
         if struct.line_masks[idx] & ~quadric:
             continue
         core = [v for v in struct.lines[idx] if v in core_duads]
-        if len(core) != 1:
-            raise ConsistencyError(f"{_off_point(struct, sector, w)}: a line through it "
-                                   f"must meet the core exactly once, got {len(core)}")
+        _require(len(core) == 1,
+                 f"{point}: a line through it must meet the core exactly once, got {len(core)}")
         bit = 1 << DUAD_INDEX[core_duads[core[0]]]
-        if mask & bit:
-            raise ConsistencyError(
-                f"{_off_point(struct, sector, w)}: its trace points must be distinct")
+        _require(not mask & bit, f"{point}: its trace points must be distinct")
         mask |= bit
     try:
         h = classify_hyperplane(mask)
     except ValueError as err:
-        raise ConsistencyError(f"{_off_point(struct, sector, w)}: its trace is not "
-                               "a hyperplane of the doily") from err
+        raise ConsistencyError(f"{point}: its trace is not a hyperplane of the doily") from err
     kind = SECTOR_KIND[sector]
-    if h.kind != kind:
-        raise ConsistencyError(f"{_off_point(struct, sector, w)}: its trace must be "
-                               f"of kind {kind}, got {h.kind}")
+    _require(h.kind == kind, f"{point}: its trace must be of kind {kind}, got {h.kind}")
     return h
-
-
-def _off_point(struct: IncidenceStructure, sector: str, w: int) -> str:
-    """An off point named for an error message, built only when a check fails."""
-    return f"{sector} point {_names(struct, [w])}"
 
 
 def _off_traces(space: SymplecticSpace, sector: str, quadric: int,

@@ -108,17 +108,6 @@ def test_w52_matches_the_vector_construction():
     assert space.structure.labels == tuple(str(v) for v in points)
 
 
-def test_w52_lines_come_in_canonical_order():
-    # build_w52 hands its lines to the constructor as generated, skipping
-    # from_lines' dedupe and sort: they must already be canonical
-    space = build_w52()
-    structure = space.structure
-    rebuilt = IncidenceStructure.from_lines(structure.point_count, structure.lines,
-                                            structure.labels)
-    assert structure == rebuilt
-    assert structure.lines == rebuilt.lines
-
-
 def test_w52_gamma_space():
     assert check_gamma_space(build_w52().structure)
 

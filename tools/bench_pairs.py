@@ -1,43 +1,60 @@
 """Measure the working tree against a parent commit with the benchmark harness.
 
-    python3 tools/bench_pairs.py --parent <rev> --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --parent <rev> --first-seed <S> --out BENCH_<n>.json
 
-For each workload, runs ``benchmarks/run.py --trace 0`` on both trees in
-pairs, alternating which side runs first (the parent first in pairs 1, 3,
-5, ...), and reports each side's runs, medians and quartiles per metric,
-with the pairs the change won and a verdict against the bound that
-``BENCHMARK.json`` fixes.  Then imports both packages into one process (the
-parent's under another name) and times the relabel-and-search operation
-stage by stage on each geometry, toggling the side per round, so that a
-saving can be placed.  The parent tree is ``git archive <rev>``, extracted
-into a temporary directory; the change is this checkout as it stands.
+For each of the benchmark's three workloads, runs ``benchmarks/run.py
+--trace 0`` for the benchmark's run length on both trees in ten pairs,
+alternating which side runs first (the parent first in pairs 1, 3, 5, ...),
+and reports each side's runs, medians and quartiles per metric, with the
+pairs the change won and a verdict against the bound that
+``BENCHMARK.json`` fixes.  Then places the saving per geometry: a process
+in each tree imports that tree's ``RelabelSearch`` from
+``benchmarks/run.py`` and times its operation, ``relabel_ok``, on the
+operations of seeded rounds, the two sides alternating per seed.  The
+parent tree is ``git archive <rev>``, extracted into a temporary directory;
+the change is this checkout as it stands.  Every seed is drawn from
+``--first-seed``, so each comparison can run on seeds not used before.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
-import random
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("relabel_search", "verify_all", "cli_warm")
-# relabel_search's geometries, and the stages of its operation
-GEOMETRIES = ("doily", "pg32", "q_minus", "cone", "q_plus", "w52")
-STAGES = ("from_lines", "find_isomorphism", "is_isomorphism", "check_gamma_space",
-          "build_veldkamp_space")
-VELDKAMP_MAX_POINTS = 25
-ATTRIBUTION_SEEDS = (1, 2, 3)
-ATTRIBUTION_ROUNDS = 150
+PAIRS = 10
+ATTRIBUTION_SEEDS = 6
+ATTRIBUTION_ROUNDS = 300
+# run in a tree: the median seconds of relabel_search's operation per
+# geometry, over the operations of seeded rounds of the harness's workload;
+# the first round warms the process and is not timed
+ATTRIBUTION_CODE = """\
+import json, random, statistics, sys, time
+sys.path.insert(0, "benchmarks")
+import run
+seed, rounds = int(sys.argv[1]), int(sys.argv[2])
+workload = run.RelabelSearch()
+rng = random.Random(seed)
+times = {name: [] for name in workload.geometries}
+for r in range(rounds + 1):
+    for name, perm in workload.round(rng):
+        t0 = time.perf_counter()
+        ok = workload.relabel_ok(name, perm)
+        if r:
+            times[name].append(time.perf_counter() - t0)
+        if not ok:
+            sys.exit(f"{name} not recovered under seed {seed}")
+print(json.dumps({name: statistics.median(ts) for name, ts in times.items()}))
+"""
 
 
 def extract(rev: str, into: Path) -> str:
@@ -119,90 +136,36 @@ def measure_workload(trees: dict[str, Path], workload: str, seeds: list[int], se
     }
 
 
-def load_package(src: Path, name: str):
-    """Import the package doilyspace under src as a module called name."""
-    init = src / "doilyspace" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def geometries(ds) -> dict:
-    ml = ds.build_magic_line()
-    # PG(3,2): point i has coordinates i + 1, and a line is {x, y, x + y}
-    pg32 = ds.IncidenceStructure.from_lines(
-        15, [(i, j, ((i + 1) ^ (j + 1)) - 1) for i in range(15) for j in range(i + 1, 15)])
-    return {"doily": ds.build_doily(), "pg32": pg32, "q_minus": ml.q_minus.structure,
-            "cone": ml.cone.structure, "q_plus": ml.q_plus.structure,
-            "w52": ds.build_w52().structure}
-
-
-def relabel_stages(ds, g, perm: list[int]) -> tuple[list[float], tuple]:
-    """The relabel-and-search operation: the seconds of each stage and what it found."""
-    clock = time.perf_counter
-    t0 = clock()
-    h = ds.IncidenceStructure.from_lines(g.point_count, ([perm[p] for p in line]
-                                                         for line in g.lines))
-    t1 = clock()
-    mapping = ds.find_isomorphism(h, g)
-    t2 = clock()
-    ok = mapping is not None and ds.is_isomorphism(h, g, mapping)
-    t3 = clock()
-    gamma = ds.check_gamma_space(h)
-    t4 = clock()
-    vs = ds.build_veldkamp_space(h) if g.point_count <= VELDKAMP_MAX_POINTS else None
-    t5 = clock()
-    space = vs and (vs.points, [line.members for line in vs.lines])
-    found = (list(mapping.items()), ok, gamma, space)
-    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4], found
-
-
-def attribute(parent_src: Path, seeds: tuple[int, ...], rounds: int) -> dict:
-    """Median microseconds of each stage per geometry and side, one list
-    entry per seed; both sides must find the same mappings and spaces."""
-    sides = {"parent": load_package(parent_src, "doilyspace_parent"),
-             "change": load_package(ROOT / "src", "doilyspace")}
-    geos = {side: geometries(ds) for side, ds in sides.items()}
-    result = {stage: {side: {name: [] for name in GEOMETRIES} for side in sides}
-              for stage in (*STAGES, "total")}
-    for seed in seeds:
-        rng = random.Random(seed)
-        samples = {side: {name: [] for name in GEOMETRIES} for side in sides}
-        for r in range(rounds):
-            for name in GEOMETRIES:
-                n = geos["change"][name].point_count
-                perm = rng.sample(range(n), n)
-                found = {}
-                for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-                    stages, found[side] = relabel_stages(sides[side], geos[side][name], perm)
-                    samples[side][name].append(stages)
-                if found["parent"] != found["change"] or not found["change"][1]:
-                    raise SystemExit(f"the two sides disagree on {name} under seed {seed}")
-        for side, by_name in samples.items():
-            for name, rows in by_name.items():
-                for k, stage in enumerate((*STAGES, "total")):
-                    values = [sum(row) if stage == "total" else row[k] for row in rows]
-                    result[stage][side][name].append(round(statistics.median(values) * 1e6, 1))
-    return result
+def attribute(trees: dict[str, Path], seeds: list[int]) -> dict:
+    """Median microseconds of relabel_search's operation per geometry and
+    side, one list entry per seed, and the change's median relative step."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    us: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
+    for i, seed in enumerate(seeds):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            out = subprocess.run([sys.executable, "-c", ATTRIBUTION_CODE, str(seed),
+                                  str(ATTRIBUTION_ROUNDS)], cwd=trees[side], env=env,
+                                 check=True, capture_output=True, text=True).stdout
+            for name, seconds in json.loads(out).items():
+                us[side].setdefault(name, []).append(round(seconds * 1e6, 1))
+    return {name: {"parent_us": us["parent"][name], "change_us": us["change"][name],
+                   "change_vs_parent": round(statistics.median(
+                       c / p - 1 for p, c in zip(us["parent"][name], us["change"][name])), 4)}
+            for name in us["change"]}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="repeatable; all three by default")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=36)
-    parser.add_argument("--first-seed", type=int, default=21101,
-                        help="workload k runs seeds first + 100 k, first + 100 k + 1, ...")
+    parser.add_argument("--first-seed", required=True, type=int,
+                        help="workload k runs seeds first + 100 k, first + 100 k + 1, ...; "
+                             "the attribution runs first + 300, first + 301, ...")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
@@ -213,7 +176,7 @@ def main(argv=None) -> int:
             "command": "python3 tools/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None
                                                                   else argv),
             "run_command": "PYTHONDONTWRITEBYTECODE=1 python3 benchmarks/run.py --workload <W> "
-                           f"--seed <S> --seconds {args.seconds} --trace 0",
+                           f"--seed <S> --seconds {seconds} --trace 0",
             "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
                     f"Python {platform.python_version()}; times are rescaled to the "
                     "reference host speed by the harness",
@@ -225,21 +188,20 @@ def main(argv=None) -> int:
                          "/ parent median; lower is better for every metric",
             "workloads": {},
         }
-        for k, workload in enumerate(args.workload or WORKLOADS):
-            seeds = [args.first_seed + 100 * k + i for i in range(args.pairs)]
+        for k, workload in enumerate(WORKLOADS):
+            seeds = [args.first_seed + 100 * k + i for i in range(PAIRS)]
             report["workloads"][workload] = measure_workload(
-                trees, workload, seeds, args.seconds, bounds)
-        report["in_process_attribution"] = {
-            "what": "median microseconds of each stage of the relabel-and-search operation "
-                    "(from_lines of a seeded relabelling h of geometry g, find_isomorphism(h, "
-                    "g), is_isomorphism, check_gamma_space(h), and build_veldkamp_space(h) on "
-                    f"at most {VELDKAMP_MAX_POINTS} points) and of their total, per geometry; "
-                    f"{ATTRIBUTION_ROUNDS} rounds over the six geometries per seed, both "
-                    "packages in one process, the side toggled per round; one list entry per "
-                    "seed; both sides found the same mappings (key order included), "
-                    "hyperplanes and Veldkamp lines",
-            "seeds": list(ATTRIBUTION_SEEDS),
-            "stages_us": attribute(parent_tree / "src", ATTRIBUTION_SEEDS, ATTRIBUTION_ROUNDS),
+                trees, workload, seeds, seconds, bounds)
+        seeds = [args.first_seed + 300 + i for i in range(ATTRIBUTION_SEEDS)]
+        report["attribution"] = {
+            "what": "median microseconds of relabel_search's operation (RelabelSearch."
+                    "relabel_ok, imported from each tree's benchmarks/run.py) per geometry, "
+                    f"over the operations of {ATTRIBUTION_ROUNDS} seeded rounds of the "
+                    "workload after one untimed round, unscaled; one process per side and "
+                    "seed, the sides alternating which runs first; one list entry per seed; "
+                    "change_vs_parent is the median over seeds of change / parent - 1",
+            "seeds": seeds,
+            "geometries": attribute(trees, seeds),
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
