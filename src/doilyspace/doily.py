@@ -142,7 +142,7 @@ def classify_hyperplane(mask: int) -> DoilyHyperplane:
     classified structurally and certified when built; any other mask in
     range goes through the structural classification, which rejects it.
     """
-    if not isinstance(mask, int):
+    if type(mask) is not int:
         raise TypeError(f"subset must be an int mask, got {type(mask).__name__}")
     h = _classify_table().get(mask)
     if h is not None:

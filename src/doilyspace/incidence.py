@@ -31,6 +31,8 @@ class CapacityError(ValueError):
 def mask_of(points: Iterable[int]) -> int:
     m = 0
     for p in points:
+        if type(p) is not int:
+            raise TypeError(f"point index must be an int, got {type(p).__name__}")
         if p < 0:
             raise ValueError(f"point index {p} is negative")
         m |= 1 << p
@@ -68,9 +70,12 @@ def _check_index(g: IncidenceStructure, p: int) -> None:
 class IncidenceStructure:
     """Points 0..point_count-1 together with lines given as frozensets of points.
 
-    The constructor validates the lines and builds the tables the checks
-    read: ``full_mask``, ``line_masks``, ``lines_through``, ``perp_masks``
-    and ``partial_linear``.  Only searches build the two search profiles.
+    The constructor and ``from_lines`` share one builder, which checks each
+    line's size and range and builds the tables the checks read in the same
+    loop: ``full_mask``, ``line_masks``, ``lines_through``, ``perp_masks``
+    and ``partial_linear``.  The constructor first checks that each line is
+    a frozenset and that no line repeats; ``from_lines`` makes its lines so.
+    Only searches build the two search profiles.
 
     Two structures are equal when their point counts, lines (in order) and
     labels are.  Lines and labels are stored as tuples, whatever sequence
@@ -78,34 +83,40 @@ class IncidenceStructure:
 
     def __init__(self, point_count: int, lines: Iterable[frozenset[int]],
                  labels: Iterable[str] | None = None) -> None:
+        lines = tuple(lines)
+        for line in lines:
+            if not isinstance(line, frozenset):
+                raise TypeError(f"line {line!r} is not a frozenset; build the structure from "
+                                "point sequences with IncidenceStructure.from_lines")
+        if len(set(lines)) != len(lines):
+            raise ValueError("repeated lines are not allowed")
+        self._build(point_count, lines, [tuple(sorted(line)) for line in lines], labels)
+
+    def _build(self, point_count: int, lines: tuple[frozenset[int], ...],
+               points: list[tuple[int, ...]], labels: Iterable[str] | None) -> None:
+        """Check the point count, the labels and, in the loop that builds the
+        tables, each line's size and range; points[i] is sorted(lines[i])."""
         if type(point_count) is not int or point_count < 0:
             raise ValueError(f"point count {point_count!r} is not a non-negative int")
-        lines = tuple(lines)
-        labels = None if labels is None else tuple(labels)
         line_masks = []
         through: list[list[int]] = [[] for _ in range(point_count)]
         perps = [1 << p for p in range(point_count)]
         line_pairs = 0  # ordered pairs of distinct points of a line, summed over the lines
-        for idx, line in enumerate(lines):
-            if not isinstance(line, frozenset):
-                raise TypeError(f"line {line!r} is not a frozenset; build the structure from "
-                                "point sequences with IncidenceStructure.from_lines")
-            size = len(line)
+        for idx, t in enumerate(points):
+            size = len(t)
             if size < 2:
-                raise ValueError(f"line {set(line)} has fewer than 2 points")
-            if min(line) < 0 or max(line) >= point_count:
-                raise ValueError(f"line {set(line)} has out-of-range points")
+                raise ValueError(f"line {set(lines[idx])} has fewer than 2 points")
+            if t[0] < 0 or t[-1] >= point_count:
+                raise ValueError(f"line {set(lines[idx])} has out-of-range points")
             m = 0
-            for p in line:
+            for p in t:
                 m |= 1 << p
                 through[p].append(idx)
-            for p in line:
+            for p in t:
                 perps[p] |= m
             line_masks.append(m)
             line_pairs += size * (size - 1)
-        # distinct frozensets of non-negative ints have distinct masks
-        if len(set(line_masks)) != len(lines):
-            raise ValueError("repeated lines are not allowed")
+        labels = None if labels is None else tuple(labels)
         if labels is not None and len(labels) != point_count:
             raise ValueError("labels must match the point count")
         self.point_count = point_count
@@ -137,15 +148,20 @@ class IncidenceStructure:
                    labels: Iterable[str] | None = None) -> IncidenceStructure:
         """Build a structure with the lines deduplicated and canonically ordered.
 
-        A line that names a point twice is rejected, not shortened."""
-        canon = set()
+        A line that names a point twice is rejected, not shortened.  Of equal
+        lines the first is kept, and the lines are ordered by their ascending
+        point tuples."""
+        canon: dict[tuple[int, ...], frozenset[int]] = {}
         for line in lines:
             points = tuple(line)
             unique = frozenset(points)
             if len(unique) != len(points):
                 raise ValueError(f"line {list(points)} names a point twice")
-            canon.add(unique)
-        return cls(point_count, tuple(sorted(canon, key=sorted)), labels)
+            canon.setdefault(tuple(sorted(points)), unique)
+        keys = sorted(canon)
+        g = cls.__new__(cls)
+        g._build(point_count, tuple([canon[k] for k in keys]), keys, labels)
+        return g
 
     @cached_property
     def search_profile(self) -> tuple:
@@ -189,7 +205,7 @@ def collinear(g: IncidenceStructure, p: int, q: int) -> bool:
 def is_geometric_hyperplane(g: IncidenceStructure, m: int) -> bool:
     """The point mask m lies inside the point set, with every line contained
     in it or met once."""
-    if not isinstance(m, int):
+    if type(m) is not int:
         raise TypeError(f"subset must be an int mask, got {type(m).__name__}")
     if m & ~g.full_mask:  # also true of every negative mask
         return False
@@ -242,7 +258,8 @@ def null_space_hyperplanes(g: IncidenceStructure) -> list[int]:
     complement in an even number, so the hyperplanes are the complements of
     the nonzero vectors of the GF(2) null space of the line-by-point
     incidence matrix.  Returns the same list as ``enumerate_hyperplanes``,
-    in ascending order, with each mask verified by ``is_geometric_hyperplane``.
+    in ascending order, after checking every mask on every line at once,
+    bit-sliced; a mask that fails raises ValueError naming the smallest.
     """
     if any(len(line) != 3 for line in g.lines):
         raise ValueError("null-space hyperplane enumeration requires 3 points per line")
@@ -278,11 +295,30 @@ def null_space_hyperplanes(g: IncidenceStructure) -> list[int]:
         null_vectors += [v ^ basis for v in null_vectors]
     # v = 0 gives the full point set; v = full, possible only without lines, the empty set
     masks = sorted(g.full_mask ^ v for v in null_vectors if v and v != g.full_mask)
-    for m in masks:
-        if not is_geometric_hyperplane(g, m):
-            raise ValueError(f"mask {m} is not a geometric hyperplane of the "
-                             f"{g.point_count}-point geometry")
+    _require_hyperplanes(g, masks)
     return masks
+
+
+def _require_hyperplanes(g: IncidenceStructure, masks: list[int]) -> None:
+    """Raise ValueError naming the first of the masks, each inside the point
+    set, that some line (of 3 points) meets in 0 or 2 points.  With bit j of
+    column p set when masks[j] holds p, the masks met in 1 or 3 points are
+    the set bits of the XOR of the line's three columns."""
+    if not masks:
+        return
+    # blocks "0b1" + a mask's n bits, highest point first, the last mask
+    # first: column p takes the (n - 1 - p)-th bit of every block
+    n = g.point_count
+    step = n + 3
+    rows = "".join([bin(m | 1 << n) for m in reversed(masks)])
+    columns = [int(rows[k::step], 2) for k in range(step - 1, 2, -1)]
+    ok = every = (1 << len(masks)) - 1
+    for a, b, c in g.lines:
+        ok &= columns[a] ^ columns[b] ^ columns[c]
+    failed = every & ~ok
+    if failed:
+        m = masks[(failed & -failed).bit_length() - 1]
+        raise ValueError(f"mask {m} is not a geometric hyperplane of the {n}-point geometry")
 
 
 def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:

@@ -149,8 +149,8 @@ def test_classify_names_bad_input():
 
 @pytest.mark.parametrize("subset", [
     {(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)}, set(points_of(ovoid(1).mask)),
-    list(points_of(grid(1, 2, 3).mask)), [], ovoid(1).mask * 1.0,
-], ids=["duad set", "index set", "index list", "empty list", "float"])
+    list(points_of(grid(1, 2, 3).mask)), [], ovoid(1).mask * 1.0, True, False,
+], ids=["duad set", "index set", "index list", "empty list", "float", "True", "False"])
 def test_classify_takes_int_masks_only(subset):
     message = f"^subset must be an int mask, got {type(subset).__name__}$"
     with pytest.raises(TypeError, match=message):

@@ -136,8 +136,8 @@ def test_is_geometric_hyperplane():
 
 @pytest.mark.parametrize("subset", [
     [DUAD_INDEX[(1, j)] for j in range(2, 7)], {DUAD_INDEX[(1, j)] for j in range(2, 7)},
-    frozenset(), (0, 1),
-], ids=["list", "set", "frozenset", "tuple"])
+    frozenset(), (0, 1), True, False,
+], ids=["list", "set", "frozenset", "tuple", "True", "False"])
 def test_is_geometric_hyperplane_takes_int_masks_only(subset):
     message = f"^subset must be an int mask, got {type(subset).__name__}$"
     with pytest.raises(TypeError, match=message):
@@ -158,6 +158,13 @@ def test_negative_point_indices_are_named():
         mask_of([-1])
     with pytest.raises(ValueError, match="^point index -3 is negative$"):
         mask_of([2, -3])
+
+
+@pytest.mark.parametrize("p", [True, 1.0])
+def test_mask_of_rejects_a_non_int_point(p):
+    # True is not read as point 1
+    with pytest.raises(TypeError, match=rf"^point index must be an int, got {type(p).__name__}$"):
+        mask_of([2, p])
 
 
 def test_enumerate_hyperplanes_doily():
@@ -258,24 +265,61 @@ def test_hyperplane_census_is_invariant_under_relabelling(name, data):
         assert Counter(h.bit_count() for h in hyperplanes) == sizes
 
 
-def test_null_space_self_check_rejects_non_hyperplanes(monkeypatch):
-    # the null space only yields hyperplanes, so the check is forced to fail
-    # on o_1; every mask is checked, and the first failure is named
+def test_null_space_self_check_rejects_non_hyperplanes():
+    # called directly, the check names the smallest mask that some line meets
+    # in 0 or 2 points; moving one point in or out breaks the 3 lines through it
     g = build_doily()
-    rejected = {ovoid(1).mask}
+    masks = null_space_hyperplanes(g)
+    assert incidence._require_hyperplanes(g, masks) is None
+    for k in (0, 17, 30):
+        corrupted = sorted(masks[:k] + [masks[k] ^ 1 << 4] + masks[k + 1:])
+        with pytest.raises(ValueError, match=f"^mask {masks[k] ^ 1 << 4} is not a geometric "
+                                             "hyperplane of the 15-point geometry$"):
+            incidence._require_hyperplanes(g, corrupted)
+    two = sorted(masks[1:-1] + [masks[0] ^ 1 << 4, masks[-1] ^ 1])
+    with pytest.raises(ValueError, match=f"^mask {min(masks[0] ^ 1 << 4, masks[-1] ^ 1)} "):
+        incidence._require_hyperplanes(g, two)
+
+
+def test_null_space_hands_every_mask_to_the_self_check(monkeypatch):
+    g = build_doily()
     checked = []
+    original = incidence._require_hyperplanes
+    monkeypatch.setattr(incidence, "_require_hyperplanes",
+                        lambda geometry, masks: checked.append((geometry, list(masks)))
+                        or original(geometry, masks))
+    found = null_space_hyperplanes(g)
+    assert checked == [(g, found)] and len(found) == 31
 
-    def check(geometry, mask):
-        checked.append(mask)
-        return mask not in rejected
 
-    monkeypatch.setattr(incidence, "is_geometric_hyperplane", check)
-    with pytest.raises(ValueError, match=f"^mask {ovoid(1).mask} is not a geometric "
-                                         "hyperplane of the 15-point geometry$"):
-        null_space_hyperplanes(g)
-    rejected.clear()
-    checked.clear()
-    assert null_space_hyperplanes(g) == checked and len(checked) == 31
+@st.composite
+def _three_point_geometries(draw):
+    n = draw(st.integers(3, 9))
+    triples = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3, max_size=3),
+                            max_size=12))
+    return IncidenceStructure.from_lines(n, triples)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_three_point_geometries(), data=st.data())
+def test_null_space_self_check_agrees_with_the_hyperplane_predicate(g, data):
+    masks = data.draw(st.lists(st.integers(0, g.full_mask), unique=True, max_size=8))
+    for m in masks:
+        try:
+            incidence._require_hyperplanes(g, [m])
+        except ValueError as e:
+            assert not is_geometric_hyperplane(g, m)
+            assert str(e) == (f"mask {m} is not a geometric hyperplane of the "
+                              f"{g.point_count}-point geometry")
+        else:
+            assert is_geometric_hyperplane(g, m)
+    masks.sort()
+    failing = [m for m in masks if not is_geometric_hyperplane(g, m)]
+    if failing:
+        with pytest.raises(ValueError, match=f"^mask {failing[0]} "):
+            incidence._require_hyperplanes(g, masks)
+    else:
+        incidence._require_hyperplanes(g, masks)
 
 
 def test_deep_points():

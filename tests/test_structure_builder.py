@@ -1,0 +1,186 @@
+"""The constructor and ``from_lines`` share one table builder; both must agree
+with a reference copy of the two-pass code they replaced: the constructor
+validated each line again after ``from_lines`` had made it canonical, and
+built the tables in that second loop.  They must agree on the lines, their
+order, the tables, and on the exception raised for each single-fault input.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from doilyspace.incidence import IncidenceStructure
+
+FIELDS = ("point_count", "labels", "full_mask", "line_masks", "lines_through", "perp_masks",
+          "partial_linear")
+
+
+class Reference:
+    """The tables as the two-pass constructor built them."""
+
+    def __init__(self, point_count, lines, labels=None):
+        if type(point_count) is not int or point_count < 0:
+            raise ValueError(f"point count {point_count!r} is not a non-negative int")
+        lines = tuple(lines)
+        labels = None if labels is None else tuple(labels)
+        line_masks = []
+        through = [[] for _ in range(point_count)]
+        perps = [1 << p for p in range(point_count)]
+        line_pairs = 0
+        for idx, line in enumerate(lines):
+            if not isinstance(line, frozenset):
+                raise TypeError(f"line {line!r} is not a frozenset; build the structure from "
+                                "point sequences with IncidenceStructure.from_lines")
+            size = len(line)
+            if size < 2:
+                raise ValueError(f"line {set(line)} has fewer than 2 points")
+            if min(line) < 0 or max(line) >= point_count:
+                raise ValueError(f"line {set(line)} has out-of-range points")
+            m = 0
+            for p in line:
+                m |= 1 << p
+                through[p].append(idx)
+            for p in line:
+                perps[p] |= m
+            line_masks.append(m)
+            line_pairs += size * (size - 1)
+        if len(set(line_masks)) != len(lines):
+            raise ValueError("repeated lines are not allowed")
+        if labels is not None and len(labels) != point_count:
+            raise ValueError("labels must match the point count")
+        self.point_count = point_count
+        self.lines = lines
+        self.labels = labels
+        self.full_mask = (1 << point_count) - 1
+        self.line_masks = tuple(line_masks)
+        self.lines_through = tuple(map(tuple, through))
+        self.perp_masks = tuple(perps)
+        self.partial_linear = sum(m.bit_count() for m in perps) - point_count == line_pairs
+
+    @classmethod
+    def from_lines(cls, point_count, lines, labels=None):
+        canon = set()
+        for line in lines:
+            points = tuple(line)
+            unique = frozenset(points)
+            if len(unique) != len(points):
+                raise ValueError(f"line {list(points)} names a point twice")
+            canon.add(unique)
+        return cls(point_count, tuple(sorted(canon, key=sorted)), labels)
+
+
+def outcome(build, *args):
+    """The built tables, or the type and message of the exception raised.
+    The lines are compared by repr, which tells which of two equal lines
+    was kept (``frozenset({0, True, 2})`` is not spelled as
+    ``frozenset({0, 1, 2})``)."""
+    try:
+        g = build(*args)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+    return repr(g.lines), tuple(getattr(g, name) for name in FIELDS)
+
+
+@st.composite
+def valid_inputs(draw):
+    """A point count, at least one distinct line of 2 to 4 points in range,
+    and labels or None."""
+    n = draw(st.integers(2, 8))
+    lines = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=2, max_size=4),
+                          min_size=1, max_size=10, unique=True))
+    labels = draw(st.none() | st.just([f"p{k}" for k in range(n)]))
+    return n, lines, labels
+
+
+@st.composite
+def point_sequences(draw, lines):
+    """Each line as a list in a drawn order."""
+    return [draw(st.permutations(sorted(line))) for line in lines]
+
+
+FROM_LINES_FAULTS = ("repeated point", "short line", "negative point", "point past the end",
+                     "bad point count", "wrong label length")
+CONSTRUCTOR_FAULTS = FROM_LINES_FAULTS[1:] + ("non-frozenset line", "repeated line")
+
+
+def inject(draw, fault, n, lines, labels):
+    """The input with exactly one fault; lines are lists of points."""
+    lines = [list(line) for line in lines]
+    k = draw(st.integers(0, len(lines) - 1))
+    if fault == "repeated point":
+        lines[k].insert(draw(st.integers(0, len(lines[k]))), draw(st.sampled_from(lines[k])))
+    elif fault == "short line":
+        lines[k] = lines[k][:draw(st.integers(0, 1))]
+    elif fault in ("negative point", "point past the end"):
+        bad = -draw(st.integers(1, 3)) if fault == "negative point" else n + draw(
+            st.integers(0, 3))
+        lines[k][draw(st.integers(0, len(lines[k]) - 1))] = bad
+    elif fault == "bad point count":
+        n = draw(st.sampled_from([-1, 2.5, "3", None, True]))
+    elif fault == "wrong label length":
+        labels = [f"p{j}" for j in range(n + draw(st.sampled_from([-1, 1])))]
+    return n, lines, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid=valid_inputs(), data=st.data())
+def test_from_lines_agrees_with_the_two_pass_reference(valid, data):
+    n, lines, labels = valid
+    fault = data.draw(st.sampled_from((None,) + FROM_LINES_FAULTS))
+    if fault is not None:
+        n, lines, labels = inject(data.draw, fault, n, lines, labels)
+    sequences = data.draw(point_sequences(lines)) if fault != "repeated point" else lines
+    # a line may come twice, as a list in another order
+    sequences += data.draw(st.lists(st.sampled_from(sequences), max_size=3))
+    new = outcome(IncidenceStructure.from_lines, n, sequences, labels)
+    assert new == outcome(Reference.from_lines, n, sequences, labels)
+    assert (fault is None) == (not isinstance(new[0], type))
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid=valid_inputs(), data=st.data())
+def test_the_constructor_agrees_with_the_two_pass_reference(valid, data):
+    n, lines, labels = valid
+    fault = data.draw(st.sampled_from((None,) + CONSTRUCTOR_FAULTS))
+    if fault is not None:
+        n, lines, labels = inject(data.draw, fault, n, lines, labels)
+    lines = [frozenset(line) for line in lines]
+    k = data.draw(st.integers(0, len(lines) - 1))
+    if fault == "non-frozenset line":
+        lines[k] = data.draw(st.sampled_from([tuple, list, set]))(sorted(lines[k]))
+    elif fault == "repeated line":
+        lines.insert(data.draw(st.integers(0, len(lines))), frozenset(sorted(lines[k])))
+    new = outcome(IncidenceStructure, n, lines, labels)
+    assert new == outcome(Reference, n, lines, labels)
+    assert (fault is None) == (not isinstance(new[0], type))
+
+
+@pytest.mark.parametrize("lines, kept", [
+    ([[0, True, 2], [0, 1, 2]], "frozenset({0, True, 2})"),
+    ([[0, 1, 2], [2, True, 0]], "frozenset({0, 1, 2})"),
+])
+def test_the_first_of_two_equal_lines_is_kept(lines, kept):
+    g = IncidenceStructure.from_lines(3, lines)
+    assert repr(g.lines) == f"({kept},)"
+    assert outcome(IncidenceStructure.from_lines, 3, lines) == outcome(
+        Reference.from_lines, 3, lines)
+
+
+def test_a_short_line_is_named_before_its_range():
+    # one line with both faults, where the random inputs hold only one
+    lines = [[0, 1], [-1]]
+    assert outcome(IncidenceStructure.from_lines, 3, lines) == (
+        ValueError, "line {-1} has fewer than 2 points")
+    assert outcome(Reference.from_lines, 3, lines) == outcome(
+        IncidenceStructure.from_lines, 3, lines)
+    frozen = [frozenset(line) for line in lines]
+    assert outcome(IncidenceStructure, 3, frozen) == outcome(Reference, 3, frozen)
+
+
+def test_the_constructor_checks_types_and_repeats_before_the_builder():
+    # where faults compete, every line's type and then the repeats come first;
+    # the two-pass code met them line by line after the point count
+    with pytest.raises(ValueError, match="^repeated lines are not allowed$"):
+        IncidenceStructure(-1, [frozenset({0, 5})] * 2)
+    with pytest.raises(TypeError, match=r"^line \(1, 2\) is not a frozenset"):
+        IncidenceStructure(-1, [frozenset({0, 7}), (1, 2)])

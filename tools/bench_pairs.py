@@ -10,7 +10,8 @@ pairs the change won and a verdict against the bound that
 ``BENCHMARK.json`` fixes.  Then places the saving per geometry: a process
 in each tree imports that tree's ``RelabelSearch`` from
 ``benchmarks/run.py`` and times its operation, ``relabel_ok``, on the
-operations of seeded rounds, the two sides alternating per seed.  The
+operations of seeded rounds, the two sides alternating per seed, and counts
+the rounds in which each geometry holds the round's median rank.  The
 parent tree is ``git archive <rev>``, extracted into a temporary directory;
 the change is this checkout as it stands.  Every seed is drawn from
 ``--first-seed``, so each comparison can run on seeds not used before.
@@ -35,8 +36,10 @@ PAIRS = 10
 ATTRIBUTION_SEEDS = 6
 ATTRIBUTION_ROUNDS = 300
 # run in a tree: the median seconds of relabel_search's operation per
-# geometry, over the operations of seeded rounds of the harness's workload;
-# the first round warms the process and is not timed
+# geometry, over the operations of seeded rounds of the harness's workload,
+# and how many rounds each geometry held the round's median rank (the 6th
+# fastest of its 11 operations); the first round warms the process and is
+# not timed
 ATTRIBUTION_CODE = """\
 import json, random, statistics, sys, time
 sys.path.insert(0, "benchmarks")
@@ -45,15 +48,21 @@ seed, rounds = int(sys.argv[1]), int(sys.argv[2])
 workload = run.RelabelSearch()
 rng = random.Random(seed)
 times = {name: [] for name in workload.geometries}
+median_rank = dict.fromkeys(workload.geometries, 0)
 for r in range(rounds + 1):
+    ranked = []
     for name, perm in workload.round(rng):
         t0 = time.perf_counter()
         ok = workload.relabel_ok(name, perm)
-        if r:
-            times[name].append(time.perf_counter() - t0)
+        ranked.append((time.perf_counter() - t0, name))
         if not ok:
             sys.exit(f"{name} not recovered under seed {seed}")
-print(json.dumps({name: statistics.median(ts) for name, ts in times.items()}))
+    if r:
+        for t, name in ranked:
+            times[name].append(t)
+        median_rank[sorted(ranked)[len(ranked) // 2][1]] += 1
+print(json.dumps({"median_s": {name: statistics.median(ts) for name, ts in times.items()},
+                  "median_rank": median_rank}))
 """
 
 
@@ -138,19 +147,26 @@ def measure_workload(trees: dict[str, Path], workload: str, seeds: list[int], se
 
 def attribute(trees: dict[str, Path], seeds: list[int]) -> dict:
     """Median microseconds of relabel_search's operation per geometry and
-    side, one list entry per seed, and the change's median relative step."""
+    side, one list entry per seed, the change's median relative step, and
+    per side the rounds in which the geometry held the median rank, summed
+    over the seeds."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     us: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
+    ranks: dict[str, dict[str, int]] = {side: {} for side in trees}
     for i, seed in enumerate(seeds):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            out = subprocess.run([sys.executable, "-c", ATTRIBUTION_CODE, str(seed),
-                                  str(ATTRIBUTION_ROUNDS)], cwd=trees[side], env=env,
-                                 check=True, capture_output=True, text=True).stdout
-            for name, seconds in json.loads(out).items():
+            out = json.loads(subprocess.run(
+                [sys.executable, "-c", ATTRIBUTION_CODE, str(seed), str(ATTRIBUTION_ROUNDS)],
+                cwd=trees[side], env=env, check=True, capture_output=True, text=True).stdout)
+            for name, seconds in out["median_s"].items():
                 us[side].setdefault(name, []).append(round(seconds * 1e6, 1))
+            for name, rounds in out["median_rank"].items():
+                ranks[side][name] = ranks[side].get(name, 0) + rounds
     return {name: {"parent_us": us["parent"][name], "change_us": us["change"][name],
                    "change_vs_parent": round(statistics.median(
-                       c / p - 1 for p, c in zip(us["parent"][name], us["change"][name])), 4)}
+                       c / p - 1 for p, c in zip(us["parent"][name], us["change"][name])), 4),
+                   "parent_median_rank_rounds": ranks["parent"][name],
+                   "change_median_rank_rounds": ranks["change"][name]}
             for name in us["change"]}
 
 
@@ -199,7 +215,10 @@ def main(argv=None) -> int:
                     f"over the operations of {ATTRIBUTION_ROUNDS} seeded rounds of the "
                     "workload after one untimed round, unscaled; one process per side and "
                     "seed, the sides alternating which runs first; one list entry per seed; "
-                    "change_vs_parent is the median over seeds of change / parent - 1",
+                    "change_vs_parent is the median over seeds of change / parent - 1; "
+                    "*_median_rank_rounds counts, over all seeds, the rounds in which the "
+                    "geometry's operation was the 6th fastest of the round's 11, the rank "
+                    "the workload's op_p50_s falls on",
             "seeds": seeds,
             "geometries": attribute(trees, seeds),
         }
