@@ -15,6 +15,8 @@ from itertools import combinations
 
 from .incidence import (
     IncidenceStructure,
+    _check_mask,
+    _check_point,
     collinear,
     deep_points_mask,
     is_geometric_hyperplane,
@@ -91,16 +93,23 @@ class DoilyHyperplane:
         return self.name
 
 
+def _in_s(*labels: int) -> bool:
+    """Whether every label is in S; one that is not an int, or is a bool, raises TypeError."""
+    for i in labels:
+        _check_point(i, name="S element")
+    return S_SET.issuperset(labels)
+
+
 def ovoid(i: int) -> DoilyHyperplane:
     """The five duads containing i."""
-    if i not in S_SET:
+    if not _in_s(i):
         raise ValueError(f"ovoid label must be in 1..6: {i}")
     return _named_table()[OVOID, (i,)]
 
 
 def perp_set(i: int, j: int) -> DoilyHyperplane:
     """The duad {i,j} together with the six duads avoiding both i and j."""
-    if i not in S_SET or j not in S_SET:
+    if not _in_s(i, j):
         raise ValueError(f"perp-set labels must be in 1..6: {i}, {j}")
     if i == j:
         raise ValueError("perp-set needs two distinct labels")
@@ -113,8 +122,7 @@ def grid(i: int, j: int, k: int) -> DoilyHyperplane:
     grid(i,j,k) equals grid(l,m,n) for the complementary triple; the
     canonical index is the triple containing 1.
     """
-    triple = {i, j, k}
-    if len(triple) != 3 or not triple <= S_SET:
+    if not _in_s(i, j, k) or len(triple := {i, j, k}) != 3:
         raise ValueError(f"grid needs three distinct labels in 1..6: {i}, {j}, {k}")
     canon = triple if 1 in triple else S_SET - triple
     return _named_table()[GRID, tuple(sorted(canon))]
@@ -142,13 +150,10 @@ def classify_hyperplane(mask: int) -> DoilyHyperplane:
     classified structurally and certified when built; any other mask in
     range goes through the structural classification, which rejects it.
     """
-    if type(mask) is not int:
-        raise TypeError(f"subset must be an int mask, got {type(mask).__name__}")
-    h = _classify_table().get(mask)
+    h = _classify_table().get(mask) if type(mask) is int else None
     if h is not None:
         return h
-    if not 0 <= mask <= FULL_MASK:
-        raise ValueError(f"mask {mask} is outside 0..{FULL_MASK}")
+    _check_mask(mask, FULL_MASK)
     return _classify_structurally(mask)
 
 
@@ -224,23 +229,17 @@ def veldkamp_sum(h1: DoilyHyperplane, h2: DoilyHyperplane) -> DoilyHyperplane:
 
 def apply_duad_permutation(mask: int, perm: dict[int, int]) -> int:
     """Point-set image of a duad subset under a permutation of {1,...,6}."""
-    if not 0 <= mask <= FULL_MASK:
-        raise ValueError(f"mask {mask} is outside 0..{FULL_MASK}")
-    images = tuple(perm.get(i) for i in S_ELEMENTS)
-    if len(perm) != len(S_ELEMENTS) or set(images) != S_SET:
+    _check_mask(mask, FULL_MASK)
+    if not _in_s(*perm, *perm.values()) or not set(perm) == set(perm.values()) == S_SET:
         raise ValueError(f"{perm!r} is not a permutation of {{1,...,6}}")
-    point_images = _duad_point_images(images)
-    out = 0
-    for p in points_of(mask):
-        out |= point_images[p]
-    return out
+    image = _duad_images(tuple(perm[i] for i in S_ELEMENTS))
+    return mask_of(image[p] for p in points_of(mask))
 
 
 @lru_cache(maxsize=None)  # at most 720 keys: apply_duad_permutation validates them
-def _duad_point_images(images: tuple[int, ...]) -> tuple[int, ...]:
-    """The bit of each duad's image under the permutation i -> images[i - 1]."""
-    return tuple(1 << DUAD_INDEX[tuple(sorted((images[i - 1], images[j - 1])))]
-                 for i, j in DUADS)
+def _duad_images(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The point index of each duad's image under the permutation i -> images[i - 1]."""
+    return tuple(DUAD_INDEX[tuple(sorted((images[i - 1], images[j - 1])))] for i, j in DUADS)
 
 
 def all_named_hyperplanes() -> tuple[DoilyHyperplane, ...]:

@@ -28,11 +28,26 @@ class CapacityError(ValueError):
     """Raised when an exhaustive enumeration would be too large to be sensible."""
 
 
+def _check_point(p: int, n: int | None = None, name: str = "point index") -> None:
+    """TypeError unless p is an int, not a bool; IndexError unless 0 <= p < n, if n is given."""
+    if type(p) is not int:
+        raise TypeError(f"{name} must be an int, got {type(p).__name__}")
+    if n is not None and not 0 <= p < n:
+        raise IndexError(f"{name} {p} out of range (0..{n - 1})")
+
+
+def _check_mask(m: int, full_mask: int | None = None) -> None:
+    """TypeError unless m is an int, not a bool; ValueError if it has a bit outside full_mask."""
+    if type(m) is not int:
+        raise TypeError(f"subset must be an int mask, got {type(m).__name__}")
+    if full_mask is not None and m & ~full_mask:
+        raise ValueError(f"mask {m} is outside 0..{full_mask}")
+
+
 def mask_of(points: Iterable[int]) -> int:
     m = 0
     for p in points:
-        if type(p) is not int:
-            raise TypeError(f"point index must be an int, got {type(p).__name__}")
+        _check_point(p)
         if p < 0:
             raise ValueError(f"point index {p} is negative")
         m |= 1 << p
@@ -41,6 +56,7 @@ def mask_of(points: Iterable[int]) -> int:
 
 def points_of(mask: int) -> tuple[int, ...]:
     """Indices of the set bits, ascending; the cost is the popcount."""
+    _check_mask(mask)
     if mask < 0:
         raise ValueError(f"mask {mask} is negative")
     out = []
@@ -60,22 +76,16 @@ def veldkamp_sum_mask(full_mask: int, m1: int, m2: int) -> int:
     return full_mask ^ m1 ^ m2
 
 
-def _check_index(g: IncidenceStructure, p: int) -> None:
-    if type(p) is not int:
-        raise TypeError(f"point index must be an int, got {type(p).__name__}")
-    if not 0 <= p < g.point_count:
-        raise IndexError(f"point index {p} out of range (0..{g.point_count - 1})")
-
-
 class IncidenceStructure:
     """Points 0..point_count-1 together with lines given as frozensets of points.
 
     The constructor and ``from_lines`` share one builder, which checks each
     line's size and range and builds the tables the checks read in the same
     loop: ``full_mask``, ``line_masks``, ``lines_through``, ``perp_masks``
-    and ``partial_linear``.  The constructor first checks that each line is
-    a frozenset and that no line repeats; ``from_lines`` makes its lines so.
-    Only searches build the two search profiles.
+    and ``partial_linear``.  Both first check that each point is an int, not
+    a bool, before any sort; the constructor also that each line is a frozenset
+    and that no line repeats, which ``from_lines`` makes so.  Only searches
+    build the two search profiles.
 
     Two structures are equal when their point counts, lines (in order) and
     labels are.  Lines and labels are stored as tuples, whatever sequence
@@ -88,6 +98,8 @@ class IncidenceStructure:
             if not isinstance(line, frozenset):
                 raise TypeError(f"line {line!r} is not a frozenset; build the structure from "
                                 "point sequences with IncidenceStructure.from_lines")
+            for p in line:
+                _check_point(p)
         if len(set(lines)) != len(lines):
             raise ValueError("repeated lines are not allowed")
         self._build(point_count, lines, [tuple(sorted(line)) for line in lines], labels)
@@ -148,12 +160,14 @@ class IncidenceStructure:
                    labels: Iterable[str] | None = None) -> IncidenceStructure:
         """Build a structure with the lines deduplicated and canonically ordered.
 
-        A line that names a point twice is rejected, not shortened.  Of equal
-        lines the first is kept, and the lines are ordered by their ascending
-        point tuples."""
+        A line that names a point twice is rejected, not shortened, and the
+        lines are ordered by their ascending point tuples."""
         canon: dict[tuple[int, ...], frozenset[int]] = {}
         for line in lines:
             points = tuple(line)
+            for p in points:  # before the sort, which cannot order every bad point
+                if type(p) is not int:
+                    _check_point(p)  # raises
             unique = frozenset(points)
             if len(unique) != len(points):
                 raise ValueError(f"line {list(points)} names a point twice")
@@ -184,11 +198,11 @@ class IncidenceStructure:
         return by_inv, frozenset(self.line_masks)
 
     def degree(self, p: int) -> int:
-        _check_index(self, p)
+        _check_point(p, self.point_count)
         return len(self.lines_through[p])
 
     def label_of(self, p: int) -> str:
-        _check_index(self, p)
+        _check_point(p, self.point_count)
         return self.labels[p] if self.labels is not None else str(p)
 
     def __repr__(self) -> str:
@@ -197,16 +211,15 @@ class IncidenceStructure:
 
 def collinear(g: IncidenceStructure, p: int, q: int) -> bool:
     """True iff p equals q or some line contains both."""
-    _check_index(g, p)
-    _check_index(g, q)
+    _check_point(p, g.point_count)
+    _check_point(q, g.point_count)
     return bool((g.perp_masks[p] >> q) & 1)
 
 
 def is_geometric_hyperplane(g: IncidenceStructure, m: int) -> bool:
     """The point mask m lies inside the point set, with every line contained
     in it or met once."""
-    if type(m) is not int:
-        raise TypeError(f"subset must be an int mask, got {type(m).__name__}")
+    _check_mask(m)
     if m & ~g.full_mask:  # also true of every negative mask
         return False
     for lm in g.line_masks:
@@ -217,16 +230,9 @@ def is_geometric_hyperplane(g: IncidenceStructure, m: int) -> bool:
 
 
 def deep_points_mask(g: IncidenceStructure, mask: int) -> int:
-    """Points of the subset all of whose lines lie inside the subset."""
-    if type(mask) is not int:
-        raise TypeError(f"subset must be an int mask, got {type(mask).__name__}")
-    if mask & ~g.full_mask:  # also true of every negative mask
-        raise ValueError(f"mask {mask} is outside 0..{g.full_mask}")
-    out = 0
-    for p in points_of(mask):
-        if all(g.line_masks[idx] & ~mask == 0 for idx in g.lines_through[p]):
-            out |= 1 << p
-    return out
+    """Points of the subset all of whose lines, so whose perp, lie inside the subset."""
+    _check_mask(mask, g.full_mask)
+    return mask_of(p for p in points_of(mask) if not g.perp_masks[p] & ~mask)
 
 
 def enumerate_hyperplanes(g: IncidenceStructure) -> list[int]:
@@ -551,18 +557,15 @@ def find_isomorphism(g1: IncidenceStructure,
 
 def is_isomorphism(g1: IncidenceStructure, g2: IncidenceStructure,
                    mapping: dict[int, int]) -> bool:
-    """Independent re-check that a point bijection maps lines exactly onto lines.
-
-    A mapping value that is not an int, or is a bool, raises TypeError.
-    Each line's image is compared with g2's lines as a point mask."""
-    values = mapping.values()
-    if not set(map(type, values)) <= {int}:
-        bad = next(q for q in values if type(q) is not int)
-        raise TypeError(f"mapping value must be an int, got {type(bad).__name__}")
-    if sorted(mapping) != list(range(g1.point_count)):
-        return False
-    if sorted(values) != list(range(g2.point_count)):
-        return False
+    """Independent re-check that a point bijection maps lines exactly onto lines, each
+    line's image compared with g2's as a point mask.  A key or value that is not a point
+    of its structure raises TypeError or IndexError."""
+    for points, n, name in ((mapping.keys(), g1.point_count, "mapping key"),
+                            (mapping.values(), g2.point_count, "mapping value")):
+        if not set(map(type, points)) <= {int} or sorted(points) != list(range(n)):
+            for p in points:
+                _check_point(p, n, name)
+            return False
     bits = [1 << mapping[p] for p in range(g1.point_count)]
     images = set()
     for line in g1.lines:

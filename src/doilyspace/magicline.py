@@ -51,6 +51,7 @@ from .gf2 import (
 )
 from .incidence import (
     IncidenceStructure,
+    _check_point,
     deep_points_mask,
     find_isomorphism,
     induced_substructure,
@@ -178,10 +179,7 @@ class MagicLine:
         self.constituents = MappingProxyType({c.name: c for c in (q_plus, q_minus, cone)})
 
     def sector_of(self, w: int) -> str:
-        if type(w) is not int:
-            raise TypeError(f"point index must be an int, got {type(w).__name__}")
-        if not 0 <= w < len(self.space.points):
-            raise IndexError(f"point index {w} out of range")
+        _check_point(w, len(self.space.points))
         if w in self.core_set:
             return CORE
         for sector, constituent in self.constituents.items():

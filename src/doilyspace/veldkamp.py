@@ -20,7 +20,7 @@ from .doily import (
     build_doily,
     classify_hyperplane,
 )
-from .incidence import IncidenceStructure, null_space_hyperplanes
+from .incidence import IncidenceStructure, _check_mask, null_space_hyperplanes
 
 FAMILY_PERP_GRID_GRID = "perp-grid-grid"
 FAMILY_PERP_TRIPLE_DISJOINT = "perp-perp-perp-disjoint"
@@ -38,11 +38,11 @@ FAMILIES = (
 
 
 class VeldkampLine:
-    """Three masks, a tuple in ascending order, closed under the Veldkamp sum,
-    with one common core; null_space_hyperplanes (in build_veldkamp_space) or
-    classify_hyperplane (in classify_veldkamp_line) certifies them hyperplanes.
-    build_veldkamp_space makes its lines without the constructor, whose
-    checks hold there by construction."""
+    """Three masks inside the point set, a tuple in ascending order, closed under
+    the Veldkamp sum and so with one common core; null_space_hyperplanes (in
+    build_veldkamp_space) or classify_hyperplane (in classify_veldkamp_line) certifies
+    them hyperplanes.  build_veldkamp_space makes its lines without the constructor,
+    whose checks hold there by construction."""
 
     __slots__ = ("geometry", "members")
 
@@ -50,6 +50,8 @@ class VeldkampLine:
         members = tuple(members)
         if len(members) != 3:
             raise ValueError(f"a Veldkamp line has 3 members, got {len(members)}")
+        for m in members:
+            _check_mask(m, geometry.full_mask)
         m1, m2, m3 = members
         if not m1 < m2 < m3:
             if len({m1, m2, m3}) != 3:
@@ -57,9 +59,6 @@ class VeldkampLine:
             raise ValueError("members must be in ascending mask order")
         if geometry.full_mask ^ m1 ^ m2 != m3:  # the Veldkamp sum of m1 and m2
             raise ValueError("members are not closed under the Veldkamp sum")
-        core = m1 & m2
-        if m1 & m3 != core or m2 & m3 != core:
-            raise ValueError("pairwise intersections of the members differ")
         self.geometry = geometry
         self.members = members
 
@@ -99,8 +98,7 @@ def build_veldkamp_space(g: IncidenceStructure) -> VeldkampSpace:
     full = g.full_mask
     # each line {m1 < m2 < m3 = m1 (+) m2} comes once, from m1 and m2, in
     # order.  It skips VeldkampLine's checks, which hold by construction: the
-    # members ascend, m3 is the Veldkamp sum, and for masks inside full_mask
-    # that sum gives m1 & m3 == m2 & m3 == m1 & m2, the common core.
+    # members lie inside full_mask, ascend, and m3 is the Veldkamp sum.
     new = VeldkampLine.__new__
     lines = []
     for m1, m2 in combinations(masks, 2):

@@ -32,6 +32,22 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, choices", [
+    ([], ["{verify,export,tables}"]),
+    (["verify"], ["{doily,veldkamp,magicline,all}", "{text,structured}"]),
+    (["export"], ["{hyperbolic,elliptic,cone}", "{dot,json}"]),
+    (["tables"], ["{hyperplanes,veldkamp_lines,sector_maps}", "{text,structured}"]),
+], ids=["doilyspace", "verify", "export", "tables"])
+def test_help_exits_zero_and_names_every_choice(argv, choices, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for group in choices:
+        assert group in captured.out
+
+
 def test_verify_structured_roundtrip(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "veldkamp", "--format", "structured",

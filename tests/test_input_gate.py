@@ -1,0 +1,154 @@
+"""Every public entry point that takes a point, a mask or an element of S
+checks it through one of three shared checks: a value that is not an int, or
+is a bool, raises TypeError naming its type, and an int out of range raises
+an error naming the value and, where there is one, the range.
+
+One table: each entry point against True, 1.0, -1, frozenset({1}) and its
+first value past the range.  ``mask_of`` and ``points_of`` have no range, so
+-1 is their only int case; ``is_geometric_hyperplane`` answers False for an
+int outside the point set.  A True or a 1.0 equals a valid value (1), so
+each of them was once read as that value.
+"""
+
+import re
+
+import pytest
+
+from doilyspace.doily import (
+    apply_duad_permutation,
+    build_doily,
+    classify_hyperplane,
+    grid,
+    ovoid,
+    perp_set,
+)
+from doilyspace.incidence import (
+    IncidenceStructure,
+    collinear,
+    deep_points_mask,
+    is_geometric_hyperplane,
+    is_isomorphism,
+    mask_of,
+    points_of,
+)
+from doilyspace.magicline import build_magic_line
+from doilyspace.veldkamp import VeldkampLine
+
+DOILY = build_doily()
+NON_INTS = [(True, "bool"), (1.0, "float"), (frozenset({1}), "frozenset")]
+
+
+def _line_members() -> tuple[int, int]:
+    """Two masks that form a Veldkamp line of the doily with o_1."""
+    a, b = ovoid(1).mask, ovoid(2).mask
+    return b, DOILY.full_mask ^ a ^ b
+
+
+def _rows(name, call, type_prefix, ints):
+    """The gate cases of one entry point: each non-int raises TypeError
+    with type_prefix and its type name, and each (value, outcome) of ints
+    raises outcome = (exception type, message) or returns outcome = False."""
+    rows = [pytest.param(call, bad, (TypeError, f"{type_prefix}, got {kind}"),
+                         id=f"{name}-{kind}") for bad, kind in NON_INTS]
+    rows += [pytest.param(call, bad, outcome, id=f"{name}-{bad}") for bad, outcome in ints]
+    return rows
+
+
+def _point(name, call, n, label="point index"):
+    """Rows of an entry point that checks a point of 0..n-1."""
+    return _rows(name, call, f"{label} must be an int",
+                 [(p, (IndexError, f"{label} {p} out of range (0..{n - 1})")) for p in (-1, n)])
+
+
+def _mask(name, call, outside=None):
+    """Rows of an entry point that checks a mask of the doily's points; a
+    mask outside them raises ValueError unless outside gives the outcome."""
+    full = DOILY.full_mask
+    return _rows(name, call, "subset must be an int mask",
+                 [(m, outside if outside is not None
+                   else (ValueError, f"mask {m} is outside 0..{full}")) for m in (-1, full + 1)])
+
+
+def _s(name, call, message):
+    """Rows of an entry point that checks elements of S = {1,...,6}; message
+    gives the ValueError's text for an int i outside S."""
+    return _rows(name, call, "S element must be an int",
+                 [(i, (ValueError, message(i))) for i in (-1, 7)])
+
+
+def _identity_with(points, bad, key):
+    """The identity on points, with bad for the key 1 if key is true, else for its value."""
+    mapping = {p: p for p in points if p != 1}
+    mapping.update({bad: 1} if key else {1: bad})
+    return mapping
+
+
+S = range(1, 7)
+CASES = [
+    *_point("label_of", DOILY.label_of, 15),
+    *_point("degree", DOILY.degree, 15),
+    *_point("collinear-first", lambda p: collinear(DOILY, p, 2), 15),
+    *_point("collinear-second", lambda p: collinear(DOILY, 2, p), 15),
+    *_point("sector_of", lambda w: build_magic_line().sector_of(w), 63),
+    *_point("is_isomorphism-key", lambda p: is_isomorphism(
+        DOILY, DOILY, _identity_with(range(15), p, key=True)), 15, "mapping key"),
+    *_point("is_isomorphism-value", lambda p: is_isomorphism(
+        DOILY, DOILY, _identity_with(range(15), p, key=False)), 15, "mapping value"),
+    pytest.param(lambda _: is_isomorphism(DOILY, DOILY, {False: 0, True: 1} | {
+        p: p for p in range(2, 15)}), None, (TypeError, "mapping key must be an int, got bool"),
+        id="is_isomorphism-bool-keys"),
+    *_rows("mask_of", lambda p: mask_of([2, p]), "point index must be an int",
+           [(-1, (ValueError, "point index -1 is negative"))]),
+    *_rows("from_lines", lambda p: IncidenceStructure.from_lines(3, [[0, p, 2]]),
+           "point index must be an int",
+           [(p, (ValueError, f"line {set(frozenset({0, p, 2}))} has out-of-range points"))
+            for p in (-1, 3)]),
+    *_rows("constructor", lambda p: IncidenceStructure(3, [frozenset({0, p, 2})]),
+           "point index must be an int",
+           [(p, (ValueError, f"line {set(frozenset({0, p, 2}))} has out-of-range points"))
+            for p in (-1, 3)]),
+    *_rows("points_of", points_of, "subset must be an int mask",
+           [(-1, (ValueError, "mask -1 is negative"))]),
+    *_mask("is_geometric_hyperplane", lambda m: is_geometric_hyperplane(DOILY, m), False),
+    *_mask("deep_points_mask", lambda m: deep_points_mask(DOILY, m)),
+    *_mask("classify_hyperplane", classify_hyperplane),
+    *_mask("apply_duad_permutation-mask", lambda m: apply_duad_permutation(m, {i: i for i in S})),
+    *_mask("VeldkampLine", lambda m: VeldkampLine(DOILY, (m, *_line_members()))),
+    *_s("ovoid", ovoid, lambda i: f"ovoid label must be in 1..6: {i}"),
+    *_s("perp_set", lambda i: perp_set(i, 2),
+        lambda i: f"perp-set labels must be in 1..6: {i}, 2"),
+    *_s("grid", lambda i: grid(i, 2, 3),
+        lambda i: f"grid needs three distinct labels in 1..6: {i}, 2, 3"),
+    *_s("apply_duad_permutation-key",
+        lambda i: apply_duad_permutation(1, _identity_with(S, i, key=True)),
+        lambda i: f"{_identity_with(S, i, key=True)!r} is not a permutation of {{1,...,6}}"),
+    *_s("apply_duad_permutation-value",
+        lambda i: apply_duad_permutation(1, _identity_with(S, i, key=False)),
+        lambda i: f"{_identity_with(S, i, key=False)!r} is not a permutation of {{1,...,6}}"),
+]
+
+
+@pytest.mark.parametrize("call, bad, outcome", CASES)
+def test_bad_input_fails_loudly_and_names_itself(call, bad, outcome):
+    if outcome is False:
+        assert call(bad) is False
+        return
+    exception, message = outcome
+    with pytest.raises(exception, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_each_entry_point_still_takes_its_good_input():
+    assert DOILY.label_of(1) == "13" and DOILY.degree(14) == 3 and collinear(DOILY, 0, 14)
+    assert build_magic_line().sector_of(62) in {"core", "hyperbolic", "elliptic", "cone"}
+    assert is_isomorphism(DOILY, DOILY, {p: p for p in range(15)})
+    assert mask_of([2, 1]) == 6 and points_of(6) == (1, 2)
+    assert IncidenceStructure.from_lines(3, [[0, 1, 2]]) == IncidenceStructure(
+        3, [frozenset({0, 1, 2})])
+    assert is_geometric_hyperplane(DOILY, ovoid(1).mask) and deep_points_mask(DOILY, 0) == 0
+    assert classify_hyperplane(perp_set(1, 2).mask).name == "p_12"
+    assert apply_duad_permutation(ovoid(1).mask, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5, 6: 6}) == (
+        ovoid(2).mask)
+    assert VeldkampLine(DOILY, sorted((ovoid(1).mask, *_line_members()))).members[0] == (
+        ovoid(1).mask)
+    assert ovoid(6).name == "o_6" and grid(4, 5, 6).name == "g_123"

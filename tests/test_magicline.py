@@ -295,7 +295,7 @@ def test_doily_trace_errors_are_unchanged():
         with pytest.raises(ValueError, match=message):
             doily_trace(ml, w)
     for w in (-1, 63):
-        with pytest.raises(IndexError, match=rf"^point index {w} out of range$"):
+        with pytest.raises(IndexError, match=rf"^point index {w} out of range \(0\.\.62\)$"):
             doily_trace(ml, w)
 
 

@@ -131,9 +131,9 @@ def test_line_validation_messages():
     for members, message in cases:
         with pytest.raises(ValueError, match=message):
             VeldkampLine(g, members)
-    # within the point set the sum check implies equal intersections; a
-    # member with a bit outside it reaches the last check
-    with pytest.raises(ValueError, match="pairwise intersections of the members differ"):
+    # within the point set the sum check implies equal intersections, so a
+    # member with a bit outside it is named before the sum is checked
+    with pytest.raises(ValueError, match=r"^mask 10 is outside 0\.\.7$"):
         VeldkampLine(IncidenceStructure.from_lines(3, [[0, 1, 2]]), (0b0001, 0b1010, 0b1100))
 
 
