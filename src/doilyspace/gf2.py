@@ -61,7 +61,7 @@ class BinaryVector:
 
 def _coordinates(x: int, dim: int) -> int:
     """x itself if it is a coordinate mask (x_k at bit k - 1) of a dim-vector."""
-    if not isinstance(x, int):
+    if type(x) is not int:
         raise TypeError(f"coordinates must be an int mask, got {type(x).__name__}")
     if not 0 <= x < 1 << dim:
         raise ValueError(f"coordinate mask {x} out of range for dimension {dim}")

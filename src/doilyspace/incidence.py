@@ -191,11 +191,13 @@ class IncidenceStructure:
     @cached_property
     def target_profile(self) -> tuple:
         """What find_isomorphism reads of its target only: the points of each
-        invariant (ascending) and the line-mask set."""
+        invariant (ascending), the line-mask set and the closing table, from
+        each line mask less one of its points to that point's bit."""
         by_inv: dict[tuple, list[int]] = {}
         for q, inv in enumerate(self.search_profile[0]):
             by_inv.setdefault(inv, []).append(q)
-        return by_inv, frozenset(self.line_masks)
+        last_of = {lm ^ 1 << p: 1 << p for lm in self.line_masks for p in points_of(lm)}
+        return by_inv, frozenset(self.line_masks), last_of
 
     def degree(self, p: int) -> int:
         _check_point(p, self.point_count)
@@ -378,6 +380,13 @@ def check_gamma_space(g: IncidenceStructure) -> bool:
         return False
     perps = g.perp_masks
     for line in g.lines:
+        if len(line) == 3:
+            a, b, c = line
+            pa, pb, pc = perps[a], perps[b], perps[c]
+            # the points in some of the three perps and in an even number: in two
+            if (pa | pb | pc) & ~(pa ^ pb ^ pc):
+                return False
+            continue
         # the points collinear with at least two and with all of its points
         ones = twos = 0
         every = g.full_mask
@@ -436,7 +445,7 @@ def find_isomorphism(g1: IncidenceStructure,
     # equal invariant multisets have equal point counts, equal sizes equal line counts
     if sizes1 != sizes2 or freq != freq2:
         return None
-    by_inv, line_masks2 = g2.target_profile
+    by_inv, line_masks2, last_of = g2.target_profile
     # only in a partial linear space is the image of a half-mapped line forced
     propagate = g2.partial_linear
 
@@ -462,7 +471,7 @@ def find_isomorphism(g1: IncidenceStructure,
         placed |= 1 << nxt
         reach |= perp1[nxt]
 
-    masks1, masks2, through2 = g1.line_masks, g2.line_masks, g2.lines_through
+    masks1 = g1.line_masks
     image = [0] * n  # image[p] = 1 << (the image of p), valid for placed points
     forced = [0] * n  # forced[p] = 1 << (the only image p may take), or 0
     nodes = 0
@@ -476,33 +485,30 @@ def find_isomorphism(g1: IncidenceStructure,
         if k == n:
             return True
         p = order[k]
-        # q keeps collinearity with every placed point exactly when the
-        # placed part of its perp is the image of the placed part of p's
-        want = 0
-        m = perp1[p] & placed
-        while m:
-            low = m & -m
-            want |= image[low.bit_length() - 1]
-            m ^= low
+        others = placed
         placed |= 1 << p
-        # per line through p that is placed now, the image of its other points
-        # (the line's image holds it and q's bit); per line with one point r
-        # left, r and the image of its placed points other than p
+        left = ~placed
+        # img is the image of the other placed points of a line through p.
+        # q keeps collinearity with every placed point exactly when the
+        # placed part of its perp is the union of these, want.  A line placed
+        # now keeps its img (the line's image holds it and q's bit), a line
+        # with one point r left the pair of r and its img
+        want = 0
         ready = []
         closing = []
         for idx in g1.lines_through[p]:
-            rest = masks1[idx] & ~placed
-            if rest and (not propagate or rest & (rest - 1)):
-                continue
-            m = masks1[idx] & placed & ~(1 << p)
+            lm = masks1[idx]
+            m = lm & others
             img = 0
             while m:
                 low = m & -m
                 img |= image[low.bit_length() - 1]
                 m ^= low
+            want |= img
+            rest = lm & left
             if not rest:
                 ready.append(img)
-            elif img:
+            elif img and propagate and not rest & (rest - 1):
                 closing.append((rest.bit_length() - 1, img))
         if forced[p]:
             q = forced[p].bit_length() - 1
@@ -520,17 +526,13 @@ def find_isomorphism(g1: IncidenceStructure,
                 image[p] = bit
                 # the one line of g2 through q and the images of the other
                 # placed points must have exactly one point left, unused and
-                # agreeing with any earlier forcing of r: the image of r
+                # agreeing with any earlier forcing of r: the image of r, read
+                # from the closing table, which has no entry otherwise (a set of
+                # two or more points lies on one line at most, as g2 is partial linear)
                 set_here = []
                 for r, img in closing:
-                    img |= bit
-                    last = 0
-                    for idx in through2[q]:
-                        if masks2[idx] & img == img:
-                            last = masks2[idx] ^ img
-                            break
-                    if (not last or last & (last - 1) or last & used
-                            or forced[r] and forced[r] != last):
+                    last = last_of.get(img | bit, 0)
+                    if not last or last & used or forced[r] and forced[r] != last:
                         break
                     if not forced[r]:
                         forced[r] = last
@@ -544,14 +546,9 @@ def find_isomorphism(g1: IncidenceStructure,
 
     if not extend(0, 0, 0):
         return None
-    images = set()
-    for line in g1.lines:
-        m = 0
-        for p in line:
-            m |= image[p]
-        images.add(m)
-    if images != line_masks2:
-        return None
+    # each line of g1 was checked onto a line of g2 when its last point was
+    # placed; the images of distinct lines differ, and both structures have
+    # as many lines, so the images are g2's lines
     return {p: image[p].bit_length() - 1 for p in order}
 
 

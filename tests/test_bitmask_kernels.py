@@ -9,6 +9,7 @@ import random
 from collections import Counter
 from itertools import combinations
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -84,6 +85,10 @@ def ref_check_gamma_space(g: IncidenceStructure) -> bool:
             if hit not in (0, 1, lm.bit_count()):
                 return False
     return True
+
+
+def ref_closing_table(g: IncidenceStructure) -> dict[int, int]:
+    return {mask_of(set(line) - {p}): 1 << p for line in g.lines for p in line}
 
 
 def _ref_point_invariants(g: IncidenceStructure) -> list[tuple]:
@@ -178,6 +183,109 @@ def ref_find_isomorphism(g1: IncidenceStructure,
     return dict(mapping)
 
 
+def ref_find_isomorphism_scan(g1: IncidenceStructure, g2: IncidenceStructure
+                              ) -> tuple[Optional[dict[int, int]], int]:
+    """find_isomorphism as it was before the closing table: it finds the
+    image of a half-mapped line by scanning g2's lines through q, reads the
+    collinearity filter off p's perp in a loop of its own, and compares the
+    images of all lines with g2's once the search succeeds.  Also returns
+    the count of search nodes entered."""
+    inv1, freq, sizes1 = g1.search_profile
+    inv2, freq2, sizes2 = g2.search_profile
+    if sizes1 != sizes2 or freq != freq2:
+        return None, 0
+    by_inv: dict[tuple, list[int]] = {}
+    for q, inv in enumerate(inv2):
+        by_inv.setdefault(inv, []).append(q)
+    line_masks2 = frozenset(g2.line_masks)
+    propagate = g2.partial_linear
+
+    n = g1.point_count
+    perp1, perp2 = g1.perp_masks, g2.perp_masks
+    by_freq: dict[int, int] = {}
+    for p, inv in enumerate(inv1):
+        by_freq[freq[inv]] = by_freq.get(freq[inv], 0) | 1 << p
+    freq_masks = [m for _, m in sorted(by_freq.items())]
+    order: list[int] = []
+    placed = reach = 0
+    while placed != g1.full_mask:
+        pool = reach & ~placed or g1.full_mask & ~placed
+        for m in freq_masks:
+            if pool & m:
+                break
+        pick = pool & m
+        nxt = (pick & -pick).bit_length() - 1
+        order.append(nxt)
+        placed |= 1 << nxt
+        reach |= perp1[nxt]
+
+    masks1, masks2, through2 = g1.line_masks, g2.line_masks, g2.lines_through
+    image = [0] * n
+    forced = [0] * n
+    nodes = 0
+
+    def extend(k: int, placed: int, used: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if k == n:
+            return True
+        p = order[k]
+        want = 0
+        for r in points_of(perp1[p] & placed):
+            want |= image[r]
+        placed |= 1 << p
+        ready = []
+        closing = []
+        for idx in g1.lines_through[p]:
+            rest = masks1[idx] & ~placed
+            if rest and (not propagate or rest & (rest - 1)):
+                continue
+            img = 0
+            for r in points_of(masks1[idx] & placed & ~(1 << p)):
+                img |= image[r]
+            if not rest:
+                ready.append(img)
+            elif img:
+                closing.append((rest.bit_length() - 1, img))
+        if forced[p]:
+            q = forced[p].bit_length() - 1
+            candidates = (q,) if inv2[q] == inv1[p] else ()
+        else:
+            candidates = by_inv.get(inv1[p], ())
+        for q in candidates:
+            bit = 1 << q
+            if used & bit or perp2[q] & used != want:
+                continue
+            if all(img | bit in line_masks2 for img in ready):
+                image[p] = bit
+                set_here = []
+                for r, img in closing:
+                    img |= bit
+                    last = 0
+                    for idx in through2[q]:
+                        if masks2[idx] & img == img:
+                            last = masks2[idx] ^ img
+                            break
+                    if (not last or last & (last - 1) or last & used
+                            or forced[r] and forced[r] != last):
+                        break
+                    if not forced[r]:
+                        forced[r] = last
+                        set_here.append(r)
+                else:
+                    if extend(k + 1, placed, used | bit):
+                        return True
+                for r in set_here:
+                    forced[r] = 0
+        return False
+
+    if not extend(0, 0, 0):
+        return None, nodes
+    if {mask_of(image[p].bit_length() - 1 for p in line) for line in g1.lines} != line_masks2:
+        return None, nodes
+    return {p: image[p].bit_length() - 1 for p in order}, nodes
+
+
 # ---------------------------------------------------------------- geometries
 
 GRID9 = IncidenceStructure.from_lines(
@@ -219,6 +327,13 @@ NAMED = {
         5, [[0, 1, 2], [1, 2, 3], [0, 3, 4]]), 2, 1),
     "pg32": (_pg32(), 2, 6),
     "w52": (build_magic_line().space.structure, 2, 6),
+    # lines of 4 points, which check_gamma_space tests bit-sliced: the 4x4
+    # grid, and a point (4) that sees two points (0, 1) of a line
+    "grid16": (IncidenceStructure.from_lines(
+        16, [range(k, k + 4) for k in range(0, 16, 4)] + [range(k, 16, 4) for k in range(4)]),
+        3, 1),
+    "not_gamma4": (IncidenceStructure.from_lines(
+        9, [[0, 1, 2, 3], [0, 4, 5, 6], [1, 4, 7, 8]]), 3, 1),
 }
 
 
@@ -239,6 +354,8 @@ def test_named_geometries_fail_each_axiom():
     assert verdicts["pentagon"][:2] == (False, False)
     assert verdicts["two_grids"] == (False, False, True)
     assert verdicts["not_gamma"][2] is False
+    assert verdicts["grid16"] == (True, False, True)
+    assert verdicts["not_gamma4"] == (False, True, False)
 
 
 @st.composite
@@ -278,6 +395,55 @@ def test_constructor_tables_match_reference_on_random_geometries(g):
     assert g.perp_masks == tuple(mask_of([p, *(q for idx in t for q in g.lines[idx])])
                                  for p, t in enumerate(through))
     assert g.partial_linear == all(len(l1 & l2) < 2 for l1, l2 in combinations(g.lines, 2))
+
+
+@st.composite
+def partial_linear_geometries(draw):
+    """Random partial linear geometries with 3 points per line, relabelled:
+    random triples of 3-12 points, each kept if it shares at most one point
+    with every kept one (gamma spaces or not), or some of the lines of the
+    doily (always a gamma space: a point off a line of a generalized
+    quadrangle sees one of its points) or of PG(3,2) (often not one)."""
+    kind = draw(st.sampled_from(["random", "doily", "pg32"]))
+    if kind == "random":
+        n = draw(st.integers(min_value=3, max_value=12))
+        triples = st.sets(st.integers(min_value=0, max_value=n - 1), min_size=3, max_size=3)
+        lines: list[frozenset[int]] = []
+        for t in draw(st.lists(triples, max_size=20)):
+            if all(len(t & line) < 2 for line in lines):
+                lines.append(frozenset(t))
+    else:
+        source = NAMED[kind][0]
+        n = source.point_count
+        lines = draw(st.lists(st.sampled_from(source.lines), unique=True))
+    perm = draw(st.permutations(range(n)))
+    return IncidenceStructure.from_lines(n, [[perm[p] for p in line] for line in lines])
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_linear_geometries())
+@example(NAMED["doily"][0])
+@example(NAMED["pg32"][0])
+@example(NAMED["not_gamma"][0])
+def test_gamma_check_matches_reference_on_three_point_lines(g):
+    assert check_gamma_space(g) == ref_check_gamma_space(g)
+
+
+@pytest.mark.parametrize("name", ["doily", "grid9", "q_minus", "pg32", "w52", "grid16",
+                                  "not_gamma4"])
+def test_closing_table_maps_each_line_less_a_point_to_that_point(name):
+    g = NAMED[name][0]
+    _, line_masks, last_of = IncidenceStructure(g.point_count, g.lines).target_profile
+    assert line_masks == frozenset(g.line_masks)
+    assert last_of == ref_closing_table(g) and len(last_of) == sum(map(len, g.lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_linear_geometries())
+def test_closing_table_matches_reference_on_partial_linear_geometries(g):
+    assert g.partial_linear
+    last_of = g.target_profile[2]
+    assert last_of == ref_closing_table(g) and len(last_of) == 3 * len(g.lines)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 130) - 1))
@@ -347,6 +513,57 @@ def _assert_invariants_match_reference(g: IncidenceStructure) -> None:
     assert profile_invs == invs
     assert type(freq) is dict and freq == Counter(ref_point_invariants_comprehension(g))
     assert sizes == sorted(map(len, g.lines))
+
+
+def _same_as_scan(g1: IncidenceStructure, g2: IncidenceStructure) -> None:
+    """find_isomorphism(g1, g2) equals the scan-based search, key order
+    included, and enters as many nodes: it succeeds with SEARCH_NODE_LIMIT
+    at the scan's node count and raises one below it."""
+    expected, nodes = ref_find_isomorphism_scan(g1, g2)
+    mapping = find_isomorphism(g1, g2)
+    assert mapping == expected
+    if expected is not None:
+        assert list(mapping.items()) == list(expected.items())
+    if nodes:
+        with mock.patch.object(incidence, "SEARCH_NODE_LIMIT", nodes):
+            assert find_isomorphism(g1, g2) == expected
+        with mock.patch.object(incidence, "SEARCH_NODE_LIMIT", nodes - 1):
+            with pytest.raises(CapacityError):
+                find_isomorphism(g1, g2)
+
+
+@pytest.mark.parametrize("name", list(SEARCHED))
+def test_relabelled_search_matches_the_scan_based_closing(name):
+    g = SEARCHED[name]
+    rng = random.Random(f"closing-{name}")
+    for _ in range(50):
+        _same_as_scan(_relabelled(g, rng), g)
+
+
+@st.composite
+def partial_linear_pairs(draw):
+    """A random partial linear geometry with 3 points per line and either a
+    relabelling of it, possibly with one line redrawn, or an independent one
+    on as many points."""
+    g1 = draw(partial_linear_geometries())
+    n = g1.point_count
+    kind = draw(st.sampled_from(["relabelled", "perturbed", "independent"]))
+    if kind == "independent":
+        g2 = draw(partial_linear_geometries())
+        return g1, IncidenceStructure.from_lines(n, [line for line in g2.lines
+                                                     if max(line) < n])
+    perm = draw(st.permutations(range(n)))
+    lines = [[perm[p] for p in line] for line in g1.lines]
+    if kind == "perturbed" and lines:
+        lines[0] = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                 min_size=3, max_size=3, unique=True))
+    return g1, IncidenceStructure.from_lines(n, lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(partial_linear_pairs())
+def test_search_matches_the_scan_based_closing_on_random_pairs(pair):
+    _same_as_scan(*pair)
 
 
 @pytest.mark.parametrize("name", list(SEARCHED))

@@ -1,7 +1,8 @@
 """Every public entry point that takes a point, a mask or an element of S
-checks it through one of three shared checks: a value that is not an int, or
-is a bool, raises TypeError naming its type, and an int out of range raises
-an error naming the value and, where there is one, the range.
+checks it through one of three shared checks, and every GF(2) form its
+coordinate masks through a fourth: a value that is not an int, or is a
+bool, raises TypeError naming its type, and an int out of range raises an
+error naming the value and, where there is one, the range.
 
 One table: each entry point against True, 1.0, -1, frozenset({1}) and its
 first value past the range.  ``mask_of`` and ``points_of`` have no range, so
@@ -21,6 +22,12 @@ from doilyspace.doily import (
     grid,
     ovoid,
     perp_set,
+)
+from doilyspace.gf2 import (
+    BilinearForm,
+    SymplecticForm,
+    coordinate_masks,
+    hyperbolic_form,
 )
 from doilyspace.incidence import (
     IncidenceStructure,
@@ -83,7 +90,16 @@ def _identity_with(points, bad, key):
     return mapping
 
 
+def _coordinates(name, call):
+    """Rows of an entry point that checks a coordinate mask of a 6-vector."""
+    return _rows(name, call, "coordinates must be an int mask",
+                 [(x, (ValueError, f"coordinate mask {x} out of range for dimension 6"))
+                  for x in (-1, 64)])
+
+
 S = range(1, 7)
+SYMPLECTIC = SymplecticForm(6)
+GRAM = BilinearForm(SYMPLECTIC.gram())
 CASES = [
     *_point("label_of", DOILY.label_of, 15),
     *_point("degree", DOILY.degree, 15),
@@ -125,6 +141,12 @@ CASES = [
     *_s("apply_duad_permutation-value",
         lambda i: apply_duad_permutation(1, _identity_with(S, i, key=False)),
         lambda i: f"{_identity_with(S, i, key=False)!r} is not a permutation of {{1,...,6}}"),
+    *_coordinates("SymplecticForm.evaluate-first", lambda x: SYMPLECTIC.evaluate(x, 2)),
+    *_coordinates("SymplecticForm.evaluate-second", lambda x: SYMPLECTIC.evaluate(2, x)),
+    *_coordinates("QuadraticForm.evaluate", hyperbolic_form(6).evaluate),
+    *_coordinates("BilinearForm.evaluate-first", lambda x: GRAM.evaluate(x, 2)),
+    *_coordinates("BilinearForm.evaluate-second", lambda x: GRAM.evaluate(2, x)),
+    *_coordinates("coordinate_masks", lambda x: coordinate_masks([1, x], 6)),
 ]
 
 
@@ -152,3 +174,5 @@ def test_each_entry_point_still_takes_its_good_input():
     assert VeldkampLine(DOILY, sorted((ovoid(1).mask, *_line_members()))).members[0] == (
         ovoid(1).mask)
     assert ovoid(6).name == "o_6" and grid(4, 5, 6).name == "g_123"
+    assert SYMPLECTIC.evaluate(1, 2) == GRAM.evaluate(1, 2) == 1
+    assert hyperbolic_form(6).evaluate(3) == 1 and coordinate_masks([1, 63], 6) == (1, 63)

@@ -11,9 +11,12 @@ pairs the change won and a verdict against the bound that
 in each tree imports that tree's ``RelabelSearch`` from
 ``benchmarks/run.py`` and times its operation, ``relabel_ok``, on the
 operations of seeded rounds, the two sides alternating per seed, and counts
-the rounds in which each geometry holds the round's median rank.  The
-parent tree is ``git archive <rev>``, extracted into a temporary directory;
-the change is this checkout as it stands.  Every seed is drawn from
+the rounds in which each geometry holds the round's median rank.  Each
+round's times are rescaled to the reference host speed by the harness's
+``bitmask`` kernel, probed just before the round in the same process, as
+the harness rescales its in-process workloads.  The parent tree is ``git
+archive <rev>``, extracted into a temporary directory; the change is this
+checkout as it stands.  Every seed is drawn from
 ``--first-seed``, so each comparison can run on seeds not used before.
 """
 
@@ -37,24 +40,26 @@ ATTRIBUTION_SEEDS = 6
 ATTRIBUTION_ROUNDS = 300
 # run in a tree: the median seconds of relabel_search's operation per
 # geometry, over the operations of seeded rounds of the harness's workload,
-# and how many rounds each geometry held the round's median rank (the 6th
+# each round rescaled by the host-speed kernel probed just before it, and
+# how many rounds each geometry held the round's median rank (the 6th
 # fastest of its 11 operations); the first round warms the process and is
 # not timed
 ATTRIBUTION_CODE = """\
 import json, random, statistics, sys, time
 sys.path.insert(0, "benchmarks")
-import run
+import hostspeed, run
 seed, rounds = int(sys.argv[1]), int(sys.argv[2])
 workload = run.RelabelSearch()
 rng = random.Random(seed)
 times = {name: [] for name in workload.geometries}
 median_rank = dict.fromkeys(workload.geometries, 0)
 for r in range(rounds + 1):
+    scale = hostspeed.scale(hostspeed.probe(workload.kernel), workload.kernel)
     ranked = []
     for name, perm in workload.round(rng):
         t0 = time.perf_counter()
         ok = workload.relabel_ok(name, perm)
-        ranked.append((time.perf_counter() - t0, name))
+        ranked.append(((time.perf_counter() - t0) * scale, name))
         if not ok:
             sys.exit(f"{name} not recovered under seed {seed}")
     if r:
@@ -147,9 +152,9 @@ def measure_workload(trees: dict[str, Path], workload: str, seeds: list[int], se
 
 def attribute(trees: dict[str, Path], seeds: list[int]) -> dict:
     """Median microseconds of relabel_search's operation per geometry and
-    side, one list entry per seed, the change's median relative step, and
-    per side the rounds in which the geometry held the median rank, summed
-    over the seeds."""
+    side, rescaled to the reference host speed, one list entry per seed, the
+    change's median relative step, and per side the rounds in which the
+    geometry held the median rank, summed over the seeds."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     us: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
     ranks: dict[str, dict[str, int]] = {side: {} for side in trees}
@@ -213,7 +218,9 @@ def main(argv=None) -> int:
             "what": "median microseconds of relabel_search's operation (RelabelSearch."
                     "relabel_ok, imported from each tree's benchmarks/run.py) per geometry, "
                     f"over the operations of {ATTRIBUTION_ROUNDS} seeded rounds of the "
-                    "workload after one untimed round, unscaled; one process per side and "
+                    "workload after one untimed round, each round rescaled by the harness's "
+                    "bitmask kernel probed just before it in the same process, as run.py "
+                    "rescales in-process workloads; one process per side and "
                     "seed, the sides alternating which runs first; one list entry per seed; "
                     "change_vs_parent is the median over seeds of change / parent - 1; "
                     "*_median_rank_rounds counts, over all seeds, the rounds in which the "
