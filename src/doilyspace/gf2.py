@@ -68,6 +68,13 @@ def _coordinates(x: int, dim: int) -> int:
     return x
 
 
+def _int(value: int, what: str) -> int:
+    """value itself if it is an int, not a bool; else TypeError naming what and the value."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}: {value!r}")
+    return value
+
+
 def coordinate_masks(masks: Iterable[int], dim: int) -> tuple[int, ...]:
     """The masks, each checked to be a coordinate mask of a dim-vector."""
     return tuple(_coordinates(x, dim) for x in masks)
@@ -115,7 +122,8 @@ class QuadraticForm:
         if type(dim) is not int or dim < 1:
             raise ValueError(f"dimension {dim!r} is not a positive int")
         self.dim = dim
-        self.monomials = frozenset(tuple(m) for m in monomials)
+        self.monomials = frozenset((_int(i, "monomial index"), _int(j, "monomial index"))
+                                   for i, j in monomials)
         for i, j in self.monomials:
             if not (0 <= i <= j < dim):
                 raise ValueError(f"monomial ({i},{j}) out of range for dimension {dim}")
@@ -175,7 +183,7 @@ class BilinearForm:
             if len(row) != len(gram):
                 raise ValueError(f"gram row {i} has {len(row)} entries, expected {len(gram)}")
             for j, b in enumerate(row):
-                if b not in (0, 1):
+                if _int(b, f"gram entry ({i},{j})") not in (0, 1):
                     raise ValueError(f"gram entry ({i},{j}) must be 0 or 1: {b!r}")
                 if j < i and b != gram[j][i]:
                     raise ValueError(f"gram is not symmetric: ({j},{i}) and ({i},{j}) differ")
@@ -240,14 +248,14 @@ def classify_form(form: QuadraticForm) -> str:
 
 def hyperbolic_form(dim: int) -> QuadraticForm:
     """x1x2 + x3x4 + ... on an even number of coordinates."""
-    if dim < 2 or dim % 2:
+    if _int(dim, "hyperbolic form dimension") < 2 or dim % 2:
         raise ValueError(f"hyperbolic form needs a positive even dimension: {dim}")
     return QuadraticForm(dim, frozenset((k, k + 1) for k in range(0, dim, 2)))
 
 
 def elliptic_form(dim: int) -> QuadraticForm:
     """f(x1,x2) + x3x4 + ... with f = x1^2 + x1x2 + x2^2, irreducible over GF(2)."""
-    if dim < 4 or dim % 2:
+    if _int(dim, "elliptic form dimension") < 4 or dim % 2:
         raise ValueError(f"elliptic form needs an even dimension >= 4: {dim}")
     monomials = {(0, 0), (0, 1), (1, 1)}
     monomials.update((k, k + 1) for k in range(2, dim, 2))

@@ -338,8 +338,11 @@ def check_gq(g: IncidenceStructure, s: int, t: int) -> bool:
     lines L != M of equal size sharing two points leave a point of M off L
     that sees two points of L, and of three pairwise-collinear points not on
     one line, the first lies off the line through the other two and sees
-    two of its points.
+    two of its points.  An order that is not an int, or is a bool, raises
+    TypeError naming it.
     """
+    _check_point(s, name="GQ order s")
+    _check_point(t, name="GQ order t")
     if any(len(line) != s + 1 for line in g.lines):
         return False
     if any(len(through) != t + 1 for through in g.lines_through):

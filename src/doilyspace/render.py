@@ -80,31 +80,39 @@ def render_dot(data: dict, line_nodes: bool) -> str:
     return "\n".join(out) + "\n"
 
 
-def hyperplane_rows() -> list[dict]:
-    return [{"name": h.name, "kind": h.kind, "size": h.size,
-             "points": [f"{d[0]}{d[1]}" for d in h.duads]}
-            for h in doily.all_named_hyperplanes()]
+@lru_cache(maxsize=1)
+def hyperplane_rows() -> tuple[dict, ...]:
+    """The doily's 31 hyperplanes, built once per process: their rows read
+    only the table of named hyperplanes, which no builder rebuilds."""
+    return tuple({"name": h.name, "kind": h.kind, "size": h.size,
+                  "points": tuple(f"{d[0]}{d[1]}" for d in h.duads)}
+                 for h in doily.all_named_hyperplanes())
 
 
-def veldkamp_rows() -> list[dict]:
-    return [{"members": [doily.classify_hyperplane(m).name for m in line.members],
-             "family": veldkamp.classify_veldkamp_line(line)}
-            for line in veldkamp.doily_veldkamp_space().lines]
+@lru_cache(maxsize=1)  # the Veldkamp space of the cached doily
+def veldkamp_rows(space: veldkamp.VeldkampSpace) -> tuple[dict, ...]:
+    """The 155 Veldkamp lines of the doily's space, built once per space."""
+    return tuple({"members": tuple(doily.classify_hyperplane(m).name for m in line.members),
+                  "family": veldkamp.classify_veldkamp_line(line)}
+                 for line in space.lines)
 
 
-def sector_map_rows() -> list[dict]:
-    ml = magicline.build_magic_line()
+@lru_cache(maxsize=1)  # the cached magic line
+def sector_map_rows(ml: magicline.MagicLine) -> tuple[dict, ...]:
+    """The sector image of each of the 31 hyperplanes, built once per magic line."""
     rows = []
     for h in doily.all_named_hyperplanes():
         image = magicline.sector_image(ml, h)
         rows.append({"hyperplane": h.name, "image": str(image), "sector": image.sector,
                      "image_kind": "pair" if len(image.labels) == 2 else "point"})
-    return rows
+    return tuple(rows)
 
 
 def table(what: str, fmt: str) -> str:
-    rows = {"hyperplanes": hyperplane_rows, "veldkamp_lines": veldkamp_rows,
-            "sector_maps": sector_map_rows}[what]()
+    """One listing in either format; its rows are built once, formatted on every call."""
+    rows = {"hyperplanes": hyperplane_rows,
+            "veldkamp_lines": lambda: veldkamp_rows(veldkamp.doily_veldkamp_space()),
+            "sector_maps": lambda: sector_map_rows(magicline.build_magic_line())}[what]()
     if fmt == "structured":
         return json.dumps(rows, indent=2) + "\n"
     if what == "hyperplanes":

@@ -2,7 +2,10 @@
 checks it through one of three shared checks, and every GF(2) form its
 coordinate masks through a fourth: a value that is not an int, or is a
 bool, raises TypeError naming its type, and an int out of range raises an
-error naming the value and, where there is one, the range.
+error naming the value and, where there is one, the range.  The forms'
+monomial indices and Gram entries, the dimensions of ``hyperbolic_form``
+and ``elliptic_form``, and ``check_gq``'s orders are ints the same way; a
+form's TypeError names the value too.
 
 One table: each entry point against True, 1.0, -1, frozenset({1}) and its
 first value past the range.  ``mask_of`` and ``points_of`` have no range, so
@@ -25,12 +28,15 @@ from doilyspace.doily import (
 )
 from doilyspace.gf2 import (
     BilinearForm,
+    QuadraticForm,
     SymplecticForm,
     coordinate_masks,
+    elliptic_form,
     hyperbolic_form,
 )
 from doilyspace.incidence import (
     IncidenceStructure,
+    check_gq,
     collinear,
     deep_points_mask,
     is_geometric_hyperplane,
@@ -97,6 +103,19 @@ def _coordinates(name, call):
                   for x in (-1, 64)])
 
 
+def _form_int(name, call, what, ints):
+    """Rows of a GF(2) form's int argument: each non-int raises TypeError
+    naming what, its type and its value; ints as in _rows."""
+    rows = [pytest.param(call, bad, (TypeError, f"{what} must be an int, got {kind}: {bad!r}"),
+                         id=f"{name}-{kind}") for bad, kind in NON_INTS]
+    rows += [pytest.param(call, bad, outcome, id=f"{name}-{bad}") for bad, outcome in ints]
+    return rows
+
+
+def _monomial(i, j):
+    return ValueError, f"monomial ({i},{j}) out of range for dimension 3"
+
+
 S = range(1, 7)
 SYMPLECTIC = SymplecticForm(6)
 GRAM = BilinearForm(SYMPLECTIC.gram())
@@ -147,6 +166,22 @@ CASES = [
     *_coordinates("BilinearForm.evaluate-first", lambda x: GRAM.evaluate(x, 2)),
     *_coordinates("BilinearForm.evaluate-second", lambda x: GRAM.evaluate(2, x)),
     *_coordinates("coordinate_masks", lambda x: coordinate_masks([1, x], 6)),
+    *_form_int("QuadraticForm-first", lambda i: QuadraticForm(3, [(i, 2)]), "monomial index",
+               [(i, _monomial(i, 2)) for i in (-1, 3)]),
+    *_form_int("QuadraticForm-second", lambda j: QuadraticForm(3, [(0, j)]), "monomial index",
+               [(j, _monomial(0, j)) for j in (-1, 3)]),
+    *_form_int("BilinearForm", lambda b: BilinearForm(((0, b), (b, 0))), "gram entry (0,1)",
+               [(b, (ValueError, f"gram entry (0,1) must be 0 or 1: {b}")) for b in (-1, 2)]),
+    *_form_int("hyperbolic_form", hyperbolic_form, "hyperbolic form dimension",
+               [(d, (ValueError, f"hyperbolic form needs a positive even dimension: {d}"))
+                for d in (-1, 5)]),
+    *_form_int("elliptic_form", elliptic_form, "elliptic form dimension",
+               [(d, (ValueError, f"elliptic form needs an even dimension >= 4: {d}"))
+                for d in (-1, 5)]),
+    *_rows("check_gq-s", lambda s: check_gq(DOILY, s, 2), "GQ order s must be an int",
+           [(-1, False), (3, False)]),
+    *_rows("check_gq-t", lambda t: check_gq(DOILY, 2, t), "GQ order t must be an int",
+           [(-1, False), (3, False)]),
 ]
 
 
@@ -176,3 +211,6 @@ def test_each_entry_point_still_takes_its_good_input():
     assert ovoid(6).name == "o_6" and grid(4, 5, 6).name == "g_123"
     assert SYMPLECTIC.evaluate(1, 2) == GRAM.evaluate(1, 2) == 1
     assert hyperbolic_form(6).evaluate(3) == 1 and coordinate_masks([1, 63], 6) == (1, 63)
+    assert QuadraticForm(3, [(0, 2)]).evaluate(0b101) == 1
+    assert BilinearForm(((0, 1), (1, 0))).radical() == ()
+    assert elliptic_form(4).evaluate(0b11) == 1 and check_gq(DOILY, 2, 2)

@@ -14,7 +14,13 @@ operations of seeded rounds, the two sides alternating per seed, and counts
 the rounds in which each geometry holds the round's median rank.  Each
 round's times are rescaled to the reference host speed by the harness's
 ``bitmask`` kernel, probed just before the round in the same process, as
-the harness rescales its in-process workloads.  The parent tree is ``git
+the harness rescales its in-process workloads.  Places ``cli_warm``'s time
+per command kind the same way: a process in each tree times ``CliWarm.run``
+on seeded rounds of the 147 golden argv, rescaled by the ``import`` kernel,
+and reports the median of each kind (each ``tables`` call, and each
+sector's ``export`` as dot, dot ``--line-nodes`` and json) with the kind
+that holds the workload's p99.5 rank and how many operations of each kind
+lie at or beyond it.  The parent tree is ``git
 archive <rev>``, extracted into a temporary directory; the change is this
 checkout as it stands.  Every seed is drawn from
 ``--first-seed``, so each comparison can run on seeds not used before.
@@ -38,6 +44,7 @@ WORKLOADS = ("relabel_search", "verify_all", "cli_warm")
 PAIRS = 10
 ATTRIBUTION_SEEDS = 6
 ATTRIBUTION_ROUNDS = 300
+CLI_ATTRIBUTION_ROUNDS = 100
 # run in a tree: the median seconds of relabel_search's operation per
 # geometry, over the operations of seeded rounds of the harness's workload,
 # each round rescaled by the host-speed kernel probed just before it, and
@@ -52,7 +59,7 @@ seed, rounds = int(sys.argv[1]), int(sys.argv[2])
 workload = run.RelabelSearch()
 rng = random.Random(seed)
 times = {name: [] for name in workload.geometries}
-median_rank = dict.fromkeys(workload.geometries, 0)
+rank_count = dict.fromkeys(workload.geometries, 0)
 for r in range(rounds + 1):
     scale = hostspeed.scale(hostspeed.probe(workload.kernel), workload.kernel)
     ranked = []
@@ -65,9 +72,47 @@ for r in range(rounds + 1):
     if r:
         for t, name in ranked:
             times[name].append(t)
-        median_rank[sorted(ranked)[len(ranked) // 2][1]] += 1
+        rank_count[sorted(ranked)[len(ranked) // 2][1]] += 1
 print(json.dumps({"median_s": {name: statistics.median(ts) for name, ts in times.items()},
-                  "median_rank": median_rank}))
+                  "rank_count": rank_count}))
+"""
+# run in a tree: the median seconds of cli_warm's operation per command kind
+# (the argv without its point label), over the operations of seeded rounds,
+# each round rescaled by the host-speed kernel probed just before it; the
+# kind at the workload's tail rank over all timed operations, and how many
+# operations of each kind lie at or beyond that rank; the first round warms
+# the process and is not timed
+CLI_ATTRIBUTION_CODE = """\
+import json, random, statistics, sys
+sys.path.insert(0, "benchmarks")
+import hostspeed, run
+seed, rounds = int(sys.argv[1]), int(sys.argv[2])
+workload = run.CliWarm(run.load_goldens())
+rng = random.Random(seed)
+def kind(argv):
+    if argv[0] == "tables":
+        return " ".join(argv)
+    point = argv.index("--point")
+    return " ".join(["export", argv[argv.index("--figure") + 1], *argv[point + 2:]])
+ops = []
+for r in range(rounds + 1):
+    scale = hostspeed.scale(hostspeed.probe(workload.kernel), workload.kernel)
+    for argv in workload.round(rng):
+        result = workload.run(argv)
+        if not result.ok:
+            sys.exit(f"{' '.join(argv)} failed under seed {seed}")
+        if r:
+            ops.append((result.wall * scale, kind(argv)))
+ops.sort()
+rank = run.tail_rank(len(ops), run.TAIL_PERCENTILE["cli_warm"])
+times = {}
+for t, name in ops:
+    times.setdefault(name, []).append(t)
+rank_count = dict.fromkeys(times, 0)
+for _, name in ops[rank - 1:]:
+    rank_count[name] += 1
+print(json.dumps({"median_s": {name: statistics.median(ts) for name, ts in times.items()},
+                  "rank_count": rank_count, "tail_kind": ops[rank - 1][1]}))
 """
 
 
@@ -150,29 +195,34 @@ def measure_workload(trees: dict[str, Path], workload: str, seeds: list[int], se
     }
 
 
-def attribute(trees: dict[str, Path], seeds: list[int]) -> dict:
-    """Median microseconds of relabel_search's operation per geometry and
-    side, rescaled to the reference host speed, one list entry per seed, the
-    change's median relative step, and per side the rounds in which the
-    geometry held the median rank, summed over the seeds."""
+def attribute(trees: dict[str, Path], seeds: list[int], code: str, rounds: int,
+              rank_key: str) -> dict:
+    """Run code in one process per side and seed, the sides alternating
+    which runs first; per name, the median microseconds of each run, the
+    change's median relative step and, per side, the summed rank counts as
+    ``<side>_<rank_key>``; per side, the tail kind of each run, if reported."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     us: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
     ranks: dict[str, dict[str, int]] = {side: {} for side in trees}
+    tail_kinds: dict[str, list[str]] = {side: [] for side in trees}
     for i, seed in enumerate(seeds):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             out = json.loads(subprocess.run(
-                [sys.executable, "-c", ATTRIBUTION_CODE, str(seed), str(ATTRIBUTION_ROUNDS)],
+                [sys.executable, "-c", code, str(seed), str(rounds)],
                 cwd=trees[side], env=env, check=True, capture_output=True, text=True).stdout)
             for name, seconds in out["median_s"].items():
                 us[side].setdefault(name, []).append(round(seconds * 1e6, 1))
-            for name, rounds in out["median_rank"].items():
-                ranks[side][name] = ranks[side].get(name, 0) + rounds
-    return {name: {"parent_us": us["parent"][name], "change_us": us["change"][name],
-                   "change_vs_parent": round(statistics.median(
-                       c / p - 1 for p, c in zip(us["parent"][name], us["change"][name])), 4),
-                   "parent_median_rank_rounds": ranks["parent"][name],
-                   "change_median_rank_rounds": ranks["change"][name]}
-            for name in us["change"]}
+            for name, count in out["rank_count"].items():
+                ranks[side][name] = ranks[side].get(name, 0) + count
+            if "tail_kind" in out:
+                tail_kinds[side].append(out["tail_kind"])
+    names = {name: {"parent_us": us["parent"][name], "change_us": us["change"][name],
+                    "change_vs_parent": round(statistics.median(
+                        c / p - 1 for p, c in zip(us["parent"][name], us["change"][name])), 4),
+                    f"parent_{rank_key}": ranks["parent"][name],
+                    f"change_{rank_key}": ranks["change"][name]}
+             for name in us["change"]}
+    return {"names": names, "tail_kinds": tail_kinds}
 
 
 def main(argv=None) -> int:
@@ -181,7 +231,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--first-seed", required=True, type=int,
                         help="workload k runs seeds first + 100 k, first + 100 k + 1, ...; "
-                             "the attribution runs first + 300, first + 301, ...")
+                             "the attributions run first + 300, first + 301, ... "
+                             "(relabel_search) and first + 400, first + 401, ... (cli_warm)")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -227,7 +278,27 @@ def main(argv=None) -> int:
                     "geometry's operation was the 6th fastest of the round's 11, the rank "
                     "the workload's op_p50_s falls on",
             "seeds": seeds,
-            "geometries": attribute(trees, seeds),
+            "geometries": attribute(trees, seeds, ATTRIBUTION_CODE, ATTRIBUTION_ROUNDS,
+                                    "median_rank_rounds")["names"],
+        }
+        seeds = [args.first_seed + 400 + i for i in range(ATTRIBUTION_SEEDS)]
+        commands = attribute(trees, seeds, CLI_ATTRIBUTION_CODE, CLI_ATTRIBUTION_ROUNDS,
+                             "tail_ops")
+        report["cli_warm_attribution"] = {
+            "what": "median microseconds of cli_warm's operation (CliWarm.run, imported "
+                    "from each tree's benchmarks/run.py) per command kind, the argv "
+                    f"without its point label, over the operations of {CLI_ATTRIBUTION_ROUNDS} "
+                    "seeded rounds of the workload after one untimed round, each round "
+                    "rescaled by the harness's import kernel probed just before it in the "
+                    "same process; one process per side and seed, the sides alternating "
+                    "which runs first; one list entry per seed; change_vs_parent is the "
+                    "median over seeds of change / parent - 1; *_tail_ops counts, over all "
+                    "seeds, the operations of the kind at or beyond the p99.5 nearest rank "
+                    "of all of a process's timed operations, the rank op_tail_s falls on; "
+                    "tail_kind lists per side the kind at that rank, one entry per seed",
+            "seeds": seeds,
+            "kinds": commands["names"],
+            "tail_kind": commands["tail_kinds"],
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
