@@ -53,7 +53,7 @@ SYNTHEMES: tuple[frozenset[tuple[int, int]], ...] = tuple(
 def build_doily() -> IncidenceStructure:
     """The 15-point, 15-line duad-syntheme geometry."""
     lines = [frozenset(DUAD_INDEX[d] for d in syn) for syn in SYNTHEMES]
-    return IncidenceStructure.from_lines(
+    return IncidenceStructure(
         len(DUADS), lines, labels=[duad_label(d) for d in DUADS])
 
 

@@ -4,7 +4,7 @@ Coordinate convention used throughout the package: coordinate x_k (1-based,
 as written in the standard form equations) is stored at bit position k - 1.
 Points are such int coordinate masks: the forms evaluate them, and
 ``zero_points`` and ``radical`` return them.  ``BinaryVector`` only spells
-coordinates (``str`` gives x1...x6 as 0s and 1s, the W(5,2) labels).
+coordinates for ``projective_points``; ``magicline.build_w52`` spells W(5,2)'s labels.
 """
 
 from __future__ import annotations

@@ -77,49 +77,50 @@ def veldkamp_sum_mask(full_mask: int, m1: int, m2: int) -> int:
 
 
 class IncidenceStructure:
-    """Points 0..point_count-1 together with lines given as frozensets of points.
+    """Points 0..point_count-1 together with lines stored as frozensets of points.
 
-    The constructor and ``from_lines`` share one builder, which checks each
-    line's size and range and builds the tables the checks read in the same
-    loop: ``full_mask``, ``line_masks``, ``lines_through``, ``perp_masks``
-    and ``partial_linear``.  Both first check that each point is an int, not
-    a bool, before any sort; the constructor also that each line is a frozenset
-    and that no line repeats, which ``from_lines`` makes so.  Only searches
+    The constructor takes each line as any iterable of int points (not
+    bools, checked before any sort), rejects a line that names a point twice,
+    drops a repeated line and orders the lines by their ascending point
+    tuples.  In the loop that builds the tables the checks read
+    (``full_mask``, ``line_masks``, ``lines_through``, ``perp_masks`` and
+    ``partial_linear``) it checks each line's size and range.  Only searches
     build the two search profiles.
 
     Two structures are equal when their point counts, lines (in order) and
     labels are.  Lines and labels are stored as tuples, whatever sequence
     they came in, so equality and hashing do not depend on it."""
 
-    def __init__(self, point_count: int, lines: Iterable[frozenset[int]],
+    def __init__(self, point_count: int, lines: Iterable[Iterable[int]],
                  labels: Iterable[str] | None = None) -> None:
-        lines = tuple(lines)
+        canon: dict[tuple[int, ...], frozenset[int]] = {}
         for line in lines:
-            if not isinstance(line, frozenset):
-                raise TypeError(f"line {line!r} is not a frozenset; build the structure from "
-                                "point sequences with IncidenceStructure.from_lines")
-            for p in line:
-                _check_point(p)
-        if len(set(lines)) != len(lines):
-            raise ValueError("repeated lines are not allowed")
-        self._build(point_count, lines, [tuple(sorted(line)) for line in lines], labels)
-
-    def _build(self, point_count: int, lines: tuple[frozenset[int], ...],
-               points: list[tuple[int, ...]], labels: Iterable[str] | None) -> None:
-        """Check the point count, the labels and, in the loop that builds the
-        tables, each line's size and range; points[i] is sorted(lines[i])."""
+            try:
+                points = tuple(line)
+            except TypeError:
+                if isinstance(line, Iterable):  # raised while iterating it
+                    raise
+                raise TypeError(f"line {line!r} is not an iterable of points") from None
+            for p in points:  # before the sort, which cannot order every bad point
+                if type(p) is not int:
+                    _check_point(p)  # raises
+            unique = frozenset(points)
+            if len(unique) != len(points):
+                raise ValueError(f"line {list(points)} names a point twice")
+            canon.setdefault(tuple(sorted(points)), unique)
         if type(point_count) is not int or point_count < 0:
             raise ValueError(f"point count {point_count!r} is not a non-negative int")
+        keys = sorted(canon)
         line_masks = []
         through: list[list[int]] = [[] for _ in range(point_count)]
         perps = [1 << p for p in range(point_count)]
         line_pairs = 0  # ordered pairs of distinct points of a line, summed over the lines
-        for idx, t in enumerate(points):
+        for idx, t in enumerate(keys):
             size = len(t)
             if size < 2:
-                raise ValueError(f"line {set(lines[idx])} has fewer than 2 points")
+                raise ValueError(f"line {set(canon[t])} has fewer than 2 points")
             if t[0] < 0 or t[-1] >= point_count:
-                raise ValueError(f"line {set(lines[idx])} has out-of-range points")
+                raise ValueError(f"line {set(canon[t])} has out-of-range points")
             m = 0
             for p in t:
                 m |= 1 << p
@@ -132,7 +133,7 @@ class IncidenceStructure:
         if labels is not None and len(labels) != point_count:
             raise ValueError("labels must match the point count")
         self.point_count = point_count
-        self.lines = lines
+        self.lines = tuple([canon[k] for k in keys])
         self.labels = labels
         self.full_mask = (1 << point_count) - 1
         self.line_masks = tuple(line_masks)
@@ -158,24 +159,8 @@ class IncidenceStructure:
     @classmethod
     def from_lines(cls, point_count: int, lines: Iterable[Iterable[int]],
                    labels: Iterable[str] | None = None) -> IncidenceStructure:
-        """Build a structure with the lines deduplicated and canonically ordered.
-
-        A line that names a point twice is rejected, not shortened, and the
-        lines are ordered by their ascending point tuples."""
-        canon: dict[tuple[int, ...], frozenset[int]] = {}
-        for line in lines:
-            points = tuple(line)
-            for p in points:  # before the sort, which cannot order every bad point
-                if type(p) is not int:
-                    _check_point(p)  # raises
-            unique = frozenset(points)
-            if len(unique) != len(points):
-                raise ValueError(f"line {list(points)} names a point twice")
-            canon.setdefault(tuple(sorted(points)), unique)
-        keys = sorted(canon)
-        g = cls.__new__(cls)
-        g._build(point_count, tuple([canon[k] for k in keys]), keys, labels)
-        return g
+        """The constructor, under its older name."""
+        return cls(point_count, lines, labels)
 
     @cached_property
     def search_profile(self) -> tuple:
@@ -594,4 +579,4 @@ def induced_substructure(g: IncidenceStructure,
              for line, lm in zip(g.lines, g.line_masks) if lm & ~keep == 0]
     if labels is None and g.labels is not None:
         labels = [g.labels[p] for p in original]
-    return (IncidenceStructure.from_lines(len(original), lines, labels), original)
+    return (IncidenceStructure(len(original), lines, labels), original)

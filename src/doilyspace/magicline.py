@@ -121,7 +121,7 @@ def build_w52() -> SymplecticSpace:
     points = coordinate_masks(range(1, 1 << form.dim), form.dim)
     lines = [(x - 1, y - 1, (x ^ y) - 1) for x, y in combinations(points, 2)
              if y < x ^ y and form.theta(x, y) == 0]
-    structure = IncidenceStructure.from_lines(
+    structure = IncidenceStructure(
         len(points), lines, labels=[format(v, "06b")[::-1] for v in points])
     return SymplecticSpace(form, points, structure)
 
@@ -552,7 +552,7 @@ def _sector_model(labels: list[str], off_lines: list[list[str]]) -> IncidenceStr
     labels = [duad_label(d) for d in DUADS] + labels
     index = {lab: k for k, lab in enumerate(labels)}
     lines = [[duad_label(d) for d in syn] for syn in SYNTHEMES] + off_lines
-    return IncidenceStructure.from_lines(
+    return IncidenceStructure(
         len(labels), ([index[lab] for lab in line] for line in lines), labels)
 
 

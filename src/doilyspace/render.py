@@ -85,7 +85,7 @@ def hyperplane_rows() -> tuple[dict, ...]:
     """The doily's 31 hyperplanes, built once per process: their rows read
     only the table of named hyperplanes, which no builder rebuilds."""
     return tuple({"name": h.name, "kind": h.kind, "size": h.size,
-                  "points": tuple(f"{d[0]}{d[1]}" for d in h.duads)}
+                  "points": tuple(map(doily.duad_label, h.duads))}
                  for h in doily.all_named_hyperplanes())
 
 

@@ -42,19 +42,15 @@ def test_structure_validation():
     with pytest.raises(ValueError):
         IncidenceStructure(3, (frozenset({0, 5}),))
     with pytest.raises(ValueError):
-        IncidenceStructure(3, (frozenset({0, 1}), frozenset({1, 0})))
-    with pytest.raises(ValueError):
         IncidenceStructure(3, (frozenset({0, 1}),), labels=("a",))
-    # a line that is not a frozenset is rejected, not converted: a tuple line
-    # would never compare equal to the frozenset lines from_lines builds
-    for line in [(0, 1, 2), [0, 1, 2], {0, 1, 2}]:
-        message = (f"^line {re.escape(repr(line))} is not a frozenset; build the structure "
-                   r"from point sequences with IncidenceStructure\.from_lines$")
-        with pytest.raises(TypeError, match=message):
-            IncidenceStructure(3, [line])
-    with pytest.raises(TypeError, match=r"^line \(1, 2\) is not a frozenset"):
-        IncidenceStructure(3, [frozenset({0, 1}), (1, 2)])
-    g = IncidenceStructure.from_lines(3, [(0, 1, 2)])
+    # a repeated line is dropped, and a line of any iterable type is converted
+    # to the frozenset of its points, so each geometry has one value
+    g = IncidenceStructure(3, (frozenset({0, 1}), frozenset({1, 0})))
+    assert g.lines == (frozenset({0, 1}),) and g.line_masks == (0b011,)
+    for line in [(0, 1, 2), [2, 1, 0], {0, 1, 2}, range(3)]:
+        assert IncidenceStructure(3, [line]) == SINGLE_LINE
+    g = IncidenceStructure(3, [(1, 2), frozenset({0, 1}), [2, 1]])
+    assert g.lines == (frozenset({0, 1}), frozenset({1, 2}))
     mapping = find_isomorphism(g, g)
     assert mapping == {0: 0, 1: 1, 2: 2} and is_isomorphism(g, g, mapping)
 
@@ -81,8 +77,13 @@ def test_lines_and_labels_are_stored_as_tuples():
     d = build_doily()
     rebuilt = IncidenceStructure(15, list(d.lines), d.labels)
     assert rebuilt == d and hash(rebuilt) == hash(d)
-    canonical = IncidenceStructure.from_lines(15, d.lines, d.labels)
-    assert IncidenceStructure(15, canonical.lines, canonical.labels).lines is canonical.lines
+    # the lines come out in the order of their ascending point tuples,
+    # whatever order they came in
+    shuffled = list(d.lines)
+    random.Random(7).shuffle(shuffled)
+    assert IncidenceStructure(15, shuffled, d.labels) == d
+    assert list(d.lines) == sorted(d.lines, key=sorted)
+    assert IncidenceStructure.from_lines(15, shuffled, d.labels) == d
 
 
 def test_from_lines_rejects_a_line_that_names_a_point_twice():
@@ -91,6 +92,16 @@ def test_from_lines_rejects_a_line_that_names_a_point_twice():
     with pytest.raises(ValueError, match=re.escape("line [2, 1, 2] names a point twice")):
         IncidenceStructure.from_lines(3, [[0, 1, 2], (p for p in (2, 1, 2))])
     assert IncidenceStructure.from_lines(3, [[0, 1]]).lines == (frozenset({0, 1}),)
+
+
+def test_an_error_raised_while_iterating_a_line_is_kept():
+    # only a line that cannot be iterated is named as such
+    def points():
+        yield 0
+        raise TypeError("from inside the line")
+
+    with pytest.raises(TypeError, match="^from inside the line$"):
+        IncidenceStructure(3, [[1, 2], points()])
 
 
 @pytest.mark.parametrize("count", [-1, 2.5, "3", None, True])

@@ -5,7 +5,8 @@ bool, raises TypeError naming its type, and an int out of range raises an
 error naming the value and, where there is one, the range.  The forms'
 monomial indices and Gram entries, the dimensions of ``hyperbolic_form``
 and ``elliptic_form``, and ``check_gq``'s orders are ints the same way; a
-form's TypeError names the value too.
+form's TypeError names the value too.  A structure's line that is not
+iterable raises TypeError naming the line.
 
 One table: each entry point against True, 1.0, -1, frozenset({1}) and its
 first value past the range.  ``mask_of`` and ``points_of`` have no range, so
@@ -142,6 +143,10 @@ CASES = [
            "point index must be an int",
            [(p, (ValueError, f"line {set(frozenset({0, p, 2}))} has out-of-range points"))
             for p in (-1, 3)]),
+    *[pytest.param(build, line, (TypeError, f"line {line!r} is not an iterable of points"),
+                   id=f"{name}-line-{line}") for line in (5, None) for name, build in (
+        ("from_lines", lambda line: IncidenceStructure.from_lines(3, [[0, 1], line])),
+        ("constructor", lambda line: IncidenceStructure(3, [line])))],
     *_rows("points_of", points_of, "subset must be an int mask",
            [(-1, (ValueError, "mask -1 is negative"))]),
     *_mask("is_geometric_hyperplane", lambda m: is_geometric_hyperplane(DOILY, m), False),

@@ -1,8 +1,8 @@
-"""The constructor and ``from_lines`` share one table builder; both must agree
-with a reference copy of the two-pass code they replaced: the constructor
-validated each line again after ``from_lines`` had made it canonical, and
-built the tables in that second loop.  They must agree on the lines, their
-order, the tables, and on the exception raised for each single-fault input.
+"""The constructor and ``from_lines``, its alias, must agree with a reference
+copy of the two-pass code they replaced: ``from_lines`` made each line
+canonical, then the constructor validated it again and built the tables in
+a second loop.  They must agree on the lines, their order, the tables, and
+on the exception raised for each single-fault input.
 """
 
 import pytest
@@ -22,8 +22,8 @@ def check_points(line):
 
 
 class Reference:
-    """The tables as the two-pass constructor built them, with each point's
-    type checked first."""
+    """The tables as the two-pass code built them from ``from_lines``'
+    distinct frozenset lines, with each point's type checked first."""
 
     def __init__(self, point_count, lines, labels=None):
         if type(point_count) is not int or point_count < 0:
@@ -35,10 +35,6 @@ class Reference:
         perps = [1 << p for p in range(point_count)]
         line_pairs = 0
         for idx, line in enumerate(lines):
-            if not isinstance(line, frozenset):
-                raise TypeError(f"line {line!r} is not a frozenset; build the structure from "
-                                "point sequences with IncidenceStructure.from_lines")
-            check_points(line)
             size = len(line)
             if size < 2:
                 raise ValueError(f"line {set(line)} has fewer than 2 points")
@@ -52,8 +48,6 @@ class Reference:
                 perps[p] |= m
             line_masks.append(m)
             line_pairs += size * (size - 1)
-        if len(set(line_masks)) != len(lines):
-            raise ValueError("repeated lines are not allowed")
         if labels is not None and len(labels) != point_count:
             raise ValueError("labels must match the point count")
         self.point_count = point_count
@@ -100,14 +94,15 @@ def valid_inputs(draw):
 
 
 @st.composite
-def point_sequences(draw, lines):
-    """Each line as a list in a drawn order."""
-    return [draw(st.permutations(list(line))) for line in lines]
+def point_sequences(draw, lines, ordered):
+    """Each line as a list in a drawn order, or as a tuple, set or frozenset
+    unless ordered (a set would drop a repeated point)."""
+    kinds = [list, tuple] + [set, frozenset] * (not ordered)
+    return [draw(st.sampled_from(kinds))(draw(st.permutations(list(line)))) for line in lines]
 
 
-FROM_LINES_FAULTS = ("repeated point", "short line", "negative point", "point past the end",
-                     "non-int point", "bad point count", "wrong label length")
-CONSTRUCTOR_FAULTS = FROM_LINES_FAULTS[1:] + ("non-frozenset line", "repeated line")
+FAULTS = ("repeated point", "short line", "negative point", "point past the end",
+          "non-int point", "bad point count", "wrong label length")
 
 
 def inject(draw, fault, n, lines, labels):
@@ -135,37 +130,23 @@ def inject(draw, fault, n, lines, labels):
     return n, lines, labels
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(valid=valid_inputs(), data=st.data())
 def test_from_lines_agrees_with_the_two_pass_reference(valid, data):
+    # the constructor and from_lines on the same inputs
     n, lines, labels = valid
-    fault = data.draw(st.sampled_from((None,) + FROM_LINES_FAULTS))
+    fault = data.draw(st.sampled_from((None,) + FAULTS))
     if fault is not None:
         n, lines, labels = inject(data.draw, fault, n, lines, labels)
-    sequences = data.draw(point_sequences(lines)) if fault != "repeated point" else lines
-    # a line may come twice, as a list in another order
-    sequences += data.draw(st.lists(st.sampled_from(sequences), max_size=3))
-    new = outcome(IncidenceStructure.from_lines, n, sequences, labels)
-    assert new == outcome(Reference.from_lines, n, sequences, labels)
-    assert (fault is None) == (not isinstance(new[0], type))
-
-
-@settings(max_examples=150, deadline=None)
-@given(valid=valid_inputs(), data=st.data())
-def test_the_constructor_agrees_with_the_two_pass_reference(valid, data):
-    n, lines, labels = valid
-    fault = data.draw(st.sampled_from((None,) + CONSTRUCTOR_FAULTS))
-    if fault is not None:
-        n, lines, labels = inject(data.draw, fault, n, lines, labels)
-    lines = [frozenset(line) for line in lines]
-    k = data.draw(st.integers(0, len(lines) - 1))
-    if fault == "non-frozenset line":
-        lines[k] = data.draw(st.sampled_from([tuple, list, set]))(sorted(lines[k]))
-    elif fault == "repeated line":
-        lines.insert(data.draw(st.integers(0, len(lines))), frozenset(sorted(lines[k])))
-    new = outcome(IncidenceStructure, n, lines, labels)
-    assert new == outcome(Reference, n, lines, labels)
-    assert (fault is None) == (not isinstance(new[0], type))
+    sequences = data.draw(point_sequences(lines, ordered=fault == "repeated point"))
+    # a line may come again, in another order, and the lines in any order
+    sequences += [data.draw(st.permutations(list(line)))
+                  for line in data.draw(st.lists(st.sampled_from(sequences), max_size=3))]
+    sequences = data.draw(st.permutations(sequences))
+    expected = outcome(Reference.from_lines, n, sequences, labels)
+    assert outcome(IncidenceStructure, n, sequences, labels) == expected
+    assert outcome(IncidenceStructure.from_lines, n, sequences, labels) == expected
+    assert (fault is None) == (not isinstance(expected[0], type))
 
 
 @pytest.mark.parametrize("lines", [[[0, True, 2], [0, 1, 2]], [[0, 1, 2], [2, True, 0]]])
@@ -173,10 +154,7 @@ def test_a_bool_point_is_rejected_where_it_would_equal_an_int(lines):
     # True == 1, so a line holding it would equal a line of ints
     with pytest.raises(TypeError, match="^point index must be an int, got bool$"):
         IncidenceStructure.from_lines(3, lines)
-    assert outcome(IncidenceStructure.from_lines, 3, lines) == outcome(
-        Reference.from_lines, 3, lines)
-    frozen = [frozenset(line) for line in lines]
-    assert outcome(IncidenceStructure, 3, frozen) == outcome(Reference, 3, frozen)
+    assert outcome(IncidenceStructure, 3, lines) == outcome(Reference.from_lines, 3, lines)
 
 
 def test_a_short_line_is_named_before_its_range():
@@ -184,16 +162,4 @@ def test_a_short_line_is_named_before_its_range():
     lines = [[0, 1], [-1]]
     assert outcome(IncidenceStructure.from_lines, 3, lines) == (
         ValueError, "line {-1} has fewer than 2 points")
-    assert outcome(Reference.from_lines, 3, lines) == outcome(
-        IncidenceStructure.from_lines, 3, lines)
-    frozen = [frozenset(line) for line in lines]
-    assert outcome(IncidenceStructure, 3, frozen) == outcome(Reference, 3, frozen)
-
-
-def test_the_constructor_checks_types_and_repeats_before_the_builder():
-    # where faults compete, every line's type and then the repeats come first;
-    # the two-pass code met them line by line after the point count
-    with pytest.raises(ValueError, match="^repeated lines are not allowed$"):
-        IncidenceStructure(-1, [frozenset({0, 5})] * 2)
-    with pytest.raises(TypeError, match=r"^line \(1, 2\) is not a frozenset"):
-        IncidenceStructure(-1, [frozenset({0, 7}), (1, 2)])
+    assert outcome(Reference.from_lines, 3, lines) == outcome(IncidenceStructure, 3, lines)

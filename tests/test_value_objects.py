@@ -73,12 +73,17 @@ def test_incidence_structure_construction_and_messages():
     cases = [
         ((frozenset({0}),), None, r"^line \{0\} has fewer than 2 points$"),
         ((frozenset({0, 5}),), None, r"^line \{0, 5\} has out-of-range points$"),
-        ((frozenset({0, 1}), frozenset({1, 0})), None, "^repeated lines are not allowed$"),
+        (([0, 0, 1],), None, r"^line \[0, 0, 1\] names a point twice$"),
         ((frozenset({0, 1}),), ("a",), "^labels must match the point count$"),
     ]
     for lines, labels, message in cases:
         with pytest.raises(ValueError, match=message):
             IncidenceStructure(3, lines, labels)
+    # a repeated line is dropped, a tuple line converted, and the lines
+    # come out in the order of their ascending point tuples
+    g = IncidenceStructure(3, [(1, 2), (0, 1), frozenset({2, 1})])
+    assert g.lines == (frozenset({0, 1}), frozenset({1, 2}))
+    assert IncidenceStructure(3, [(2, 0, 1)]).lines == LINE
 
 
 def test_incidence_structure_compares_by_value():

@@ -83,14 +83,14 @@ def test_a_cold_magic_line_builds_each_constituent_once(monkeypatch):
     doily._classify_table()
     magicline.build_sector_models()
     built = []
-    original = IncidenceStructure._build
+    original = IncidenceStructure.__init__
 
     def counting(self, point_count, *args, **kwargs):
         built.append(point_count)
         original(self, point_count, *args, **kwargs)
 
-    # the constructor and from_lines both build their tables in _build
-    monkeypatch.setattr(IncidenceStructure, "_build", counting)
+    # every structure, from_lines' included, is built by the constructor
+    monkeypatch.setattr(IncidenceStructure, "__init__", counting)
     ml = magicline.build_magic_line.__wrapped__()
     assert sorted(built) == [15, 27, 31, 35]
     assert all(c.structure.labels == tuple(ml.label_of[w] for w in c.w_points)
@@ -139,20 +139,20 @@ def test_only_the_target_of_a_search_keeps_a_target_profile():
 
 
 def test_a_relabelled_structure_checks_partial_linearity_once(monkeypatch):
-    # the shared builder makes a structure's tables, its partial-linearity
-    # flag included; as in one relabel-and-search operation, the search, the
+    # the constructor makes a structure's tables, its partial-linearity flag
+    # included; as in one relabel-and-search operation, the search, the
     # gamma-space check and the Veldkamp space construct no structure but
     # the relabelled source
     d = doily.build_doily()
     target = IncidenceStructure(d.point_count, d.lines)
     built = []
-    original = IncidenceStructure._build
+    original = IncidenceStructure.__init__
 
     def counted(self, *args, **kwargs):
         built.append(self)
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(IncidenceStructure, "_build", counted)
+    monkeypatch.setattr(IncidenceStructure, "__init__", counted)
     source = IncidenceStructure.from_lines(
         d.point_count, ([(p * 2) % 15 for p in line] for line in d.lines))
     mapping = find_isomorphism(source, target)
