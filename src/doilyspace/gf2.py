@@ -176,7 +176,9 @@ class QuadraticForm:
 
 
 class BilinearForm:
-    """Symmetric bilinear form given by its Gram matrix over GF(2)."""
+    """Symmetric bilinear form given by its Gram matrix over GF(2).  The rows
+    are stored as tuples, whatever sequences they came in, so equal matrices
+    compare equal."""
 
     def __init__(self, gram: tuple[tuple[int, ...], ...]) -> None:
         for i, row in enumerate(gram):
@@ -187,7 +189,7 @@ class BilinearForm:
                     raise ValueError(f"gram entry ({i},{j}) must be 0 or 1: {b!r}")
                 if j < i and b != gram[j][i]:
                     raise ValueError(f"gram is not symmetric: ({j},{i}) and ({i},{j}) differ")
-        self.gram = gram
+        self.gram = tuple(map(tuple, gram))
 
     @property
     def dim(self) -> int:

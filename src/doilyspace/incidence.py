@@ -88,8 +88,9 @@ class IncidenceStructure:
     build the two search profiles.
 
     Two structures are equal when their point counts, lines (in order) and
-    labels are.  Lines and labels are stored as tuples, whatever sequence
-    they came in, so equality and hashing do not depend on it."""
+    labels are.  Each label must be a str.  Lines and labels are stored as
+    tuples, whatever sequence they came in, so equality and hashing do not
+    depend on it."""
 
     def __init__(self, point_count: int, lines: Iterable[Iterable[int]],
                  labels: Iterable[str] | None = None) -> None:
@@ -129,9 +130,14 @@ class IncidenceStructure:
                 perps[p] |= m
             line_masks.append(m)
             line_pairs += size * (size - 1)
-        labels = None if labels is None else tuple(labels)
-        if labels is not None and len(labels) != point_count:
-            raise ValueError("labels must match the point count")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != point_count:
+                raise ValueError("labels must match the point count")
+            for i, label in enumerate(labels):
+                if not isinstance(label, str):
+                    raise TypeError(f"label {i} must be a str, got "
+                                    f"{type(label).__name__}: {label!r}")
         self.point_count = point_count
         self.lines = tuple([canon[k] for k in keys])
         self.labels = labels

@@ -61,7 +61,7 @@ from .incidence import (
     popcount,
     veldkamp_sum_mask,
 )
-from .veldkamp import VeldkampLine, classify_veldkamp_line, fits_family
+from .veldkamp import VeldkampLine, classify_veldkamp_line, family_of
 
 CORE = "core"
 HYPERBOLIC_SECTOR = "hyperbolic"
@@ -460,8 +460,9 @@ def image_matches_family(image: LineImage) -> bool:
     """Check the label arithmetic of a line image against its family pattern.
 
     Labels are read as the subsets of S their members stand for (i/i' as
-    {i}, klmn as S \\ klmn, ijk/lmn as both triples) and checked by the
-    same rule table that classifies doily lines:
+    {i}, klmn as S \\ klmn, ijk/lmn as both triples).  The image matches when
+    family_of finds its family in FAMILY_RULES, the one statement of the five
+    families, which also classifies doily lines.  In the paper's notation:
 
     perp-grid-grid        -> {klmn, ikl/jmn, jkl/imn}
     perp triple disjoint  -> {klmn, ijmn, ijkl}
@@ -469,11 +470,8 @@ def image_matches_family(image: LineImage) -> bool:
     ovoid-perp-grid       -> {i/i', ilmn, ijk/lmn}
     ovoid-ovoid-perp      -> {i/i', j/j', klmn}
     """
-    by_kind = {OVOID: [], PERP_SET: [], GRID: []}
-    for m in image.members:
-        if m.sector in SECTOR_KIND:
-            by_kind[SECTOR_KIND[m.sector]].append(m.subsets)
-    return fits_family(image.family, by_kind[OVOID], by_kind[PERP_SET], by_kind[GRID])
+    return family_of((SECTOR_KIND[m.sector], m.subsets)
+                     for m in image.members if m.sector in SECTOR_KIND) == image.family
 
 
 class PolarPairReport:

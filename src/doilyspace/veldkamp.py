@@ -22,21 +22,6 @@ from .doily import (
 )
 from .incidence import IncidenceStructure, _check_mask, null_space_hyperplanes
 
-FAMILY_PERP_GRID_GRID = "perp-grid-grid"
-FAMILY_PERP_TRIPLE_DISJOINT = "perp-perp-perp-disjoint"
-FAMILY_PERP_TRIPLE_TRIANGLE = "perp-perp-perp-triangle"
-FAMILY_OVOID_PERP_GRID = "ovoid-perp-grid"
-FAMILY_OVOID_OVOID_PERP = "ovoid-ovoid-perp"
-
-FAMILIES = (
-    FAMILY_PERP_GRID_GRID,
-    FAMILY_PERP_TRIPLE_DISJOINT,
-    FAMILY_PERP_TRIPLE_TRIANGLE,
-    FAMILY_OVOID_PERP_GRID,
-    FAMILY_OVOID_OVOID_PERP,
-)
-
-
 class VeldkampLine:
     """Three masks inside the point set, a tuple in ascending order, closed under
     the Veldkamp sum and so with one common core; null_space_hyperplanes (in
@@ -145,34 +130,41 @@ def _require_partial_linear_space(g: IncidenceStructure) -> None:
 
 # A member of a doily Veldkamp line stands for subsets of S: an ovoid o_i for
 # {i}, a perp-set p_ij for its deep duad {i,j}, and a grid for its two
-# complementary triples.  Each family is fixed by its member counts
-# (ovoids, perp-sets, grids) and a rule on those subsets; the same table
-# classifies doily lines and checks their magic-line sector images.
+# complementary triples.  Each family is named by its key and fixed by its
+# member counts (ovoids, perp-sets, grids) and a rule on those subsets;
+# family_of reads the table, both to classify doily lines and to check their
+# magic-line sector images.
 FAMILY_RULES = {
     # {p_ij, g, g'}: a triple of g and one of g' differ exactly in {i,j}
-    FAMILY_PERP_GRID_GRID: ((0, 1, 2), lambda o, p, g: any(
+    "perp-grid-grid": ((0, 1, 2), lambda o, p, g: any(
         u ^ v == p[0] for u in g[0] for v in g[1])),
     # three deep duads partitioning S
-    FAMILY_PERP_TRIPLE_DISJOINT: ((0, 3, 0), lambda o, p, g: len(p[0] | p[1] | p[2]) == 6),
+    "perp-perp-perp-disjoint": ((0, 3, 0), lambda o, p, g: len(p[0] | p[1] | p[2]) == 6),
     # three deep duads forming the triangle on a triple
-    FAMILY_PERP_TRIPLE_TRIANGLE: ((0, 3, 0), lambda o, p, g: (
+    "perp-perp-perp-triangle": ((0, 3, 0), lambda o, p, g: (
         len(p[0] | p[1] | p[2]) == 3
         and len(p[0] & p[1]) == len(p[0] & p[2]) == len(p[1] & p[2]) == 1)),
     # {o_i, p_jk, g_ijk} with i outside {j,k}
-    FAMILY_OVOID_PERP_GRID: ((1, 1, 1), lambda o, p, g: (
+    "ovoid-perp-grid": ((1, 1, 1), lambda o, p, g: (
         not (o[0] & p[0]) and (o[0] | p[0]) in g[0])),
     # {o_i, o_j, p_ij}
-    FAMILY_OVOID_OVOID_PERP: ((2, 1, 0), lambda o, p, g: o[0] | o[1] == p[0]),
+    "ovoid-ovoid-perp": ((2, 1, 0), lambda o, p, g: o[0] | o[1] == p[0]),
 }
 
+FAMILIES = tuple(FAMILY_RULES)
 
-def fits_family(family: str, ovoids: list, perp_sets: list, grids: list) -> bool:
-    """Whether members given by their subsets of S (see FAMILY_RULES) form
-    a line of the family: ovoids as {i}, perp-sets as deep duads, grids as
-    pairs of complementary triples."""
-    counts, rule = FAMILY_RULES[family]
-    return (counts == (len(ovoids), len(perp_sets), len(grids))
-            and rule(ovoids, perp_sets, grids))
+
+def family_of(members) -> str | None:
+    """The first family whose counts and rule fit the members, given as
+    (kind, subsets of S) pairs (see FAMILY_RULES), or None."""
+    by_kind = {OVOID: [], PERP_SET: [], GRID: []}
+    for kind, subsets in members:
+        by_kind[kind].append(subsets)
+    o, p, g = by_kind[OVOID], by_kind[PERP_SET], by_kind[GRID]
+    for family, (counts, rule) in FAMILY_RULES.items():
+        if counts == (len(o), len(p), len(g)) and rule(o, p, g):
+            return family
+    return None
 
 
 def classify_veldkamp_line(line: VeldkampLine) -> str:
@@ -188,15 +180,12 @@ def _classify_members(masks: tuple[int, int, int]) -> str:
     lines reach the cache, so it holds at most 155 entries; a failure raises
     and is not cached."""
     members = [classify_hyperplane(m) for m in masks]
-    by_kind = {OVOID: [], PERP_SET: [], GRID: []}
-    for h in members:
-        t = frozenset(h.index)
-        by_kind[h.kind].append((t, S_SET - t) if h.kind == GRID else t)
-    for family in FAMILIES:
-        if fits_family(family, by_kind[OVOID], by_kind[PERP_SET], by_kind[GRID]):
-            return family
-    raise ValueError("no Veldkamp line family fits the members "
-                     + ", ".join(h.name for h in members))
+    family = family_of((h.kind, (t, S_SET - t) if h.kind == GRID else t)
+                       for h in members for t in [frozenset(h.index)])
+    if family is None:
+        raise ValueError("no Veldkamp line family fits the members "
+                         + ", ".join(h.name for h in members))
+    return family
 
 
 def family_census(lines) -> dict[str, int]:

@@ -6,7 +6,8 @@ error naming the value and, where there is one, the range.  The forms'
 monomial indices and Gram entries, the dimensions of ``hyperbolic_form``
 and ``elliptic_form``, and ``check_gq``'s orders are ints the same way; a
 form's TypeError names the value too.  A structure's line that is not
-iterable raises TypeError naming the line.
+iterable raises TypeError naming the line, and a label that is not a str
+TypeError naming its index, type and value.
 
 One table: each entry point against True, 1.0, -1, frozenset({1}) and its
 first value past the range.  ``mask_of`` and ``points_of`` have no range, so
@@ -34,6 +35,7 @@ from doilyspace.gf2 import (
     coordinate_masks,
     elliptic_form,
     hyperbolic_form,
+    polarize,
 )
 from doilyspace.incidence import (
     IncidenceStructure,
@@ -46,10 +48,11 @@ from doilyspace.incidence import (
     points_of,
 )
 from doilyspace.magicline import build_magic_line
-from doilyspace.veldkamp import VeldkampLine
+from doilyspace.veldkamp import VeldkampLine, build_veldkamp_space
 
 DOILY = build_doily()
 NON_INTS = [(True, "bool"), (1.0, "float"), (frozenset({1}), "frozenset")]
+LABELS = [(1, "int"), (True, "bool"), (None, "NoneType"), (b"b", "bytes")]
 
 
 def _line_members() -> tuple[int, int]:
@@ -147,6 +150,10 @@ CASES = [
                    id=f"{name}-line-{line}") for line in (5, None) for name, build in (
         ("from_lines", lambda line: IncidenceStructure.from_lines(3, [[0, 1], line])),
         ("constructor", lambda line: IncidenceStructure(3, [line])))],
+    *[pytest.param(build, bad, (TypeError, f"label 1 must be a str, got {kind}: {bad!r}"),
+                   id=f"{name}-label-{kind}") for bad, kind in LABELS for name, build in (
+        ("from_lines", lambda bad: IncidenceStructure.from_lines(3, [[0, 1, 2]], ["a", bad, "c"])),
+        ("constructor", lambda bad: IncidenceStructure(3, [[0, 1, 2]], labels=["a", bad, "c"])))],
     *_rows("points_of", points_of, "subset must be an int mask",
            [(-1, (ValueError, "mask -1 is negative"))]),
     *_mask("is_geometric_hyperplane", lambda m: is_geometric_hyperplane(DOILY, m), False),
@@ -219,3 +226,18 @@ def test_each_entry_point_still_takes_its_good_input():
     assert QuadraticForm(3, [(0, 2)]).evaluate(0b101) == 1
     assert BilinearForm(((0, 1), (1, 0))).radical() == ()
     assert elliptic_form(4).evaluate(0b11) == 1 and check_gq(DOILY, 2, 2)
+
+
+def test_a_label_that_is_not_a_str_fails_before_the_veldkamp_builder():
+    # two lines sharing two points: the builder names them by their labels
+    with pytest.raises(TypeError, match=r"^label 0 must be a str, got int: 1$"):
+        IncidenceStructure(4, [(0, 1, 2), (0, 1, 3)], labels=[1, 2, 3, 4])
+    g = IncidenceStructure(4, [(0, 1, 2), (0, 1, 3)], labels=["1", "2", "3", "4"])
+    with pytest.raises(ValueError, match=r"^lines \{1, 2, 3\} and \{1, 2, 4\} share two points"):
+        build_veldkamp_space(g)
+
+
+def test_a_gram_given_as_lists_is_stored_as_tuples():
+    form = BilinearForm([[0, 1], [1, 0]])
+    assert form.gram == ((0, 1), (1, 0)) == polarize(hyperbolic_form(2)).gram
+    assert all(type(row) is tuple for row in form.gram)

@@ -15,6 +15,7 @@ from doilyspace.doily import (
     S_SET,
     all_named_hyperplanes,
     build_doily,
+    classify_hyperplane,
     duad_label,
     grid,
     ovoid,
@@ -71,6 +72,7 @@ from doilyspace.veldkamp import (
     VeldkampLine,
     build_veldkamp_space,
     classify_veldkamp_line,
+    family_of,
 )
 
 
@@ -432,6 +434,26 @@ def test_line_images_fit_exactly_their_own_family():
         assert image.family == family
         fitting = [f for f in FAMILIES if image_matches_family(LineImage(f, image.members))]
         assert fitting == [family]
+
+
+def _mask_reading(mask):
+    """A doily hyperplane's (kind, subsets of S), read from its mask."""
+    h = classify_hyperplane(mask)
+    t = frozenset(h.index)
+    return h.kind, ((t, S_SET - t) if h.kind == GRID else t)
+
+
+def test_mask_and_sector_image_readings_agree_member_by_member():
+    # classify_veldkamp_line reads a line's members from their masks and
+    # image_matches_family from their sector images; both hand family_of
+    # the same (kind, subsets) pairs, member by member
+    ml = build_magic_line()
+    for line in build_veldkamp_space(build_doily()).lines:
+        from_masks = [_mask_reading(m) for m in line.members]
+        from_images = [(SECTOR_KIND[image.sector], image.subsets)
+                       for image in veldkamp_line_image(ml, line).members]
+        assert from_images == from_masks
+        assert family_of(from_masks) == classify_veldkamp_line(line)
 
 
 def test_trace_rejects_a_wrong_sector_kind():

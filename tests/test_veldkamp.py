@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doilyspace.doily import (
+    OVOID,
+    PERP_SET,
     S_ELEMENTS,
     apply_duad_permutation,
     build_doily,
@@ -26,11 +28,6 @@ from doilyspace.incidence import (
 from doilyspace.magicline import build_magic_line, build_w52
 from doilyspace.veldkamp import (
     FAMILIES,
-    FAMILY_OVOID_OVOID_PERP,
-    FAMILY_OVOID_PERP_GRID,
-    FAMILY_PERP_GRID_GRID,
-    FAMILY_PERP_TRIPLE_DISJOINT,
-    FAMILY_PERP_TRIPLE_TRIANGLE,
     FAMILY_RULES,
     VeldkampLine,
     _classify_members,
@@ -38,16 +35,16 @@ from doilyspace.veldkamp import (
     classify_veldkamp_line,
     doily_veldkamp_space,
     family_census,
-    fits_family,
+    family_of,
 )
 
 # pinned from the enumeration oracle on its first run
 PINNED_CENSUS = {
-    FAMILY_PERP_GRID_GRID: 45,
-    FAMILY_PERP_TRIPLE_DISJOINT: 15,
-    FAMILY_PERP_TRIPLE_TRIANGLE: 20,
-    FAMILY_OVOID_PERP_GRID: 60,
-    FAMILY_OVOID_OVOID_PERP: 15,
+    "perp-grid-grid": 45,
+    "perp-perp-perp-disjoint": 15,
+    "perp-perp-perp-triangle": 20,
+    "ovoid-perp-grid": 60,
+    "ovoid-ovoid-perp": 15,
 }
 
 
@@ -111,7 +108,7 @@ def test_line_members_are_stored_as_a_tuple():
     for given in (list(members), iter(members)):
         line = VeldkampLine(build_doily(), given)
         assert line.members == members and type(line.members) is tuple
-        assert classify_veldkamp_line(line) == FAMILY_OVOID_OVOID_PERP
+        assert classify_veldkamp_line(line) == "ovoid-ovoid-perp"
     assert not hasattr(line, "__dict__")
 
 
@@ -191,15 +188,15 @@ def test_built_lines_pass_the_checked_constructor_on_random_geometries(g):
 
 def test_classify_representatives():
     assert classify_veldkamp_line(
-        doily_line(perp_set(1, 2), grid(1, 3, 4))) == FAMILY_PERP_GRID_GRID
+        doily_line(perp_set(1, 2), grid(1, 3, 4))) == "perp-grid-grid"
     assert classify_veldkamp_line(
-        doily_line(perp_set(1, 2), perp_set(3, 4))) == FAMILY_PERP_TRIPLE_DISJOINT
+        doily_line(perp_set(1, 2), perp_set(3, 4))) == "perp-perp-perp-disjoint"
     assert classify_veldkamp_line(
-        doily_line(perp_set(1, 2), perp_set(1, 3))) == FAMILY_PERP_TRIPLE_TRIANGLE
+        doily_line(perp_set(1, 2), perp_set(1, 3))) == "perp-perp-perp-triangle"
     assert classify_veldkamp_line(
-        doily_line(ovoid(1), perp_set(2, 3))) == FAMILY_OVOID_PERP_GRID
+        doily_line(ovoid(1), perp_set(2, 3))) == "ovoid-perp-grid"
     assert classify_veldkamp_line(
-        doily_line(ovoid(1), ovoid(2))) == FAMILY_OVOID_OVOID_PERP
+        doily_line(ovoid(1), ovoid(2))) == "ovoid-ovoid-perp"
 
 
 def test_representative_membership_details():
@@ -239,29 +236,37 @@ def test_census_invariant_under_relabelling():
 
 def test_each_line_keeps_its_family_under_all_of_s6():
     vs = build_veldkamp_space(build_doily())
-    family_of = {line.members: classify_veldkamp_line(line) for line in vs.lines}
+    family_by_members = {line.members: classify_veldkamp_line(line) for line in vs.lines}
     for images in permutations(S_ELEMENTS):
         perm = dict(zip(S_ELEMENTS, images))
         moved = {m: apply_duad_permutation(m, perm) for m in vs.points}
-        for members, family in family_of.items():
-            assert family_of[tuple(sorted(moved[m] for m in members))] == family
+        for members, family in family_by_members.items():
+            assert family_by_members[tuple(sorted(moved[m] for m in members))] == family
 
 
 def test_family_rule_table():
-    assert tuple(FAMILY_RULES) == FAMILIES
+    assert FAMILIES == tuple(FAMILY_RULES) == (
+        "perp-grid-grid", "perp-perp-perp-disjoint", "perp-perp-perp-triangle",
+        "ovoid-perp-grid", "ovoid-ovoid-perp")
     d12, d13, d15, d23, d34, d56 = (frozenset(d) for d in
                                     ((1, 2), (1, 3), (1, 5), (2, 3), (3, 4), (5, 6)))
-    assert fits_family(FAMILY_PERP_TRIPLE_TRIANGLE, [], [d12, d13, d23], [])
-    assert not fits_family(FAMILY_PERP_TRIPLE_DISJOINT, [], [d12, d13, d23], [])
-    assert fits_family(FAMILY_PERP_TRIPLE_DISJOINT, [], [d12, d34, d56], [])
-    assert not any(fits_family(f, [], [d12, d34, d15], []) for f in FAMILIES)
+
+    def perps(*duads):
+        return [(PERP_SET, d) for d in duads]
+
+    assert family_of(perps(d12, d13, d23)) == "perp-perp-perp-triangle"
+    assert family_of(perps(d12, d34, d56)) == "perp-perp-perp-disjoint"
+    # three deep duads that neither partition S nor form a triangle fit no family
+    assert family_of(perps(d12, d34, d15)) is None
     # a repeated deep duad is no triangle, though its union has 3 elements
-    assert not fits_family(FAMILY_PERP_TRIPLE_TRIANGLE, [], [d12, d12, d13], [])
+    assert family_of(perps(d12, d12, d13)) is None
     o1, o2 = frozenset({1}), frozenset({2})
-    assert fits_family(FAMILY_OVOID_OVOID_PERP, [o1, o2], [d12], [])
-    assert not fits_family(FAMILY_OVOID_OVOID_PERP, [o1, o2], [d13], [])
-    # the member counts are compared before the rule runs
-    assert not fits_family(FAMILY_OVOID_OVOID_PERP, [o1], [d12], [])
+    assert family_of([(OVOID, o1), (OVOID, o2), (PERP_SET, d12)]) == "ovoid-ovoid-perp"
+    assert family_of([(PERP_SET, d12), (OVOID, o2), (OVOID, o1)]) == "ovoid-ovoid-perp"
+    assert family_of([(OVOID, o1), (OVOID, o2), (PERP_SET, d13)]) is None
+    # the member counts are compared before the rule runs: the rules of the
+    # count-(1, 1, x) families would index a grid or a second ovoid
+    assert family_of([(OVOID, o1), (PERP_SET, d12)]) is None
 
 
 def test_single_line_geometry_space():
