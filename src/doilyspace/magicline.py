@@ -61,7 +61,7 @@ from .incidence import (
     popcount,
     veldkamp_sum_mask,
 )
-from .veldkamp import VeldkampLine, classify_veldkamp_line, family_of
+from .veldkamp import FAMILY_RULES, VeldkampLine, classify_veldkamp_line, family_of
 
 CORE = "core"
 HYPERBOLIC_SECTOR = "hyperbolic"
@@ -462,7 +462,7 @@ def image_matches_family(image: LineImage) -> bool:
     Labels are read as the subsets of S their members stand for (i/i' as
     {i}, klmn as S \\ klmn, ijk/lmn as both triples).  The image matches when
     family_of finds its family in FAMILY_RULES, the one statement of the five
-    families, which also classifies doily lines.  In the paper's notation:
+    families; an unknown family name raises KeyError.  In the paper's notation:
 
     perp-grid-grid        -> {klmn, ikl/jmn, jkl/imn}
     perp triple disjoint  -> {klmn, ijmn, ijkl}
@@ -470,6 +470,8 @@ def image_matches_family(image: LineImage) -> bool:
     ovoid-perp-grid       -> {i/i', ilmn, ijk/lmn}
     ovoid-ovoid-perp      -> {i/i', j/j', klmn}
     """
+    if image.family not in FAMILY_RULES:
+        raise KeyError(image.family)
     return family_of((SECTOR_KIND[m.sector], m.subsets)
                      for m in image.members if m.sector in SECTOR_KIND) == image.family
 

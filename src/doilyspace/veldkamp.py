@@ -157,14 +157,18 @@ FAMILIES = tuple(FAMILY_RULES)
 def family_of(members) -> str | None:
     """The first family whose counts and rule fit the members, given as
     (kind, subsets of S) pairs (see FAMILY_RULES), or None."""
-    by_kind = {OVOID: [], PERP_SET: [], GRID: []}
-    for kind, subsets in members:
-        by_kind[kind].append(subsets)
-    o, p, g = by_kind[OVOID], by_kind[PERP_SET], by_kind[GRID]
+    members = list(members)
+    o, p, g = ([s for k, s in members if k == kind] for kind in (OVOID, PERP_SET, GRID))
     for family, (counts, rule) in FAMILY_RULES.items():
         if counts == (len(o), len(p), len(g)) and rule(o, p, g):
             return family
     return None
+
+
+def _member_subsets(h) -> tuple:
+    """A classified doily hyperplane as the (kind, subsets of S) pair family_of reads."""
+    t = frozenset(h.index)
+    return h.kind, ((t, S_SET - t) if h.kind == GRID else t)
 
 
 def classify_veldkamp_line(line: VeldkampLine) -> str:
@@ -180,8 +184,7 @@ def _classify_members(masks: tuple[int, int, int]) -> str:
     lines reach the cache, so it holds at most 155 entries; a failure raises
     and is not cached."""
     members = [classify_hyperplane(m) for m in masks]
-    family = family_of((h.kind, (t, S_SET - t) if h.kind == GRID else t)
-                       for h in members for t in [frozenset(h.index)])
+    family = family_of(_member_subsets(h) for h in members)
     if family is None:
         raise ValueError("no Veldkamp line family fits the members "
                          + ", ".join(h.name for h in members))

@@ -69,7 +69,9 @@ from doilyspace.magicline import (
 )
 from doilyspace.veldkamp import (
     FAMILIES,
+    FAMILY_RULES,
     VeldkampLine,
+    _member_subsets,
     build_veldkamp_space,
     classify_veldkamp_line,
     family_of,
@@ -425,22 +427,40 @@ def test_sector_images_of_all_155_lines():
         assert image_matches_family(image)
 
 
+def _image_reading(image):
+    """A line image's members as (kind, subsets of S) pairs, read from their sectors."""
+    return [(SECTOR_KIND[m.sector], m.subsets) for m in image.members]
+
+
+def _fitting_families(members):
+    """Every family whose counts and rule in FAMILY_RULES the members fit."""
+    o, p, g = ([s for k, s in members if k == kind] for kind in (OVOID, PERP_SET, GRID))
+    return [f for f, (counts, rule) in FAMILY_RULES.items()
+            if counts == (len(o), len(p), len(g)) and rule(o, p, g)]
+
+
 def test_line_images_fit_exactly_their_own_family():
+    # every family's counts and rule run on both readings of each line, so a
+    # rule that also accepted the lines of another family fails here, although
+    # family_of, which stops at the first fit, would still answer right
     ml = build_magic_line()
     vs = build_veldkamp_space(build_doily())
     for line in vs.lines:
         image = veldkamp_line_image(ml, line)
         family = classify_veldkamp_line(line)
         assert image.family == family
+        from_masks = [_member_subsets(classify_hyperplane(m)) for m in line.members]
+        from_images = _image_reading(image)
+        assert _fitting_families(from_masks) == _fitting_families(from_images) == [family]
         fitting = [f for f in FAMILIES if image_matches_family(LineImage(f, image.members))]
         assert fitting == [family]
 
 
-def _mask_reading(mask):
-    """A doily hyperplane's (kind, subsets of S), read from its mask."""
-    h = classify_hyperplane(mask)
-    t = frozenset(h.index)
-    return h.kind, ((t, S_SET - t) if h.kind == GRID else t)
+def test_image_matches_family_rejects_an_unknown_family():
+    ml = build_magic_line()
+    image = veldkamp_line_image(ml, build_veldkamp_space(build_doily()).lines[0])
+    with pytest.raises(KeyError, match="^'perp-perp'$"):
+        image_matches_family(LineImage("perp-perp", image.members))
 
 
 def test_mask_and_sector_image_readings_agree_member_by_member():
@@ -449,10 +469,8 @@ def test_mask_and_sector_image_readings_agree_member_by_member():
     # the same (kind, subsets) pairs, member by member
     ml = build_magic_line()
     for line in build_veldkamp_space(build_doily()).lines:
-        from_masks = [_mask_reading(m) for m in line.members]
-        from_images = [(SECTOR_KIND[image.sector], image.subsets)
-                       for image in veldkamp_line_image(ml, line).members]
-        assert from_images == from_masks
+        from_masks = [_member_subsets(classify_hyperplane(m)) for m in line.members]
+        assert _image_reading(veldkamp_line_image(ml, line)) == from_masks
         assert family_of(from_masks) == classify_veldkamp_line(line)
 
 
