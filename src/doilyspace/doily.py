@@ -129,7 +129,8 @@ def grid(i: int, j: int, k: int) -> DoilyHyperplane:
 
 @lru_cache(maxsize=None)
 def _named_table() -> dict[tuple[str, tuple[int, ...]], DoilyHyperplane]:
-    """The 31 named hyperplanes keyed by (kind, canonical index), in canonical order."""
+    """The 31 named hyperplanes keyed by (kind, canonical index), in canonical order:
+    the one statement of the doily's hyperplanes, which _classify_table certifies."""
     duads = {}
     for i in S_ELEMENTS:
         duads[OVOID, (i,)] = [e for e in DUADS if i in e]
@@ -143,76 +144,45 @@ def _named_table() -> dict[tuple[str, tuple[int, ...]], DoilyHyperplane]:
 
 def classify_hyperplane(mask: int) -> DoilyHyperplane:
     """Identify a point subset, given as a bitmask over point indices, as an
-    ovoid, perp-set or grid of the doily.
-
-    The answer is looked up in a table of the 31 hyperplanes that was
-    classified structurally and certified when built; any other mask in
-    range goes through the structural classification, which rejects it.
-    """
+    ovoid, perp-set or grid of the doily: its entry in the certified table of
+    the 31 named hyperplanes.  Any other mask in range is rejected."""
     h = _classify_table().get(mask) if type(mask) is int else None
     if h is not None:
         return h
     _check_mask(mask, FULL_MASK)
-    return _classify_structurally(mask)
+    if not is_geometric_hyperplane(build_doily(), mask):
+        raise ValueError("subset is not a geometric hyperplane of the doily")
+    raise ValueError(f"no doily hyperplane has {popcount(mask)} points")
 
 
 @lru_cache(maxsize=None)
 def _classify_table() -> dict[int, DoilyHyperplane]:
-    """The structural class of each of the doily's hyperplanes, keyed by mask."""
-    table = {m: _classify_structurally(m) for m in null_space_hyperplanes(build_doily())}
-    if table != {h.mask: h for h in all_named_hyperplanes()}:
-        raise RuntimeError("doily classify table differs from the named hyperplanes")
-    return table
-
-
-def _classify_structurally(mask: int) -> DoilyHyperplane:
-    """Classify by size, cross-checked structurally (ovoid: pairwise
-    non-collinear; perp-set: unique deep point; grid: a 3x3 subgeometry) and
-    against the matching named constructor."""
+    """The named hyperplanes keyed by mask, certified to be the doily's
+    hyperplanes, each with the shape of its kind: an ovoid has no two
+    collinear points; a perp-set holds the 3 lines through its duad, its
+    only deep point; a grid holds 6 lines, 2 through each of its points,
+    and has no deep point."""
     g = build_doily()
-    if not is_geometric_hyperplane(g, mask):
-        raise ValueError("subset is not a geometric hyperplane of the doily")
-    size = popcount(mask)
-    if size == 5:
-        pts = points_of(mask)
-        if any(collinear(g, p, q) for p, q in combinations(pts, 2)):
-            raise ValueError("5-point hyperplane with collinear points is not an ovoid")
-        common = frozenset.intersection(*(frozenset(DUADS[p]) for p in pts))
-        if len(common) != 1:
-            raise ValueError("ovoid duads must share exactly one element")
-        (i,) = common
-        h = ovoid(i)
-    elif size == 7:
+    table = {h.mask: h for h in _named_table().values()}
+    if sorted(table) != (found := null_space_hyperplanes(g)):
+        m = min(set(table) ^ set(found))
+        raise RuntimeError(f"named doily hyperplane {table[m]} (mask {m}) is not a hyperplane"
+                           if m in table else f"doily hyperplane mask {m} is not named")
+    for mask, h in table.items():
+        inside = [lm for lm in g.line_masks if not lm & ~mask]
         deep = deep_points_mask(g, mask)
-        if popcount(deep) != 1:
-            raise ValueError("7-point hyperplane must have a unique deep point")
-        (p,) = points_of(deep)
-        h = perp_set(*DUADS[p])
-    elif size == 9:
-        inside = [lm for lm in g.line_masks if lm & ~mask == 0]
-        if len(inside) != 6:
-            raise ValueError("grid must contain exactly 6 lines")
-        for p in points_of(mask):
-            if sum(1 for lm in inside if (lm >> p) & 1) != 2:
-                raise ValueError("every grid point must lie on exactly 2 internal lines")
-        # elements in the same class of the defining partition never form a
-        # duad of the grid, so 1's class is 1 and the y with no duad 1y in it;
-        # the h.mask check below catches a mask that is not that class's grid
-        triple = _grid_triple(mask)
-        h = grid(*triple)
-    else:
-        raise ValueError(f"no doily hyperplane has {size} points")
-    if h.mask != mask:
-        raise ValueError("structural classification failed to reproduce the subset")
-    return h
-
-
-def _grid_triple(mask: int) -> tuple[int, int, int]:
-    present = {DUADS[p] for p in points_of(mask)}
-    cls = {1} | {y for y in S_ELEMENTS[1:] if (1, y) not in present}
-    if len(cls) != 3:
-        raise ValueError("grid duads do not arise from a 3+3 partition")
-    return tuple(sorted(cls))
+        if h.kind == OVOID:
+            fits = not any(collinear(g, p, q) for p, q in combinations(points_of(mask), 2))
+        elif h.kind == PERP_SET:
+            fits = points_of(deep) == (DUAD_INDEX.get(h.index),) and inside == [
+                lm for lm in g.line_masks if lm & deep]
+        else:
+            fits = not deep and len(inside) == 6 and all(
+                sum(lm >> p & 1 for lm in inside) == 2 for p in points_of(mask))
+        if not fits:
+            raise RuntimeError(
+                f"named doily hyperplane {h} (mask {mask}) does not have the {h.kind} shape")
+    return table
 
 
 def veldkamp_sum(h1: DoilyHyperplane, h2: DoilyHyperplane) -> DoilyHyperplane:

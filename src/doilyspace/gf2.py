@@ -32,14 +32,14 @@ class BinaryVector:
     def __init__(self, bits: tuple[int, ...]) -> None:
         if not bits:
             raise ValueError("vector must have at least one coordinate")
-        if any(b not in (0, 1) for b in bits):
+        if any(_int(b, "coordinate") not in (0, 1) for b in bits):
             raise ValueError(f"coordinates must be 0 or 1: {bits!r}")
         self.bits = bits
 
     @classmethod
     def from_int(cls, value: int, dim: int) -> BinaryVector:
         """Vector whose k-th coordinate is bit k of ``value``."""
-        if not 0 <= value < (1 << dim):
+        if _int(dim, "vector dimension") < 0 or not 0 <= _int(value, "vector value") < 1 << dim:
             raise ValueError(f"value {value} out of range for dimension {dim}")
         return cls(tuple((value >> k) & 1 for k in range(dim)))
 
@@ -122,11 +122,13 @@ class QuadraticForm:
         if type(dim) is not int or dim < 1:
             raise ValueError(f"dimension {dim!r} is not a positive int")
         self.dim = dim
-        self.monomials = frozenset((_int(i, "monomial index"), _int(j, "monomial index"))
-                                   for i, j in monomials)
-        for i, j in self.monomials:
+        pairs = [(_int(i, "monomial index"), _int(j, "monomial index")) for i, j in monomials]
+        for k, (i, j) in enumerate(pairs):
             if not (0 <= i <= j < dim):
                 raise ValueError(f"monomial ({i},{j}) out of range for dimension {dim}")
+            if pairs.index((i, j)) < k:
+                raise ValueError(f"monomial ({i},{j}) is listed twice")
+        self.monomials = frozenset(pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuadraticForm):

@@ -6,9 +6,11 @@ from itertools import combinations, permutations
 
 import pytest
 
+from doilyspace import doily
 from doilyspace.doily import (
     DUADS,
     DUAD_INDEX,
+    DoilyHyperplane,
     FULL_MASK,
     GRID,
     OVOID,
@@ -23,8 +25,8 @@ from doilyspace.doily import (
     ovoid,
     perp_set,
     veldkamp_sum,
-    _classify_structurally,
     _classify_table,
+    _named_table,
 )
 from doilyspace.incidence import (
     collinear,
@@ -157,12 +159,39 @@ def test_classify_takes_int_masks_only(subset):
         classify_hyperplane(subset)
 
 
-def test_classify_table_matches_structural_classification():
+def test_classify_table_is_the_named_table():
     table = _classify_table()
     assert sorted(table) == sorted(h.mask for h in all_named_hyperplanes())
-    for mask, h in table.items():
-        assert classify_hyperplane(mask) is h
-        assert h == _classify_structurally(mask)
+    for h in all_named_hyperplanes():
+        assert classify_hyperplane(h.mask) is h
+
+
+def _swap(key, kind, index):
+    """Replace the named entry at key by its mask under another kind and index."""
+    return lambda named: named.update({key: DoilyHyperplane(named[key].mask, kind, index)})
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_swap((GRID, (1, 2, 3)), OVOID, (1, 2, 3)),
+     f"named doily hyperplane o_123 (mask {grid(1, 2, 3).mask}) does not have the ovoid shape"),
+    (_swap((GRID, (1, 2, 3)), PERP_SET, (1, 2, 3)),
+     f"named doily hyperplane p_123 (mask {grid(1, 2, 3).mask}) does not have the perp-set shape"),
+    (_swap((PERP_SET, (1, 2)), PERP_SET, (3, 4)),
+     f"named doily hyperplane p_34 (mask {perp_set(1, 2).mask}) does not have the perp-set shape"),
+    (_swap((PERP_SET, (1, 2)), GRID, (1, 2, 3)),
+     f"named doily hyperplane g_123 (mask {perp_set(1, 2).mask}) does not have the grid shape"),
+    (lambda named: named.pop((GRID, (1, 4, 5))),
+     f"doily hyperplane mask {grid(1, 4, 5).mask} is not named"),
+    (lambda named: named.update({(OVOID, (1,)): DoilyHyperplane(ovoid(1).mask ^ 1, OVOID, (1,))}),
+     f"named doily hyperplane o_1 (mask {ovoid(1).mask ^ 1}) is not a hyperplane"),
+], ids=["grid as ovoid", "grid as perp-set", "perp-set with another duad", "perp-set as grid",
+        "mask dropped", "mask not a hyperplane"])
+def test_classify_table_rejects_a_wrong_named_table(monkeypatch, tamper, message):
+    named = dict(_named_table())
+    tamper(named)
+    monkeypatch.setattr(doily, "_named_table", lambda: named)
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        _classify_table.__wrapped__()
 
 
 def test_census_and_distinctness():

@@ -4,10 +4,11 @@ coordinate masks through a fourth: a value that is not an int, or is a
 bool, raises TypeError naming its type, and an int out of range raises an
 error naming the value and, where there is one, the range.  The forms'
 monomial indices and Gram entries, the dimensions of ``hyperbolic_form``
-and ``elliptic_form``, and ``check_gq``'s orders are ints the same way; a
-form's TypeError names the value too.  A structure's line that is not
-iterable raises TypeError naming the line, and a label that is not a str
-TypeError naming its index, type and value.
+and ``elliptic_form``, a ``BinaryVector``'s bits, ``BinaryVector.from_int``'s
+value and dimension, and ``check_gq``'s orders are ints the same way; their
+TypeError names the value too, and a monomial listed twice is a ValueError.
+A structure's line that is not iterable raises TypeError naming the line,
+and a label that is not a str TypeError naming its index, type and value.
 
 One table: each entry point against True, 1.0, -1, frozenset({1}) and its
 first value past the range.  ``mask_of`` and ``points_of`` have no range, so
@@ -30,6 +31,7 @@ from doilyspace.doily import (
 )
 from doilyspace.gf2 import (
     BilinearForm,
+    BinaryVector,
     QuadraticForm,
     SymplecticForm,
     coordinate_masks,
@@ -182,6 +184,8 @@ CASES = [
                [(i, _monomial(i, 2)) for i in (-1, 3)]),
     *_form_int("QuadraticForm-second", lambda j: QuadraticForm(3, [(0, j)]), "monomial index",
                [(j, _monomial(0, j)) for j in (-1, 3)]),
+    pytest.param(lambda m: QuadraticForm(2, [(0, 1), m]), (0, 1),
+                 (ValueError, "monomial (0,1) is listed twice"), id="QuadraticForm-twice"),
     *_form_int("BilinearForm", lambda b: BilinearForm(((0, b), (b, 0))), "gram entry (0,1)",
                [(b, (ValueError, f"gram entry (0,1) must be 0 or 1: {b}")) for b in (-1, 2)]),
     *_form_int("hyperbolic_form", hyperbolic_form, "hyperbolic form dimension",
@@ -190,6 +194,13 @@ CASES = [
     *_form_int("elliptic_form", elliptic_form, "elliptic form dimension",
                [(d, (ValueError, f"elliptic form needs an even dimension >= 4: {d}"))
                 for d in (-1, 5)]),
+    *_form_int("BinaryVector", lambda b: BinaryVector((b, 0)), "coordinate",
+               [(b, (ValueError, f"coordinates must be 0 or 1: {(b, 0)!r}")) for b in (-1, 2)]),
+    *_form_int("BinaryVector.from_int-value", lambda v: BinaryVector.from_int(v, 2),
+               "vector value",
+               [(v, (ValueError, f"value {v} out of range for dimension 2")) for v in (-1, 4)]),
+    *_form_int("BinaryVector.from_int-dimension", lambda d: BinaryVector.from_int(0, d),
+               "vector dimension", [(-1, (ValueError, "value 0 out of range for dimension -1"))]),
     *_rows("check_gq-s", lambda s: check_gq(DOILY, s, 2), "GQ order s must be an int",
            [(-1, False), (3, False)]),
     *_rows("check_gq-t", lambda t: check_gq(DOILY, 2, t), "GQ order t must be an int",
@@ -224,6 +235,8 @@ def test_each_entry_point_still_takes_its_good_input():
     assert SYMPLECTIC.evaluate(1, 2) == GRAM.evaluate(1, 2) == 1
     assert hyperbolic_form(6).evaluate(3) == 1 and coordinate_masks([1, 63], 6) == (1, 63)
     assert QuadraticForm(3, [(0, 2)]).evaluate(0b101) == 1
+    assert QuadraticForm(2, [(0, 1), (1, 1)]).evaluate(3) == 0
+    assert str(BinaryVector((1, 0))) == "10" and BinaryVector.from_int(2, 2).to_int() == 2
     assert BilinearForm(((0, 1), (1, 0))).radical() == ()
     assert elliptic_form(4).evaluate(0b11) == 1 and check_gq(DOILY, 2, 2)
 

@@ -20,7 +20,8 @@ on seeded rounds of the 147 golden argv, rescaled by the ``import`` kernel,
 and reports the median of each kind (each ``tables`` call, and each
 sector's ``export`` as dot, dot ``--line-nodes`` and json) with the kind
 that holds the workload's p99.5 rank and how many operations of each kind
-lie at or beyond it.  The parent tree is ``git
+lie at or beyond it.  Counts, for each side, the non-blank lines of each
+``src/doilyspace/*.py`` and their total.  The parent tree is ``git
 archive <rev>``, extracted into a temporary directory; the change is this
 checkout as it stands.  Every seed is drawn from
 ``--first-seed``, so each comparison can run on seeds not used before.
@@ -128,6 +129,14 @@ def extract(rev: str, into: Path) -> str:
         with tarfile.open(fileobj=f) as tar:
             tar.extractall(into, filter="data")
     return sha
+
+
+def src_nonblank_lines(tree: Path) -> dict:
+    """The non-blank lines of each src/doilyspace/*.py of a tree, by file name, and their total."""
+    files = {path.name: sum(1 for line in path.read_text(encoding="utf-8").splitlines()
+                            if line.strip())
+             for path in sorted((tree / "src" / "doilyspace").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -258,6 +267,8 @@ def main(argv=None) -> int:
             "quartiles": "statistics.quantiles(n=4, method='inclusive') over one side's runs; "
                          "run_spread_vs_parent_median is (max - min over both sides' runs) "
                          "/ parent median; lower is better for every metric",
+            "src_nonblank_lines": {side: src_nonblank_lines(tree)
+                                   for side, tree in trees.items()},
             "workloads": {},
         }
         for k, workload in enumerate(WORKLOADS):
