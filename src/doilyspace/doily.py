@@ -185,8 +185,17 @@ def _classify_table() -> dict[int, DoilyHyperplane]:
     return table
 
 
+def _check_hyperplane(h: DoilyHyperplane, name: str) -> None:
+    """TypeError naming the argument unless h is a DoilyHyperplane."""
+    if not isinstance(h, DoilyHyperplane):
+        raise TypeError(f"{name} must be a DoilyHyperplane, got {type(h).__name__}; "
+                        "classify_hyperplane(mask) gives the one of a mask")
+
+
 def veldkamp_sum(h1: DoilyHyperplane, h2: DoilyHyperplane) -> DoilyHyperplane:
     """Complement of the symmetric difference, again a doily hyperplane."""
+    _check_hyperplane(h1, "h1")
+    _check_hyperplane(h2, "h2")
     if h1.mask == h2.mask:
         raise ValueError("Veldkamp sum requires two distinct hyperplanes")
     return classify_hyperplane(veldkamp_sum_mask(FULL_MASK, h1.mask, h2.mask))

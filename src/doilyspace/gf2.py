@@ -122,7 +122,14 @@ class QuadraticForm:
         if type(dim) is not int or dim < 1:
             raise ValueError(f"dimension {dim!r} is not a positive int")
         self.dim = dim
-        pairs = [(_int(i, "monomial index"), _int(j, "monomial index")) for i, j in monomials]
+        pairs = []
+        for m in monomials:
+            if not isinstance(m, (tuple, list)):
+                raise TypeError(
+                    f"monomial must be a pair of indices, got {type(m).__name__}: {m!r}")
+            if len(m) != 2:
+                raise ValueError(f"monomial {m!r} is not a pair of indices")
+            pairs.append((_int(m[0], "monomial index"), _int(m[1], "monomial index")))
         for k, (i, j) in enumerate(pairs):
             if not (0 <= i <= j < dim):
                 raise ValueError(f"monomial ({i},{j}) out of range for dimension {dim}")

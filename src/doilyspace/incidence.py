@@ -465,8 +465,9 @@ def find_isomorphism(g1: IncidenceStructure,
         placed |= 1 << nxt
         reach |= perp1[nxt]
 
-    masks1 = g1.line_masks
+    masks1, lines_through = g1.line_masks, g1.lines_through
     image = [0] * n  # image[p] = 1 << (the image of p), valid for placed points
+    line_img = [0] * len(masks1)  # line_img[i] = the OR of image[p] over line i's placed p
     forced = [0] * n  # forced[p] = 1 << (the only image p may take), or 0
     nodes = 0
 
@@ -479,27 +480,20 @@ def find_isomorphism(g1: IncidenceStructure,
         if k == n:
             return True
         p = order[k]
-        others = placed
         placed |= 1 << p
         left = ~placed
-        # img is the image of the other placed points of a line through p.
-        # q keeps collinearity with every placed point exactly when the
-        # placed part of its perp is the union of these, want.  A line placed
-        # now keeps its img (the line's image holds it and q's bit), a line
-        # with one point r left the pair of r and its img
+        # img, read from line_img, is the image of the other placed points
+        # of a line through p.  q keeps collinearity with every placed point
+        # exactly when the placed part of its perp is the union of these,
+        # want.  A line placed now keeps its img (the line's image holds it
+        # and q's bit), a line with one point r left the pair of r and its img
         want = 0
         ready = []
         closing = []
-        for idx in g1.lines_through[p]:
-            lm = masks1[idx]
-            m = lm & others
-            img = 0
-            while m:
-                low = m & -m
-                img |= image[low.bit_length() - 1]
-                m ^= low
+        for idx in lines_through[p]:
+            img = line_img[idx]
             want |= img
-            rest = lm & left
+            rest = masks1[idx] & left
             if not rest:
                 ready.append(img)
             elif img and propagate and not rest & (rest - 1):
@@ -532,8 +526,13 @@ def find_isomorphism(g1: IncidenceStructure,
                         forced[r] = last
                         set_here.append(r)
                 else:
+                    # q's bit joins the image of each line through p until the branch fails
+                    for idx in lines_through[p]:
+                        line_img[idx] |= bit
                     if extend(k + 1, placed, used | bit):
                         return True
+                    for idx in lines_through[p]:
+                        line_img[idx] ^= bit
                 for r in set_here:
                     forced[r] = 0
         return False
@@ -576,6 +575,9 @@ def induced_substructure(g: IncidenceStructure,
     Returns the renumbered structure together with the original indices of
     its points (ascending), so local index k corresponds to original[k].
     """
+    points = tuple(points)
+    for p in points:
+        _check_point(p)
     original = tuple(sorted(set(points)))
     if original and original[-1] >= g.point_count:
         raise ValueError(f"point index {original[-1]} is not in 0..{g.point_count - 1}")

@@ -33,6 +33,7 @@ from .doily import (
     S_ELEMENTS,
     S_SET,
     SYNTHEMES,
+    _check_hyperplane,
     all_named_hyperplanes,
     build_doily,
     classify_hyperplane,
@@ -203,6 +204,7 @@ def sector_labels(h: DoilyHyperplane) -> tuple[str, ...]:
     """The labels of the off points that trace h on the core: i and i' for
     the ovoid o_i, t and S \\ t for a grid with canonical triple t, and
     S \\ ij for the perp-set p_ij."""
+    _check_hyperplane(h, "h")
     if h.kind == OVOID:
         return f"{h.index[0]}", f"{h.index[0]}'"
     rest = subset_label(S_SET - set(h.index))
@@ -447,6 +449,7 @@ class LineImage:
 
 def sector_image(ml: MagicLine, h: DoilyHyperplane) -> SectorImage:
     """Map one doily hyperplane to its sector object, the points tracing it."""
+    _check_hyperplane(h, "h")
     return ml.sector_images[h.mask]
 
 

@@ -1,4 +1,4 @@
-"""The source-size count that tools/bench_pairs.py writes to its report."""
+"""What tools/bench_pairs.py counts for its report: source lines and tail ranks."""
 
 import importlib.util
 import sys
@@ -36,3 +36,16 @@ def test_src_nonblank_lines_counts_each_module_of_a_tree(bench_pairs, tmp_path):
 def test_src_nonblank_lines_of_this_checkout(bench_pairs):
     counts = bench_pairs.src_nonblank_lines(TOOL.parent.parent)
     assert "doily.py" in counts["files"] and counts["total"] == sum(counts["files"].values())
+
+
+def test_tail_at_rank_names_the_operation_at_the_rank_and_counts_each_name_beyond(bench_pairs):
+    ops = [(0.5, "cone"), (0.1, "doily"), (0.4, "q_plus"), (0.2, "doily"), (0.3, "pg32"),
+           (0.6, "cone")]
+    assert bench_pairs.tail_at_rank(ops, 4) == (
+        "q_plus", {"cone": 2, "doily": 0, "q_plus": 1, "pg32": 0})
+    assert bench_pairs.tail_at_rank(ops, 1) == (
+        "doily", {"cone": 2, "doily": 2, "q_plus": 1, "pg32": 1})
+    assert bench_pairs.tail_at_rank(ops, 6) == (
+        "cone", {"cone": 1, "doily": 0, "q_plus": 0, "pg32": 0})
+    # equal times are ordered by name
+    assert bench_pairs.tail_at_rank([(0.2, "b"), (0.2, "a")], 1) == ("a", {"b": 1, "a": 1})

@@ -6,7 +6,10 @@ error naming the value and, where there is one, the range.  The forms'
 monomial indices and Gram entries, the dimensions of ``hyperbolic_form``
 and ``elliptic_form``, a ``BinaryVector``'s bits, ``BinaryVector.from_int``'s
 value and dimension, and ``check_gq``'s orders are ints the same way; their
-TypeError names the value too, and a monomial listed twice is a ValueError.
+TypeError names the value too, and a monomial listed twice is a ValueError,
+as is one of a length other than two; a monomial that is not a tuple or
+list is a TypeError.  A function that takes a doily hyperplane raises
+TypeError naming the argument for anything else, a mask included.
 A structure's line that is not iterable raises TypeError naming the line,
 and a label that is not a str TypeError naming its index, type and value.
 
@@ -28,6 +31,7 @@ from doilyspace.doily import (
     grid,
     ovoid,
     perp_set,
+    veldkamp_sum,
 )
 from doilyspace.gf2 import (
     BilinearForm,
@@ -44,12 +48,13 @@ from doilyspace.incidence import (
     check_gq,
     collinear,
     deep_points_mask,
+    induced_substructure,
     is_geometric_hyperplane,
     is_isomorphism,
     mask_of,
     points_of,
 )
-from doilyspace.magicline import build_magic_line
+from doilyspace.magicline import build_magic_line, sector_image, sector_labels
 from doilyspace.veldkamp import VeldkampLine, build_veldkamp_space
 
 DOILY = build_doily()
@@ -93,6 +98,15 @@ def _s(name, call, message):
     gives the ValueError's text for an int i outside S."""
     return _rows(name, call, "S element must be an int",
                  [(i, (ValueError, message(i))) for i in (-1, 7)])
+
+
+def _hyperplane(name, call, arg):
+    """Rows of an entry point whose argument arg must be a DoilyHyperplane:
+    its mask, a bool and None each raise TypeError naming arg."""
+    return [pytest.param(call, bad, (
+        TypeError, f"{arg} must be a DoilyHyperplane, got {kind}; "
+                   "classify_hyperplane(mask) gives the one of a mask"), id=f"{name}-{kind}")
+            for bad, kind in ((ovoid(1).mask, "int"), (True, "bool"), (None, "NoneType"))]
 
 
 def _identity_with(points, bad, key):
@@ -140,6 +154,11 @@ CASES = [
         id="is_isomorphism-bool-keys"),
     *_rows("mask_of", lambda p: mask_of([2, p]), "point index must be an int",
            [(-1, (ValueError, "point index -1 is negative"))]),
+    *_rows("induced_substructure", lambda p: induced_substructure(DOILY, [0, p]),
+           "point index must be an int",
+           [(-1, (ValueError, "point index -1 is negative")),
+            (15, (ValueError, "point index 15 is not in 0..14")),
+            ("a", (TypeError, "point index must be an int, got str"))]),
     *_rows("from_lines", lambda p: IncidenceStructure.from_lines(3, [[0, p, 2]]),
            "point index must be an int",
            [(p, (ValueError, f"line {set(frozenset({0, p, 2}))} has out-of-range points"))
@@ -186,6 +205,16 @@ CASES = [
                [(j, _monomial(0, j)) for j in (-1, 3)]),
     pytest.param(lambda m: QuadraticForm(2, [(0, 1), m]), (0, 1),
                  (ValueError, "monomial (0,1) is listed twice"), id="QuadraticForm-twice"),
+    pytest.param(lambda m: QuadraticForm(3, [m]), (0, 1, 2),
+                 (ValueError, "monomial (0, 1, 2) is not a pair of indices"),
+                 id="QuadraticForm-triple"),
+    pytest.param(lambda m: QuadraticForm(3, [m]), 5,
+                 (TypeError, "monomial must be a pair of indices, got int: 5"),
+                 id="QuadraticForm-int-monomial"),
+    *_hyperplane("veldkamp_sum-first", lambda h: veldkamp_sum(h, ovoid(1)), "h1"),
+    *_hyperplane("veldkamp_sum-second", lambda h: veldkamp_sum(ovoid(1), h), "h2"),
+    *_hyperplane("sector_labels", sector_labels, "h"),
+    *_hyperplane("sector_image", lambda h: sector_image(build_magic_line(), h), "h"),
     *_form_int("BilinearForm", lambda b: BilinearForm(((0, b), (b, 0))), "gram entry (0,1)",
                [(b, (ValueError, f"gram entry (0,1) must be 0 or 1: {b}")) for b in (-1, 2)]),
     *_form_int("hyperbolic_form", hyperbolic_form, "hyperbolic form dimension",

@@ -10,21 +10,24 @@ pairs the change won and a verdict against the bound that
 ``BENCHMARK.json`` fixes.  Then places the saving per geometry: a process
 in each tree imports that tree's ``RelabelSearch`` from
 ``benchmarks/run.py`` and times its operation, ``relabel_ok``, on the
-operations of seeded rounds, the two sides alternating per seed, and counts
-the rounds in which each geometry holds the round's median rank.  Each
-round's times are rescaled to the reference host speed by the harness's
-``bitmask`` kernel, probed just before the round in the same process, as
-the harness rescales its in-process workloads.  Places ``cli_warm``'s time
-per command kind the same way: a process in each tree times ``CliWarm.run``
-on seeded rounds of the 147 golden argv, rescaled by the ``import`` kernel,
-and reports the median of each kind (each ``tables`` call, and each
-sector's ``export`` as dot, dot ``--line-nodes`` and json) with the kind
-that holds the workload's p99.5 rank and how many operations of each kind
-lie at or beyond it.  Counts, for each side, the non-blank lines of each
-``src/doilyspace/*.py`` and their total.  The parent tree is ``git
-archive <rev>``, extracted into a temporary directory; the change is this
-checkout as it stands.  Every seed is drawn from
-``--first-seed``, so each comparison can run on seeds not used before.
+operations of seeded rounds, the two sides alternating per seed.  It counts
+the rounds in which each geometry holds the round's median rank, and reports
+the geometry at the workload's p80 rank, the rank ``op_tail_s`` reads, with
+how many operations of each geometry lie at or beyond it.  Each round's
+times are rescaled to the reference host speed by the harness's ``bitmask``
+kernel, probed just before the round in the same process, as the harness
+rescales its in-process workloads.  Places ``cli_warm``'s time per command
+kind the same way: a process in each tree times ``CliWarm.run`` on seeded
+rounds of the 147 golden argv, rescaled by the ``import`` kernel, and
+reports the median of each kind (each ``tables`` call, and each sector's
+``export`` as dot, dot ``--line-nodes`` and json) with the kind that holds
+the workload's p99.5 rank and how many operations of each kind lie at or
+beyond it.  One helper, ``tail_at_rank``, counts both tails.  Counts, for
+each side, the non-blank lines of each ``src/doilyspace/*.py`` and their
+total.  The parent tree is ``git archive <rev>``, extracted into a
+temporary directory; the change is this checkout as it stands.  Every seed
+is drawn from ``--first-seed``, so each comparison can run on seeds not
+used before.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,45 +50,41 @@ PAIRS = 10
 ATTRIBUTION_SEEDS = 6
 ATTRIBUTION_ROUNDS = 300
 CLI_ATTRIBUTION_ROUNDS = 100
-# run in a tree: the median seconds of relabel_search's operation per
-# geometry, over the operations of seeded rounds of the harness's workload,
-# each round rescaled by the host-speed kernel probed just before it, and
-# how many rounds each geometry held the round's median rank (the 6th
-# fastest of its 11 operations); the first round warms the process and is
-# not timed
+# run in a tree: relabel_search's operation, relabel_ok, timed on the
+# operations of seeded rounds of the harness's workload, each round rescaled
+# by the host-speed kernel probed just before it; prints the timed rounds as
+# lists of [seconds, geometry] and the workload's p80 nearest rank over all
+# of them; the first round warms the process and is not timed
 ATTRIBUTION_CODE = """\
-import json, random, statistics, sys, time
+import json, random, sys, time
 sys.path.insert(0, "benchmarks")
 import hostspeed, run
 seed, rounds = int(sys.argv[1]), int(sys.argv[2])
 workload = run.RelabelSearch()
 rng = random.Random(seed)
-times = {name: [] for name in workload.geometries}
-rank_count = dict.fromkeys(workload.geometries, 0)
+timed = []
 for r in range(rounds + 1):
     scale = hostspeed.scale(hostspeed.probe(workload.kernel), workload.kernel)
-    ranked = []
+    ops = []
     for name, perm in workload.round(rng):
         t0 = time.perf_counter()
         ok = workload.relabel_ok(name, perm)
-        ranked.append(((time.perf_counter() - t0) * scale, name))
+        ops.append([(time.perf_counter() - t0) * scale, name])
         if not ok:
             sys.exit(f"{name} not recovered under seed {seed}")
     if r:
-        for t, name in ranked:
-            times[name].append(t)
-        rank_count[sorted(ranked)[len(ranked) // 2][1]] += 1
-print(json.dumps({"median_s": {name: statistics.median(ts) for name, ts in times.items()},
-                  "rank_count": rank_count}))
+        timed.append(ops)
+n = sum(map(len, timed))
+print(json.dumps({"rounds": timed,
+                  "tail_rank": run.tail_rank(n, run.TAIL_PERCENTILE["relabel_search"])}))
 """
-# run in a tree: the median seconds of cli_warm's operation per command kind
-# (the argv without its point label), over the operations of seeded rounds,
-# each round rescaled by the host-speed kernel probed just before it; the
-# kind at the workload's tail rank over all timed operations, and how many
-# operations of each kind lie at or beyond that rank; the first round warms
-# the process and is not timed
+# run in a tree: cli_warm's operation timed on seeded rounds of the 147
+# golden argv, each round rescaled by the host-speed kernel probed just
+# before it; prints the timed rounds as lists of [seconds, command kind] (the
+# argv without its point label) and the workload's p99.5 nearest rank over
+# all of them; the first round warms the process and is not timed
 CLI_ATTRIBUTION_CODE = """\
-import json, random, statistics, sys
+import json, random, sys
 sys.path.insert(0, "benchmarks")
 import hostspeed, run
 seed, rounds = int(sys.argv[1]), int(sys.argv[2])
@@ -95,26 +95,31 @@ def kind(argv):
         return " ".join(argv)
     point = argv.index("--point")
     return " ".join(["export", argv[argv.index("--figure") + 1], *argv[point + 2:]])
-ops = []
+timed = []
 for r in range(rounds + 1):
     scale = hostspeed.scale(hostspeed.probe(workload.kernel), workload.kernel)
+    ops = []
     for argv in workload.round(rng):
         result = workload.run(argv)
         if not result.ok:
             sys.exit(f"{' '.join(argv)} failed under seed {seed}")
-        if r:
-            ops.append((result.wall * scale, kind(argv)))
-ops.sort()
-rank = run.tail_rank(len(ops), run.TAIL_PERCENTILE["cli_warm"])
-times = {}
-for t, name in ops:
-    times.setdefault(name, []).append(t)
-rank_count = dict.fromkeys(times, 0)
-for _, name in ops[rank - 1:]:
-    rank_count[name] += 1
-print(json.dumps({"median_s": {name: statistics.median(ts) for name, ts in times.items()},
-                  "rank_count": rank_count, "tail_kind": ops[rank - 1][1]}))
+        ops.append([result.wall * scale, kind(argv)])
+    if r:
+        timed.append(ops)
+n = sum(map(len, timed))
+print(json.dumps({"rounds": timed,
+                  "tail_rank": run.tail_rank(n, run.TAIL_PERCENTILE["cli_warm"])}))
 """
+
+
+def tail_at_rank(ops: list[tuple[float, str]], rank: int) -> tuple[str, dict[str, int]]:
+    """The name of the operation at the 1-based rank of ops ordered by time,
+    and, for every name in ops, how many operations lie at or beyond it."""
+    ranked = sorted(ops)
+    counts = dict.fromkeys((name for _, name in ops), 0)
+    for _, name in ranked[rank - 1:]:
+        counts[name] += 1
+    return ranked[rank - 1][1], counts
 
 
 def extract(rev: str, into: Path) -> str:
@@ -204,34 +209,42 @@ def measure_workload(trees: dict[str, Path], workload: str, seeds: list[int], se
     }
 
 
-def attribute(trees: dict[str, Path], seeds: list[int], code: str, rounds: int,
-              rank_key: str) -> dict:
+def attribute(trees: dict[str, Path], seeds: list[int], code: str, rounds: int) -> dict:
     """Run code in one process per side and seed, the sides alternating
-    which runs first; per name, the median microseconds of each run, the
-    change's median relative step and, per side, the summed rank counts as
-    ``<side>_<rank_key>``; per side, the tail kind of each run, if reported."""
+    which runs first.  Per name: the median microseconds of each run, the
+    change's median relative step and, per side and summed over the seeds,
+    ``<side>_tail_ops``, the operations at or beyond the tail rank that code
+    reports, and ``<side>_median_rank_rounds``, the rounds in which the name
+    held the round's median rank.  Per side, the name at the tail rank of
+    each run."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     us: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
-    ranks: dict[str, dict[str, int]] = {side: {} for side in trees}
-    tail_kinds: dict[str, list[str]] = {side: [] for side in trees}
+    tail_ops = {side: Counter() for side in trees}
+    median_rounds = {side: Counter() for side in trees}
+    tail_names: dict[str, list[str]] = {side: [] for side in trees}
     for i, seed in enumerate(seeds):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             out = json.loads(subprocess.run(
                 [sys.executable, "-c", code, str(seed), str(rounds)],
                 cwd=trees[side], env=env, check=True, capture_output=True, text=True).stdout)
-            for name, seconds in out["median_s"].items():
-                us[side].setdefault(name, []).append(round(seconds * 1e6, 1))
-            for name, count in out["rank_count"].items():
-                ranks[side][name] = ranks[side].get(name, 0) + count
-            if "tail_kind" in out:
-                tail_kinds[side].append(out["tail_kind"])
-    names = {name: {"parent_us": us["parent"][name], "change_us": us["change"][name],
-                    "change_vs_parent": round(statistics.median(
-                        c / p - 1 for p, c in zip(us["parent"][name], us["change"][name])), 4),
-                    f"parent_{rank_key}": ranks["parent"][name],
-                    f"change_{rank_key}": ranks["change"][name]}
-             for name in us["change"]}
-    return {"names": names, "tail_kinds": tail_kinds}
+            ops = [(t, name) for timed in out["rounds"] for t, name in timed]
+            times: dict[str, list[float]] = {}
+            for t, name in ops:
+                times.setdefault(name, []).append(t)
+            for name, ts in times.items():
+                us[side].setdefault(name, []).append(round(statistics.median(ts) * 1e6, 1))
+            tail_name, counts = tail_at_rank(ops, out["tail_rank"])
+            tail_names[side].append(tail_name)
+            tail_ops[side].update(counts)
+            median_rounds[side].update(sorted(timed)[len(timed) // 2][1]
+                                       for timed in out["rounds"])
+    return {"names": {name: {
+        "parent_us": us["parent"][name], "change_us": us["change"][name],
+        "change_vs_parent": round(statistics.median(
+            c / p - 1 for p, c in zip(us["parent"][name], us["change"][name])), 4),
+        **{f"{side}_tail_ops": tail_ops[side][name] for side in trees},
+        **{f"{side}_median_rank_rounds": median_rounds[side][name] for side in trees},
+    } for name in us["change"]}, "tail_names": tail_names}
 
 
 def main(argv=None) -> int:
@@ -276,6 +289,7 @@ def main(argv=None) -> int:
             report["workloads"][workload] = measure_workload(
                 trees, workload, seeds, seconds, bounds)
         seeds = [args.first_seed + 300 + i for i in range(ATTRIBUTION_SEEDS)]
+        geometries = attribute(trees, seeds, ATTRIBUTION_CODE, ATTRIBUTION_ROUNDS)
         report["attribution"] = {
             "what": "median microseconds of relabel_search's operation (RelabelSearch."
                     "relabel_ok, imported from each tree's benchmarks/run.py) per geometry, "
@@ -287,14 +301,16 @@ def main(argv=None) -> int:
                     "change_vs_parent is the median over seeds of change / parent - 1; "
                     "*_median_rank_rounds counts, over all seeds, the rounds in which the "
                     "geometry's operation was the 6th fastest of the round's 11, the rank "
-                    "the workload's op_p50_s falls on",
+                    "the workload's op_p50_s falls on; *_tail_ops counts, over all seeds, "
+                    "the operations of the geometry at or beyond the p80 nearest rank of all "
+                    "of a process's timed operations, the rank op_tail_s falls on; "
+                    "tail_geometry lists per side the geometry at that rank, one entry per seed",
             "seeds": seeds,
-            "geometries": attribute(trees, seeds, ATTRIBUTION_CODE, ATTRIBUTION_ROUNDS,
-                                    "median_rank_rounds")["names"],
+            "geometries": geometries["names"],
+            "tail_geometry": geometries["tail_names"],
         }
         seeds = [args.first_seed + 400 + i for i in range(ATTRIBUTION_SEEDS)]
-        commands = attribute(trees, seeds, CLI_ATTRIBUTION_CODE, CLI_ATTRIBUTION_ROUNDS,
-                             "tail_ops")
+        commands = attribute(trees, seeds, CLI_ATTRIBUTION_CODE, CLI_ATTRIBUTION_ROUNDS)
         report["cli_warm_attribution"] = {
             "what": "median microseconds of cli_warm's operation (CliWarm.run, imported "
                     "from each tree's benchmarks/run.py) per command kind, the argv "
@@ -303,13 +319,15 @@ def main(argv=None) -> int:
                     "rescaled by the harness's import kernel probed just before it in the "
                     "same process; one process per side and seed, the sides alternating "
                     "which runs first; one list entry per seed; change_vs_parent is the "
-                    "median over seeds of change / parent - 1; *_tail_ops counts, over all "
+                    "median over seeds of change / parent - 1; *_median_rank_rounds counts, "
+                    "over all seeds, the rounds in which the kind held the 74th fastest of "
+                    "the round's 147 operations; *_tail_ops counts, over all "
                     "seeds, the operations of the kind at or beyond the p99.5 nearest rank "
                     "of all of a process's timed operations, the rank op_tail_s falls on; "
                     "tail_kind lists per side the kind at that rank, one entry per seed",
             "seeds": seeds,
             "kinds": commands["names"],
-            "tail_kind": commands["tail_kinds"],
+            "tail_kind": commands["tail_names"],
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
