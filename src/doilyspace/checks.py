@@ -126,10 +126,12 @@ def _doily_checks() -> list[Check]:
     hyperplanes = null_space_hyperplanes(g)
     masks = set(hyperplanes)
     kinds = [classify_hyperplane(m).kind for m in hyperplanes]
-    triples = list(combinations(S_ELEMENTS, 3))
+    ovoids = {i: ovoid(i) for i in S_ELEMENTS}
+    perps = {d: perp_set(*d) for d in DUADS}
+    grids = {t: grid(*t) for t in combinations(S_ELEMENTS, 3)}
     span = [0]  # the hyperplane complements form a GF(2) space
     for i in range(1, 6):
-        span += [v ^ g.full_mask ^ ovoid(i).mask for v in span]
+        span += [v ^ g.full_mask ^ ovoids[i].mask for v in span]
     return [
         Check("point count", 15, g.point_count, PAPER),
         Check("line count", 15, len(g.lines), PAPER),
@@ -143,23 +145,23 @@ def _doily_checks() -> list[Check]:
               [kinds.count("ovoid"), kinds.count("perp-set"), kinds.count("grid")], PAPER),
         Check("hyperplane total", 31, len(hyperplanes), PAPER),
         Check("perp-sets are ovoid sums (all 15)", True,
-              all(veldkamp_sum(ovoid(i), ovoid(j)).mask == perp_set(i, j).mask
-                  for i, j in DUADS), PAPER),
+              all(veldkamp_sum(ovoids[i], ovoids[j]).mask == p.mask
+                  for (i, j), p in perps.items()), PAPER),
         Check("grids are triple ovoid sums (all 20)", True,
-              all(veldkamp_sum(veldkamp_sum(ovoid(i), ovoid(j)), ovoid(k)).mask
-                  == grid(i, j, k).mask for i, j, k in triples), PAPER),
+              all(veldkamp_sum(veldkamp_sum(ovoids[i], ovoids[j]), ovoids[k]).mask == h.mask
+                  for (i, j, k), h in grids.items()), PAPER),
         Check("complementary grid triples give one grid", True,
-              all(grid(i, j, k).mask == grid(*sorted(set(S_ELEMENTS) - {i, j, k})).mask
-                  for i, j, k in triples), PAPER),
+              all(h.mask == grids[tuple(sorted(set(S_ELEMENTS) - set(t)))].mask
+                  for t, h in grids.items()), PAPER),
         Check("every ovoid meets every syntheme once", True,
-              all(popcount(ovoid(i).mask & lm) == 1
-                  for i in S_ELEMENTS for lm in g.line_masks), PAPER),
+              all(popcount(h.mask & lm) == 1 for h in ovoids.values() for lm in g.line_masks),
+              PAPER),
         Check("perp-set deep point is its duad", True,
-              all(deep_points_mask(g, perp_set(i, j).mask) == 1 << DUADS.index((i, j))
-                  for i, j in DUADS), PAPER),
+              all(deep_points_mask(g, h.mask) == 1 << DUADS.index(d) for d, h in perps.items()),
+              PAPER),
         Check("ovoid points pairwise non-collinear", True,
-              all(popcount(ovoid(i).mask & lm) <= 1
-                  for i in S_ELEMENTS for lm in g.line_masks), DERIVED),
+              all(popcount(h.mask & lm) <= 1 for h in ovoids.values() for lm in g.line_masks),
+              DERIVED),
         Check("Veldkamp sum closed on the 31 hyperplanes", True,
               all(g.full_mask ^ m1 ^ m2 in masks
                   for m1, m2 in combinations(hyperplanes, 2)), PAPER),
@@ -217,13 +219,14 @@ def _magicline_checks() -> list[Check]:
     w = ml.space.structure
     constituents = ml.constituents.values()
     off = [[v for v in c.w_points if v in ml.traces] for c in constituents]
+    trace = {v: doily_trace(ml, v) for c_off in off for v in c_off}  # each looked up once
     # sector -> each hyperplane of its kind -> the points its sector_labels
     # name: they must trace it, and be exactly the sector's off points
     pairs = {c.name: {h: [ml.w_of_label[lab] for lab in sector_labels(h)]
                       for h in all_named_hyperplanes() if h.kind == SECTOR_KIND[c.name]}
              for c in constituents}
     read_off = [sorted(sum(named.values(), [])) == sorted(c_off)
-                and all(doily_trace(ml, v) == h for h, vs in named.items() for v in vs)
+                and all(trace[v] == h for h, vs in named.items() for v in vs)
                 for named, c_off in zip(pairs.values(), off)]
     image = veldkamp_line_image(ml, _line_of(ovoid(1), ovoid(2)))
     hyp_reports = [polar_pair_check(ml, a, b) for a, b in pairs[HYPERBOLIC_SECTOR].values()]
@@ -262,19 +265,17 @@ def _magicline_checks() -> list[Check]:
         Check("nucleus line count", 15,
               ml.cone.structure.degree(ml.cone.local_index(ml.nucleus_w)), DERIVED),
         Check("trace sizes per sector (hyperbolic/elliptic/cone)", [[9], [5], [7]],
-              [sorted({doily_trace(ml, v).size for v in c_off}) for c_off in off], PAPER),
+              [sorted({trace[v].size for v in c_off}) for c_off in off], PAPER),
         Check("10 complementary pairs onto the 10 grids", True, read_off[0], PAPER),
         Check("6 complementary pairs onto the 6 ovoids", True, read_off[1], PAPER),
         Check("15 cone points onto the 15 perp-sets", True, read_off[2], PAPER),
         Check("complementary pairs share their trace", True,
-              all(doily_trace(ml, v).mask == doily_trace(ml, complementary_point(ml, v)).mask
-                  for v in off[0] + off[1]), PAPER),
+              all(trace[v] == trace[complementary_point(ml, v)] for v in off[0] + off[1]), PAPER),
         Check("figure spot values (146/235, 3/3', 3456)", True,
-              doily_trace(ml, ml.w_of_label["146"]).name == "g_146"
+              trace[ml.w_of_label["146"]].name == "g_146"
               and ml.label_of[complementary_point(ml, ml.w_of_label["146"])] == "235"
-              and doily_trace(ml, ml.w_of_label["3"]).name == "o_3"
-              and doily_trace(ml, ml.w_of_label["3'"]).name == "o_3"
-              and doily_trace(ml, ml.w_of_label["3456"]).name == "p_12", PAPER),
+              and trace[ml.w_of_label["3"]].name == trace[ml.w_of_label["3'"]].name == "o_3"
+              and trace[ml.w_of_label["3456"]].name == "p_12", PAPER),
         Check("all 155 line images match their family pattern", True,
               all(image_matches_family(veldkamp_line_image(ml, l))
                   for l in doily_veldkamp_space().lines), PAPER),

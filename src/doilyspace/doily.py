@@ -19,7 +19,6 @@ from .incidence import (
     collinear,
     deep_points_mask,
     is_geometric_hyperplane,
-    mask_of,
     null_space_hyperplanes,
     points_of,
     popcount,
@@ -135,10 +134,10 @@ def _named_table() -> dict[tuple[str, tuple[int, ...]], DoilyHyperplane]:
     for i in S_ELEMENTS:
         duads[OVOID, (i,)] = [e for e in DUADS if i in e]
     for d in DUADS:
-        duads[PERP_SET, d] = [e for e in DUADS if e == d or not set(d) & set(e)]
+        duads[PERP_SET, d] = [e for e in DUADS if e == d or set(d).isdisjoint(e)]
     for j, k in combinations(range(2, 7), 2):
-        duads[GRID, (1, j, k)] = [e for e in DUADS if len({1, j, k} & set(e)) == 1]
-    return {key: DoilyHyperplane(mask_of(DUAD_INDEX[e] for e in members), *key)
+        duads[GRID, (1, j, k)] = [e for e in DUADS if len({1, j, k}.intersection(e)) == 1]
+    return {key: DoilyHyperplane(sum(1 << DUAD_INDEX[e] for e in members), *key)
             for key, members in duads.items()}
 
 
@@ -204,16 +203,22 @@ def veldkamp_sum(h1: DoilyHyperplane, h2: DoilyHyperplane) -> DoilyHyperplane:
 def apply_duad_permutation(mask: int, perm: dict[int, int]) -> int:
     """Point-set image of a duad subset under a permutation of {1,...,6}."""
     _check_mask(mask, FULL_MASK)
-    if not _in_s(*perm, *perm.values()) or not set(perm) == set(perm.values()) == S_SET:
-        raise ValueError(f"{perm!r} is not a permutation of {{1,...,6}}")
-    image = _duad_images(tuple(perm[i] for i in S_ELEMENTS))
-    return mask_of(image[p] for p in points_of(mask))
+    items = (*perm, *perm.values())
+    try:
+        image = _duad_images(*items)
+    except (TypeError, ValueError):  # the cache cannot hash every bad element
+        _in_s(*items)  # TypeError naming the first that is not an int
+        raise ValueError(f"{perm!r} is not a permutation of {{1,...,6}}") from None
+    return sum(image[p] for p in points_of(mask))
 
 
-@lru_cache(maxsize=None)  # at most 720 keys: apply_duad_permutation validates them
-def _duad_images(images: tuple[int, ...]) -> tuple[int, ...]:
-    """The point index of each duad's image under the permutation i -> images[i - 1]."""
-    return tuple(DUAD_INDEX[tuple(sorted((images[i - 1], images[j - 1])))] for i, j in DUADS)
+@lru_cache(maxsize=None, typed=True)  # typed: the key True is not the key 1
+def _duad_images(*items: int) -> tuple[int, ...]:
+    """Each duad's image bit under items' keys -> values, which must permute {1,...,6}."""
+    perm = dict(zip(items[:len(items) // 2], items[len(items) // 2:]))
+    if not _in_s(*items) or not set(perm) == set(perm.values()) == S_SET:
+        raise ValueError
+    return tuple(1 << DUAD_INDEX[tuple(sorted((perm[i], perm[j])))] for i, j in DUADS)
 
 
 def all_named_hyperplanes() -> tuple[DoilyHyperplane, ...]:

@@ -106,11 +106,8 @@ class SymplecticForm:
         return (x & ((y & evens) << 1 | (y >> 1) & evens)).bit_count() & 1
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for i in range(self.dim):
-            partner = i + 1 if i % 2 == 0 else i - 1
-            rows.append(tuple(1 if j == partner else 0 for j in range(self.dim)))
-        return tuple(rows)
+        # coordinate i pairs with its partner i ^ 1: (0, 1), (2, 3), ...
+        return tuple(tuple(int(j == i ^ 1) for j in range(self.dim)) for i in range(self.dim))
 
 
 class QuadraticForm:

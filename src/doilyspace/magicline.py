@@ -32,7 +32,6 @@ from .doily import (
     PERP_SET,
     S_ELEMENTS,
     S_SET,
-    SYNTHEMES,
     _check_hyperplane,
     all_named_hyperplanes,
     build_doily,
@@ -199,53 +198,55 @@ class MagicLine:
         return "MagicLine(hyperbolic/elliptic/cone over W(5,2))"
 
 
-@lru_cache(maxsize=32)  # room for the doily's 31 hyperplanes
 def sector_labels(h: DoilyHyperplane) -> tuple[str, ...]:
     """The labels of the off points that trace h on the core: i and i' for
     the ovoid o_i, t and S \\ t for a grid with canonical triple t, and
     S \\ ij for the perp-set p_ij."""
-    _check_hyperplane(h, "h")
+    _check_hyperplane(h, "h")  # before the cache, which cannot hash every bad argument
+    return _sector_labels(h)
+
+
+@lru_cache(maxsize=32)  # room for the doily's 31 hyperplanes
+def _sector_labels(h: DoilyHyperplane) -> tuple[str, ...]:
     if h.kind == OVOID:
         return f"{h.index[0]}", f"{h.index[0]}'"
     rest = subset_label(S_SET - set(h.index))
     return (subset_label(h.index), rest) if h.kind == GRID else (rest,)
 
 
-def _trace_hyperplane(space: SymplecticSpace, sector: str, quadric: int, w: int,
-                      core_duads: Mapping[int, tuple[int, int]]) -> DoilyHyperplane:
-    """Core points cut out by the lines through an off point inside its
-    quadric (a W(5,2) point mask), which must be a hyperplane of the sector's
-    SECTOR_KIND; failures name the point by its coordinates and index.  As
-    Q(x + y) = Q(x) + Q(y) + theta(x, y), points of Q+, Q- or the cone are
-    collinear in W(5,2) exactly when their line lies in the quadric."""
+def _perp_trace(space: SymplecticSpace, sector: str, quadric: int, core: int,
+                duad_bit: Mapping[int, int], w: int) -> DoilyHyperplane:
+    """The trace of an off point w on the core, read linearly: its perp's core
+    points, as doily points through duad_bit (W(5,2) index -> duad bit).  As
+    Q(x + y) = Q(x) + Q(y) + theta(x, y), a W(5,2) line through two points of
+    the quadric (a point mask) lies in it, so the trace must have one point on
+    each line through w inside it, and be a hyperplane of the sector's SECTOR_KIND."""
     struct = space.structure
-    point = f"{sector} point {_names(struct, [w])}"
     mask = 0
-    for idx in struct.lines_through[w]:
-        if struct.line_masks[idx] & ~quadric:
-            continue
-        core = [v for v in struct.lines[idx] if v in core_duads]
-        _require(len(core) == 1,
-                 f"{point}: a line through it must meet the core exactly once, got {len(core)}")
-        bit = 1 << DUAD_INDEX[core_duads[core[0]]]
-        _require(not mask & bit, f"{point}: its trace points must be distinct")
-        mask |= bit
+    for v in points_of(core & struct.perp_masks[w]):
+        mask |= duad_bit[v]
+    lines = sum(not struct.line_masks[idx] & ~quadric for idx in struct.lines_through[w])
+    if popcount(mask) != lines:
+        raise ConsistencyError(f"{sector} point {_names(struct, [w])}: its trace must have one "
+                               f"point on each of the {lines} lines through it inside its "
+                               f"quadric, got {popcount(mask)}")
     try:
         h = classify_hyperplane(mask)
     except ValueError as err:
-        raise ConsistencyError(f"{point}: its trace is not a hyperplane of the doily") from err
-    kind = SECTOR_KIND[sector]
-    _require(h.kind == kind, f"{point}: its trace must be of kind {kind}, got {h.kind}")
+        raise ConsistencyError(f"{sector} point {_names(struct, [w])}: its trace is not a "
+                               "hyperplane of the doily") from err
+    if h.kind != (kind := SECTOR_KIND[sector]):
+        raise ConsistencyError(f"{sector} point {_names(struct, [w])}: its trace must be of "
+                               f"kind {kind}, got {h.kind}")
     return h
 
 
 def _off_traces(space: SymplecticSpace, sector: str, quadric: int,
-                core_duads: Mapping[int, tuple[int, int]],
-                skip: int | None) -> dict[int, DoilyHyperplane]:
-    """The traces of the quadric's off points other than ``skip``, in point
-    order; the first broken trace raises."""
-    return {w: _trace_hyperplane(space, sector, quadric, w, core_duads)
-            for w in points_of(quadric) if w not in core_duads and w != skip}
+                duad_bit: Mapping[int, int], skip: int | None) -> dict[int, DoilyHyperplane]:
+    """The traces of the quadric's off points but ``skip``, in order; the first broken raises."""
+    core = mask_of(duad_bit)
+    return {w: _perp_trace(space, sector, quadric, core, duad_bit, w)
+            for w in points_of(quadric & ~core) if w != skip}
 
 
 def _model_labels(space: SymplecticSpace, traces: Mapping[int, DoilyHyperplane],
@@ -358,6 +359,7 @@ def build_magic_line() -> MagicLine:
     iso = find_isomorphism(core_structure, build_doily())
     _require(iso is not None, "core must be isomorphic to the duad-syntheme doily")
     core_duads = {core_w[local]: DUADS[image] for local, image in iso.items()}
+    duad_bit = {core_w[local]: 1 << image for local, image in iso.items()}
 
     models = build_sector_models()
     label_of = {w: duad_label(d) for w, d in core_duads.items()} | {nucleus_w: NUCLEUS_LABEL}
@@ -365,7 +367,7 @@ def build_magic_line() -> MagicLine:
     constituents = []
     for name, mask in zip(SECTOR_KIND, (qp_mask, qm_mask, cone_mask)):
         model = models[name]
-        sector_traces = _off_traces(space, name, mask, core_duads, skip=nucleus_w)
+        sector_traces = _off_traces(space, name, mask, duad_bit, skip=nucleus_w)
         label_of.update(_model_labels(space, sector_traces, model))
         traces.update(sector_traces)
         w_points = points_of(mask)
@@ -514,7 +516,7 @@ class PolarPairReport:
 def polar_pair_check(ml: MagicLine, p: int, q: int) -> PolarPairReport:
     """Inspect the mutual perp of a complementary pair inside its constituent,
     read off W(5,2)'s perps and lines cut to its mask: points of Q+ or Q- are
-    collinear in the quadric exactly when they are in W(5,2) (see _trace_hyperplane)."""
+    collinear in the quadric exactly when they are in W(5,2) (see _perp_trace)."""
     sector = ml.sector_of(p)
     ml.sector_of(q)  # q too must be a point index
     if p == q:
@@ -549,23 +551,13 @@ def polar_pair_check(ml: MagicLine, p: int, q: int) -> PolarPairReport:
     )
 
 
-def _sector_model(labels: list[str], off_lines: list[list[str]]) -> IncidenceStructure:
-    """The 15 duads and the given off-point labels, with the 15 synthemes and
-    the given off-lines, every line spelled in labels."""
-    labels = [duad_label(d) for d in DUADS] + labels
-    index = {lab: k for k, lab in enumerate(labels)}
-    lines = [[duad_label(d) for d in syn] for syn in SYNTHEMES] + off_lines
-    return IncidenceStructure(
-        len(labels), ([index[lab] for lab in line] for line in lines), labels)
-
-
 @lru_cache(maxsize=None)
 def build_sector_models() -> Mapping[str, IncidenceStructure]:
     """The combinatorial models around the duad-syntheme doily, a read-only
-    mapping from sector name to model in the order hyperbolic, elliptic, cone,
-    each sector's lines given by one rule; build_magic_line certifies its
-    labelling against them, and verify checks label_map onto each coordinate
-    quadric with is_isomorphism.
+    mapping from sector name to model in the order hyperbolic, elliptic, cone:
+    the 15 duads and synthemes, then off points 15, 16, ... and off-lines given
+    by one rule on point indices.  build_magic_line certifies its labelling
+    against them; verify checks label_map onto each quadric with is_isomorphism.
 
     Hyperbolic: 20 triples; two triples X, Y meeting in one element lie on a
     line with the duad (X n Y) u (S \\ (X u Y)), the 90 lines {abc, aij, ak}.
@@ -574,22 +566,22 @@ def build_sector_models() -> Mapping[str, IncidenceStructure]:
     {123456, S \\ ij, ij} and, for each syntheme {ij, kl, mn} and each choice
     of its core duad mn, the line {S \\ ij, S \\ kl, mn}: 45 lines.
     """
-    triples = {frozenset(t): subset_label(t) for t in combinations(S_ELEMENTS, 3)}
-    hyperbolic = _sector_model(
-        list(triples.values()),
-        [[triples[x], triples[y], subset_label((x & y) | (S_SET - (x | y)))]
-         for x, y in combinations(triples, 2) if len(x & y) == 1])
-    elliptic = _sector_model(
-        [f"{i}" for i in S_ELEMENTS] + [f"{i}'" for i in S_ELEMENTS],
-        [[f"{i}", f"{j}'", subset_label((i, j))] for i, j in permutations(S_ELEMENTS, 2)])
-
-    def quad(d):
-        return subset_label(S_SET - set(d))
-
-    cone = _sector_model(
-        sorted(quad(d) for d in DUADS) + [NUCLEUS_LABEL],
-        [[NUCLEUS_LABEL, quad(d), duad_label(d)] for d in DUADS]
-        + [[quad(a), quad(b), duad_label(c)] for syn in SYNTHEMES
-           for a, b, c in permutations(syn)])
-    return MappingProxyType({HYPERBOLIC_SECTOR: hyperbolic, ELLIPTIC_SECTOR: elliptic,
-                             CONE_SECTOR: cone})
+    triples = [frozenset(t) for t in combinations(S_ELEMENTS, 3)]
+    doily = build_doily()
+    off = {
+        HYPERBOLIC_SECTOR: ([subset_label(t) for t in triples], [
+            (15 + a, 15 + b, DUAD_INDEX[tuple(sorted(x & y | S_SET - (x | y)))])
+            for (a, x), (b, y) in combinations(enumerate(triples), 2) if len(x & y) == 1]),
+        ELLIPTIC_SECTOR: ([f"{i}" for i in S_ELEMENTS] + [f"{i}'" for i in S_ELEMENTS], [
+            (14 + i, 20 + j, DUAD_INDEX[min(i, j), max(i, j)])
+            for i, j in permutations(S_ELEMENTS, 2)]),
+        # the 4-subsets S \ d, in label order, run over the duads reversed: duad k's is 29 - k
+        CONE_SECTOR: ([subset_label(S_SET - set(d)) for d in reversed(DUADS)] + [NUCLEUS_LABEL],
+                      [(30, 29 - k, k) for k in range(15)]
+                      + [(29 - a, 29 - b, c) for line in doily.lines
+                         for a, b, c in permutations(line) if a < b]),
+    }
+    return MappingProxyType({
+        name: IncidenceStructure(15 + len(labels), [*doily.lines, *lines],
+                                 doily.labels + tuple(labels))
+        for name, (labels, lines) in off.items()})

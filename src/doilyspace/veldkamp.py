@@ -152,13 +152,16 @@ FAMILY_RULES = {
 }
 
 FAMILIES = tuple(FAMILY_RULES)
+KINDS = (OVOID, PERP_SET, GRID)  # the order of a family's member counts
 
 
 def family_of(members) -> str | None:
     """The first family whose counts and rule fit the members, given as
     (kind, subsets of S) pairs (see FAMILY_RULES), or None."""
-    members = list(members)
-    o, p, g = ([s for k, s in members if k == kind] for kind in (OVOID, PERP_SET, GRID))
+    o, p, g = parts = [], [], []
+    for kind, subsets in members:  # members of any other kind are left out
+        if kind in KINDS:
+            parts[KINDS.index(kind)].append(subsets)
     for family, (counts, rule) in FAMILY_RULES.items():
         if counts == (len(o), len(p), len(g)) and rule(o, p, g):
             return family

@@ -1,6 +1,10 @@
-"""What tools/bench_pairs.py counts for its report: source lines and tail ranks."""
+"""What tools/bench_pairs.py counts for its report: source lines, tail ranks and
+the phases of a cold ``verify all``."""
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,3 +53,26 @@ def test_tail_at_rank_names_the_operation_at_the_rank_and_counts_each_name_beyon
         "cone", {"cone": 1, "doily": 0, "q_plus": 0, "pg32": 0})
     # equal times are ordered by name
     assert bench_pairs.tail_at_rank([(0.2, "b"), (0.2, "a")], 1) == ("a", {"b": 1, "a": 1})
+
+
+def test_phase_medians_takes_each_phase_and_the_total_over_a_batch(bench_pairs):
+    children = [{"import": 0.030, "render": 0.0010},
+                {"import": 0.032, "render": 0.0004},
+                {"import": 0.029, "render": 0.0020}]
+    # the total is the median of the sums (31.0, 32.4, 31.0 ms), not the sum of the medians
+    assert bench_pairs.phase_medians(children) == {"import": 30.0, "render": 1.0, "total": 31.0}
+    assert bench_pairs.phase_medians(children[:1]) == {"import": 30.0, "render": 1.0,
+                                                       "total": 31.0}
+
+
+def test_the_verify_attribution_child_reports_each_phase_of_this_checkout(bench_pairs):
+    # one fresh process, as attribute_verify runs it; it exits non-zero if the
+    # rendered output does not match the golden digest
+    root = TOOL.parent.parent
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", bench_pairs.VERIFY_ATTRIBUTION_CODE], cwd=root,
+                         env=env, check=True, capture_output=True, text=True).stdout
+    phases = json.loads(out)
+    assert list(phases) == ["import", "parser", "suite doily", "suite veldkamp",
+                            "suite magicline", "build_magic_line", "render"]
+    assert all(seconds > 0 for seconds in phases.values())

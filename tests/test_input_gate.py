@@ -102,11 +102,13 @@ def _s(name, call, message):
 
 def _hyperplane(name, call, arg):
     """Rows of an entry point whose argument arg must be a DoilyHyperplane:
-    its mask, a bool and None each raise TypeError naming arg."""
+    its mask, a bool, None and a list (which no cache can hash) each raise
+    TypeError naming arg."""
     return [pytest.param(call, bad, (
         TypeError, f"{arg} must be a DoilyHyperplane, got {kind}; "
                    "classify_hyperplane(mask) gives the one of a mask"), id=f"{name}-{kind}")
-            for bad, kind in ((ovoid(1).mask, "int"), (True, "bool"), (None, "NoneType"))]
+            for bad, kind in ((ovoid(1).mask, "int"), (True, "bool"), (None, "NoneType"),
+                              ([1], "list"))]
 
 
 def _identity_with(points, bad, key):

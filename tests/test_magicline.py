@@ -7,6 +7,7 @@ import pytest
 
 from doilyspace import magicline
 from doilyspace.doily import (
+    DUAD_INDEX,
     DUADS,
     GRID,
     OVOID,
@@ -65,7 +66,7 @@ from doilyspace.magicline import (
     _certify,
     _model_labels,
     _off_traces,
-    _trace_hyperplane,
+    _perp_trace,
 )
 from doilyspace.veldkamp import (
     FAMILIES,
@@ -276,19 +277,55 @@ def test_pair_coherence_and_figure_spot_values():
     assert doily_trace(ml, ml.w_of_label["3456"]).name == "p_12"
 
 
+def line_walk_trace(space, sector, quadric, w, core_duads):
+    """A second method for the trace: walk each line through w inside its
+    quadric point by point, and take the one core point it must hold."""
+    struct = space.structure
+    mask = 0
+    for idx in struct.lines_through[w]:
+        if struct.line_masks[idx] & ~quadric:
+            continue
+        core = [v for v in struct.lines[idx] if v in core_duads]
+        assert len(core) == 1, f"a line through {w} meets the core {len(core)} times"
+        bit = 1 << DUAD_INDEX[core_duads[core[0]]]
+        assert not mask & bit, f"the trace points of {w} are not distinct"
+        mask |= bit
+    h = classify_hyperplane(mask)
+    assert h.kind == SECTOR_KIND[sector]
+    return h
+
+
+def duad_bits(core_duads):
+    """The W(5,2) index -> duad bit table that _perp_trace reads."""
+    return {v: 1 << DUAD_INDEX[d] for v, d in core_duads.items()}
+
+
 def test_recorded_traces_equal_fresh_traces():
     ml = build_magic_line()
     off = [w for c in ml.constituents.values() for w in w_off(ml, c) if w != ml.nucleus_w]
     assert sorted(ml.traces) == sorted(off) and len(off) == 47
     for w in off:
         c = ml.constituents[ml.sector_of(w)]
-        fresh = _trace_hyperplane(ml.space, c.name, mask_of(c.w_points), w, ml.core_duads)
+        walked = line_walk_trace(ml.space, c.name, c.mask, w, ml.core_duads)
         recorded = doily_trace(ml, w)
         assert recorded is ml.traces[w]
         assert (recorded.mask, recorded.kind, recorded.index) == (
-            fresh.mask, fresh.kind, fresh.index)
+            walked.mask, walked.kind, walked.index)
     with pytest.raises(TypeError):
         ml.traces[off[0]] = ml.traces[off[1]]
+
+
+def test_complementary_points_differ_by_the_nucleus_coordinates():
+    # the two points tracing one hyperplane lie on a line of PG(5,2) with the
+    # nucleus: x' = x + n in coordinates, for all 32 hyperbolic and elliptic
+    # off points
+    ml = build_magic_line()
+    points = ml.space.points
+    off = [w for c in (ml.q_plus, ml.q_minus) for w in w_off(ml, c)]
+    assert len(off) == 32
+    for w in off:
+        partner = points.index(points[w] ^ points[ml.nucleus_w])
+        assert complementary_point(ml, w) == partner
 
 
 def test_doily_trace_errors_are_unchanged():
@@ -480,21 +517,38 @@ def test_trace_rejects_a_wrong_sector_kind():
     message = (rf"^elliptic point {ml.space.structure.label_of(w)} \(W\(5,2\) index {w}\): "
                "its trace must be of kind ovoid, got grid$")
     with pytest.raises(ConsistencyError, match=message):
-        _trace_hyperplane(ml.space, ELLIPTIC_SECTOR, mask_of(ml.q_plus.w_points), w,
-                          ml.core_duads)
+        _perp_trace(ml.space, ELLIPTIC_SECTOR, ml.q_plus.mask, mask_of(ml.core_w),
+                    duad_bits(ml.core_duads), w)
 
 
 def test_trace_needs_every_off_line_to_meet_the_core():
+    # without one of its core points the trace of an elliptic point has 4
+    # points, while 5 lines through it lie in Q-
     ml = build_magic_line()
     w = w_off(ml, ml.q_minus)[0]
     trace = doily_trace(ml, w)
     missing = ml.w_of_label[duad_label(trace.duads[0])]
-    core_duads = {v: d for v, d in ml.core_duads.items() if v != missing}
+    bits = {v: bit for v, bit in duad_bits(ml.core_duads).items() if v != missing}
     message = (rf"^elliptic point {ml.space.structure.label_of(w)} \(W\(5,2\) index {w}\): "
-               "a line through it must meet the core exactly once, got 0$")
+               "its trace must have one point on each of the 5 lines through it inside "
+               "its quadric, got 4$")
     with pytest.raises(ConsistencyError, match=message):
-        _trace_hyperplane(ml.space, ELLIPTIC_SECTOR, mask_of(ml.q_minus.w_points), w,
-                          core_duads)
+        _perp_trace(ml.space, ELLIPTIC_SECTOR, ml.q_minus.mask, mask_of(bits), bits, w)
+
+
+def test_trace_needs_distinct_duads_for_its_core_points():
+    # a table giving two core points of the perp one duad bit loses a trace
+    # point, which the line count catches before the hyperplane check
+    ml = build_magic_line()
+    w = w_off(ml, ml.q_minus)[0]
+    first, second = (ml.w_of_label[duad_label(d)] for d in doily_trace(ml, w).duads[:2])
+    bits = duad_bits(ml.core_duads)
+    bits[second] = bits[first]
+    message = (rf"^elliptic point {ml.space.structure.label_of(w)} \(W\(5,2\) index {w}\): "
+               "its trace must have one point on each of the 5 lines through it inside "
+               "its quadric, got 4$")
+    with pytest.raises(ConsistencyError, match=message):
+        _perp_trace(ml.space, ELLIPTIC_SECTOR, ml.q_minus.mask, mask_of(bits), bits, w)
 
 
 @pytest.mark.parametrize("sector, label, w", [
@@ -513,7 +567,7 @@ def test_labelling_reports_a_corrupted_core_map(sector, label, w):
     message = (rf"^{sector} point {label} \(W\(5,2\) index {w}\): "
                "its trace is not a hyperplane of the doily$")
     with pytest.raises(ConsistencyError, match=message):
-        _off_traces(ml.space, sector, quadric, core_duads, skip=skip)
+        _off_traces(ml.space, sector, quadric, duad_bits(core_duads), skip=skip)
 
 
 def test_seeds_fix_the_free_choices():
@@ -552,8 +606,8 @@ def test_a_cone_point_takes_its_only_label_whatever_the_model_says():
     traces = {w: h for w, h in ml.traces.items() if ml.sector_of(w) == CONE_SECTOR}
     seed = min(traces, key=ml.space.structure.label_of)
     assert any(collinear(ml.space.structure, seed, w) for w in traces if w != seed)
-    off_labels = list(build_sector_models()[CONE_SECTOR].labels[len(DUADS):])
-    no_off_lines = magicline._sector_model(off_labels, [])
+    labels = build_sector_models()[CONE_SECTOR].labels
+    no_off_lines = IncidenceStructure(len(labels), build_doily().lines, labels)
     assert _model_labels(ml.space, traces, no_off_lines) == {w: ml.label_of[w] for w in traces}
 
 

@@ -1,10 +1,17 @@
 """Tests for the combinatorial sector models versus the coordinate quadrics."""
 
+from itertools import combinations, permutations
+
 import pytest
 
 from doilyspace import checks, magicline
-from doilyspace.doily import S_SET, SYNTHEMES, duad_label
-from doilyspace.incidence import check_gq, find_isomorphism, is_isomorphism
+from doilyspace.doily import DUADS, S_ELEMENTS, S_SET, SYNTHEMES, duad_label
+from doilyspace.incidence import (
+    IncidenceStructure,
+    check_gq,
+    find_isomorphism,
+    is_isomorphism,
+)
 from doilyspace.magicline import (
     CONE_SECTOR,
     ELLIPTIC_SECTOR,
@@ -14,6 +21,50 @@ from doilyspace.magicline import (
     build_sector_models,
     label_map,
 )
+
+
+def label_rule_models():
+    """A second statement of the sector models: every point and line spelled
+    in label strings, each line's points looked up by label."""
+    def subset(elems):
+        return "".join(str(e) for e in sorted(elems))
+
+    def model(off_labels, off_lines):
+        labels = [duad_label(d) for d in DUADS] + off_labels
+        index = {lab: k for k, lab in enumerate(labels)}
+        lines = [[duad_label(d) for d in syn] for syn in SYNTHEMES] + off_lines
+        return IncidenceStructure(
+            len(labels), ([index[lab] for lab in line] for line in lines), labels)
+
+    def quad(d):
+        return subset(S_SET - set(d))
+
+    triples = {frozenset(t): subset(t) for t in combinations(S_ELEMENTS, 3)}
+    return {
+        HYPERBOLIC_SECTOR: model(
+            list(triples.values()),
+            [[triples[x], triples[y], subset((x & y) | (S_SET - (x | y)))]
+             for x, y in combinations(triples, 2) if len(x & y) == 1]),
+        ELLIPTIC_SECTOR: model(
+            [f"{i}" for i in S_ELEMENTS] + [f"{i}'" for i in S_ELEMENTS],
+            [[f"{i}", f"{j}'", subset((i, j))] for i, j in permutations(S_ELEMENTS, 2)]),
+        CONE_SECTOR: model(
+            sorted(quad(d) for d in DUADS) + [NUCLEUS_LABEL],
+            [[NUCLEUS_LABEL, quad(d), duad_label(d)] for d in DUADS]
+            + [[quad(a), quad(b), duad_label(c)] for syn in SYNTHEMES
+               for a, b, c in permutations(syn)]),
+    }
+
+
+def test_index_rules_build_the_label_rule_models():
+    # equal point counts, lines in order and labels, sector by sector
+    models = build_sector_models()
+    oracle = label_rule_models()
+    assert list(models) == list(oracle) == [HYPERBOLIC_SECTOR, ELLIPTIC_SECTOR, CONE_SECTOR]
+    for sector, model in models.items():
+        assert model == oracle[sector]
+        assert (model.point_count, model.lines, model.labels) == (
+            oracle[sector].point_count, oracle[sector].lines, oracle[sector].labels)
 
 
 def test_model_counts():

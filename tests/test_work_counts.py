@@ -27,7 +27,7 @@ from contextlib import redirect_stdout
 from doilyspace import checks, cli, gf2, magicline, veldkamp
 
 counts = {"trace": 0, "member": 0, "permute": 0, "space": 0, "search": 0,
-          "bilinear": 0}
+          "bilinear": 0, "family": 0}
 
 def counted(module, name, key):
     original = getattr(module, name)
@@ -43,15 +43,19 @@ for module in (checks, magicline):
     if hasattr(module, "find_isomorphism"):
         counted(module, "find_isomorphism", "search")
 
-counted(magicline, "_trace_hyperplane", "trace")
+counted(magicline, "_perp_trace", "trace")
 # the family rules classify the three members of each line they classify
 counted(veldkamp, "classify_hyperplane", "member")
+# family_of reads each line's members and, in the magic-line checks, its image
+for module in (veldkamp, magicline):
+    counted(module, "family_of", "family")
 counted(checks, "apply_duad_permutation", "permute")
 counted(gf2.BilinearForm, "__init__", "bilinear")
 with redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "all", "--format", "structured"])
 print(json.dumps({"exit": code, "traces": counts["trace"],
                   "classifications": counts["member"] / 3,
+                  "family_readings": counts["family"],
                   "permutations": counts["permute"],
                   "veldkamp_spaces": counts["space"],
                   "isomorphism_searches": counts["search"],
@@ -67,6 +71,7 @@ def test_cold_verify_all_does_each_piece_of_work_once():
         "exit": 0,
         "traces": 47,  # 20 hyperbolic, 12 elliptic and 15 cone off points
         "classifications": 155,  # the doily's Veldkamp lines
+        "family_readings": 310,  # the 155 lines and their 155 sector images
         "permutations": 62,  # 31 hyperplanes under each of 2 generators
         "veldkamp_spaces": 1,  # the doily's, shared by both suites that read it
         "isomorphism_searches": 1,  # the core onto the doily

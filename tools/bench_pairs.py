@@ -22,7 +22,12 @@ rounds of the 147 golden argv, rescaled by the ``import`` kernel, and
 reports the median of each kind (each ``tables`` call, and each sector's
 ``export`` as dot, dot ``--line-nodes`` and json) with the kind that holds
 the workload's p99.5 rank and how many operations of each kind lie at or
-beyond it.  One helper, ``tail_at_rank``, counts both tails.  Counts, for
+beyond it.  One helper, ``tail_at_rank``, counts both tails.  Places
+``verify_all``'s time per phase: fresh processes in each tree, batches of
+them per side with the sides alternating, each time one cold ``verify all
+--format structured`` phase by phase (the import, the parser, each suite,
+``build_magic_line`` and the JSON render), rescaled by the ``import`` kernel
+probed in the same process.  Counts, for
 each side, the non-blank lines of each ``src/doilyspace/*.py`` and their
 total.  The parent tree is ``git archive <rev>``, extracted into a
 temporary directory; the change is this checkout as it stands.  Every seed
@@ -110,6 +115,79 @@ n = sum(map(len, timed))
 print(json.dumps({"rounds": timed,
                   "tail_rank": run.tail_rank(n, run.TAIL_PERCENTILE["cli_warm"])}))
 """
+
+
+VERIFY_BATCHES = 6
+VERIFY_PROCESSES = 15
+# run in a tree with its src/ on PYTHONPATH, one fresh process per cold
+# `verify all --format structured`: times its phases in the order the
+# command runs them (importing the CLI, building its parser and parsing the
+# argv, each suite, the magic-line suite without its build_magic_line call,
+# which is timed on its own, and the JSON render), checks the rendered
+# output against the tree's golden digest, and prints the phases in seconds,
+# rescaled by the harness's import kernel probed after them in the same process
+VERIFY_ATTRIBUTION_CODE = """\
+import sys, time
+t0 = time.perf_counter()
+from doilyspace import checks, cli
+phases = {"import": time.perf_counter() - t0}
+t0 = time.perf_counter()
+cli.build_parser().parse_args(["verify", "all", "--format", "structured"])
+phases["parser"] = time.perf_counter() - t0
+build, built = checks.build_magic_line, []
+def timed_build():
+    t0 = time.perf_counter()
+    try:
+        return build()
+    finally:
+        built.append(time.perf_counter() - t0)
+checks.build_magic_line = timed_build
+reports = []
+for name in checks.SUITES:
+    before, t0 = sum(built), time.perf_counter()
+    reports.append(checks.run_suite(name))
+    phases[f"suite {name}"] = time.perf_counter() - t0 - (sum(built) - before)
+phases["build_magic_line"] = sum(built)
+t0 = time.perf_counter()
+import json
+payload = json.dumps([r.to_structured() for r in reports], indent=2) + "\\n"
+phases["render"] = time.perf_counter() - t0
+sys.path.insert(0, "benchmarks")
+import hostspeed, run
+if run.digest(payload.encode()) != run.load_goldens()["verify all --format structured"]["sha256"]:
+    sys.exit("verify all: the rendered output does not match its golden digest")
+scale = hostspeed.scale(hostspeed.probe("import"), "import")
+print(json.dumps({name: t * scale for name, t in phases.items()}))
+"""
+
+
+def phase_medians(children: list[dict[str, float]]) -> dict[str, float]:
+    """Per phase, the median milliseconds over one batch of children's
+    phase seconds, and under ``total`` the median of their sums."""
+    ms = {name: round(statistics.median(c[name] for c in children) * 1e3, 3)
+          for name in children[0]}
+    ms["total"] = round(statistics.median(sum(c.values()) for c in children) * 1e3, 3)
+    return ms
+
+
+def attribute_verify(trees: dict[str, Path], batches: int, processes: int) -> dict:
+    """Run VERIFY_ATTRIBUTION_CODE in fresh processes, batches of them per
+    side, the sides alternating which runs its batch first.  Per phase: each
+    side's batch medians in milliseconds, and the change's median relative step."""
+    ms: dict[str, list[dict[str, float]]] = {side: [] for side in trees}
+    for i in range(batches):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                       PYTHONPATH=str(trees[side] / "src"))
+            ms[side].append(phase_medians([json.loads(subprocess.run(
+                [sys.executable, "-c", VERIFY_ATTRIBUTION_CODE], cwd=trees[side], env=env,
+                check=True, capture_output=True, text=True).stdout) for _ in range(processes)]))
+    return {name: {
+        "parent_ms": [b[name] for b in ms["parent"]],
+        "change_ms": [b[name] for b in ms["change"]],
+        "change_vs_parent": round(statistics.median(
+            c[name] / p[name] - 1 for p, c in zip(ms["parent"], ms["change"])), 4),
+    } for name in ms["change"][0]}
 
 
 def tail_at_rank(ops: list[tuple[float, str]], rank: int) -> tuple[str, dict[str, int]]:
@@ -328,6 +406,21 @@ def main(argv=None) -> int:
             "seeds": seeds,
             "kinds": commands["names"],
             "tail_kind": commands["tail_names"],
+        }
+        report["verify_all_attribution"] = {
+            "what": "median milliseconds of each phase of a cold `verify all --format "
+                    f"structured`, over {VERIFY_PROCESSES} fresh processes per batch under "
+                    "PYTHONDONTWRITEBYTECODE=1, each with its tree's src/ on PYTHONPATH: "
+                    "import is `from doilyspace import checks, cli`, parser builds the "
+                    "parser and parses the argv, each suite is checks.run_suite (the "
+                    "magicline suite without its build_magic_line call, timed on its own), "
+                    "render is the JSON dump; each process checks its output against the "
+                    "golden digest and rescales its phases by the harness's import kernel "
+                    "probed after them; total is the median of the processes' sums; "
+                    f"{VERIFY_BATCHES} batches per side, the sides alternating which runs "
+                    "first, one list entry per batch; change_vs_parent is the median over "
+                    "batches of change / parent - 1",
+            "phases": attribute_verify(trees, VERIFY_BATCHES, VERIFY_PROCESSES),
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
