@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from doilyspace import checks, cli
 from doilyspace.cli import main, run_suite
 
 
@@ -30,6 +31,18 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_cli_and_checks_name_the_same_suites():
+    # cli keeps its own suite names so that a bare import never loads checks
+    assert cli.SUITES == tuple(checks.SUITES)
+    parser = cli.build_parser()
+    for suite in (*cli.SUITES, "all"):
+        assert parser.parse_args(["verify", suite]).suite == suite
+    for suite in ("Doily", "magic", "", "doily,veldkamp"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["verify", suite])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv, choices", [
@@ -96,8 +109,6 @@ def test_text_report_agrees_with_the_structured_one(suite, capsys):
 
 
 def test_verify_exits_one_on_failed_check(monkeypatch, capsys):
-    from doilyspace import checks
-
     monkeypatch.setitem(
         checks.SUITES, "doily",
         lambda: [checks.Check("forced failure", 1, 2, checks.DERIVED)])

@@ -8,9 +8,11 @@ annotations`` never evaluates.  ``-S`` skips ``site``, whose ``.pth`` files
 may load these modules for their own reasons.
 
 The ``export`` and ``tables`` code lives in ``doilyspace.render``, which
-``verify`` never loads.  Run as ``python -m doilyspace.cli``, the CLI module
-is ``__main__``: should anything import ``doilyspace.cli`` by name, it would
-be compiled and executed a second time.
+``verify`` never loads, and the ``verify`` suites in ``doilyspace.checks``,
+which ``cli`` loads on the first ``run_suite``: ``export``, ``tables`` and a
+bare ``import doilyspace.cli`` never load it.  Run as ``python -m
+doilyspace.cli``, the CLI module is ``__main__``: should anything import
+``doilyspace.cli`` by name, it would be compiled and executed a second time.
 """
 
 import json
@@ -55,6 +57,21 @@ def test_export_and_tables_under_python_m_never_import_the_cli_by_name():
         modules = imported(["-m", "doilyspace.cli", *argv])
         assert "doilyspace.render" in modules
         assert "doilyspace.cli" not in modules
+
+
+def test_export_and_tables_under_python_m_never_load_the_checks():
+    for argv in (["tables", "hyperplanes"],
+                 ["export", "--figure", "hyperbolic", "--point", "146", "--format", "json"]):
+        modules = imported(["-m", "doilyspace.cli", *argv])
+        assert "doilyspace.magicline" in modules
+        assert "doilyspace.checks" not in modules
+
+
+def test_a_bare_cli_import_loads_neither_the_checks_nor_render():
+    modules = imported(["-c", "import doilyspace.cli"])
+    assert "doilyspace.cli" in modules
+    assert "doilyspace.checks" not in modules
+    assert "doilyspace.render" not in modules
 
 
 def test_cli_import_loads_no_forbidden_module():

@@ -1,7 +1,8 @@
 """Tests for W(5,2), the magic Veldkamp line, and the sector correspondences."""
 
 import re
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -509,6 +510,59 @@ def test_mask_and_sector_image_readings_agree_member_by_member():
         from_masks = [_member_subsets(classify_hyperplane(m)) for m in line.members]
         assert _image_reading(veldkamp_line_image(ml, line)) == from_masks
         assert family_of(from_masks) == classify_veldkamp_line(line)
+
+
+def _tracers(ml):
+    """Doily hyperplane mask -> the off points tracing it: two for a grid or
+    an ovoid, one for a perp-set (the nucleus traces no single hyperplane)."""
+    tracers = {}
+    for w, h in ml.traces.items():
+        tracers.setdefault(h.mask, []).append(w)
+    return tracers
+
+
+def _transversal_sums(ml, tracers, members):
+    """Each transversal (one tracing point per member) with the XOR of its coordinates."""
+    coords = ml.space.points
+    return [(t, coords[t[0]] ^ coords[t[1]] ^ coords[t[2]])
+            for t in product(*(tracers[m] for m in members))]
+
+
+def test_transversals_in_w52_tell_the_family_without_labels():
+    # a second reading of the paper's model: from W(5,2)'s coordinates and
+    # lines alone, with no label and no family rule, a line's family is its
+    # members' sectors and how its transversals sum
+    ml = build_magic_line()
+    tracers = _tracers(ml)
+    w_lines = set(ml.space.structure.line_masks)
+    nucleus = ml.space.points[ml.nucleus_w]
+    keys = Counter()
+    for line in build_veldkamp_space(build_doily()).lines:
+        sums = _transversal_sums(ml, tracers, line.members)
+        assert {x for _, x in sums} <= {0, nucleus}
+        closed = [t for t, x in sums if x == 0]
+        on_lines = sum(mask_of(t) in w_lines for t in closed)
+        sectors = tuple(sorted(ml.sector_of(tracers[m][0]) for m in line.members))
+        keys[sectors, len(closed), on_lines, classify_veldkamp_line(line)] += 1
+    cone, ell, hyp = CONE_SECTOR, ELLIPTIC_SECTOR, HYPERBOLIC_SECTOR
+    assert keys == {
+        ((cone, ell, ell), 2, 0, "ovoid-ovoid-perp"): 15,
+        ((cone, ell, hyp), 2, 2, "ovoid-perp-grid"): 60,
+        ((cone, hyp, hyp), 2, 0, "perp-grid-grid"): 45,
+        ((cone, cone, cone), 0, 0, "perp-perp-perp-disjoint"): 15,
+        ((cone, cone, cone), 1, 0, "perp-perp-perp-triangle"): 20,
+    }
+
+
+def test_only_veldkamp_lines_have_a_transversal_summing_to_zero_or_the_nucleus():
+    ml = build_magic_line()
+    tracers = _tracers(ml)
+    nucleus = ml.space.points[ml.nucleus_w]
+    triples = list(combinations(sorted(tracers), 3))
+    assert len(triples) == 4495
+    hit = {members for members in triples
+           if any(x in (0, nucleus) for _, x in _transversal_sums(ml, tracers, members))}
+    assert hit == {line.members for line in build_veldkamp_space(build_doily()).lines}
 
 
 def test_trace_rejects_a_wrong_sector_kind():
