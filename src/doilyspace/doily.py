@@ -9,6 +9,7 @@ their symmetric difference.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations
 
@@ -203,6 +204,8 @@ def veldkamp_sum(h1: DoilyHyperplane, h2: DoilyHyperplane) -> DoilyHyperplane:
 def apply_duad_permutation(mask: int, perm: dict[int, int]) -> int:
     """Point-set image of a duad subset under a permutation of {1,...,6}."""
     _check_mask(mask, FULL_MASK)
+    if not isinstance(perm, Mapping):
+        raise TypeError(f"perm must be a mapping, got {type(perm).__name__}")
     items = (*perm, *perm.values())
     try:
         image = _duad_images(*items)

@@ -176,8 +176,10 @@ class QuadraticForm:
             for i in range(self.dim)))
 
     def __add__(self, other: QuadraticForm) -> QuadraticForm:
+        if not isinstance(other, QuadraticForm):
+            return NotImplemented
         if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return QuadraticForm(self.dim, self.monomials ^ other.monomials)
 
 

@@ -176,6 +176,8 @@ def _member_subsets(h) -> tuple:
 
 def classify_veldkamp_line(line: VeldkampLine) -> str:
     """The first of the five doily families whose rule the members fit."""
+    if not isinstance(line, VeldkampLine):
+        raise TypeError(f"line must be a VeldkampLine, got {type(line).__name__}")
     if line.geometry != build_doily():
         raise ValueError("not a Veldkamp line of the doily")
     return _classify_members(line.members)

@@ -264,7 +264,9 @@ def test_apply_duad_permutation_matches_the_duad_by_duad_image():
     (1, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}, "is not a permutation of"),
     (1 << 15, {i: i for i in S_ELEMENTS}, "mask 32768 is outside 0..32767"),
     (-1, {i: i for i in S_ELEMENTS}, "mask -1 is outside 0..32767"),
+    (1, [1, 2], "^perm must be a mapping, got list$"),
 ])
 def test_apply_duad_permutation_rejects_bad_input(mask, perm, message):
-    with pytest.raises(ValueError, match=message):
+    # a perm that is not a mapping is the wrong type, not a wrong value
+    with pytest.raises(ValueError if isinstance(perm, dict) else TypeError, match=message):
         apply_duad_permutation(mask, perm)

@@ -290,6 +290,14 @@ def test_form_sum_is_gf2_sum_of_monomials():
     assert classify_form(cone) == DEGENERATE
 
 
+def test_form_sum_takes_a_form_of_its_dimension_only():
+    with pytest.raises(ValueError, match="^dimension mismatch: 6 vs 4$"):
+        hyperbolic_form(6) + hyperbolic_form(4)
+    assert hyperbolic_form(6).__add__(1) is NotImplemented
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        hyperbolic_form(6) + 1
+
+
 # Reference evaluations over the coordinate tuple, as the forms computed
 # them before they evaluated int coordinate masks.
 

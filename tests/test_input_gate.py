@@ -9,7 +9,8 @@ value and dimension, and ``check_gq``'s orders are ints the same way; their
 TypeError names the value too, and a monomial listed twice is a ValueError,
 as is one of a length other than two; a monomial that is not a tuple or
 list is a TypeError.  A function that takes a doily hyperplane raises
-TypeError naming the argument for anything else, a mask included.
+TypeError naming the argument for anything else, a mask included, and so
+does one that takes a Veldkamp line.
 A structure's line that is not iterable raises TypeError naming the line,
 and a label that is not a str TypeError naming its index, type and value.
 
@@ -54,8 +55,18 @@ from doilyspace.incidence import (
     mask_of,
     points_of,
 )
-from doilyspace.magicline import build_magic_line, sector_image, sector_labels
-from doilyspace.veldkamp import VeldkampLine, build_veldkamp_space
+from doilyspace.magicline import (
+    build_magic_line,
+    sector_image,
+    sector_labels,
+    veldkamp_line_image,
+)
+from doilyspace.veldkamp import (
+    VeldkampLine,
+    build_veldkamp_space,
+    classify_veldkamp_line,
+    family_census,
+)
 
 DOILY = build_doily()
 NON_INTS = [(True, "bool"), (1.0, "float"), (frozenset({1}), "frozenset")]
@@ -217,6 +228,13 @@ CASES = [
     *_hyperplane("veldkamp_sum-second", lambda h: veldkamp_sum(ovoid(1), h), "h2"),
     *_hyperplane("sector_labels", sector_labels, "h"),
     *_hyperplane("sector_image", lambda h: sector_image(build_magic_line(), h), "h"),
+    *[pytest.param(call, bad, (TypeError, f"line must be a VeldkampLine, got {kind}"),
+                   id=f"{name}-{kind}")
+      for bad, kind in ((3, "int"), (None, "NoneType"), (_line_members(), "tuple"))
+      for name, call in (
+          ("classify_veldkamp_line", classify_veldkamp_line),
+          ("veldkamp_line_image", lambda line: veldkamp_line_image(build_magic_line(), line)),
+          ("family_census", lambda line: family_census([line])))],
     *_form_int("BilinearForm", lambda b: BilinearForm(((0, b), (b, 0))), "gram entry (0,1)",
                [(b, (ValueError, f"gram entry (0,1) must be 0 or 1: {b}")) for b in (-1, 2)]),
     *_form_int("hyperbolic_form", hyperbolic_form, "hyperbolic form dimension",

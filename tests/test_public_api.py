@@ -1,10 +1,12 @@
 """Every name ``doilyspace.__all__`` lists is importable from the package, and
-used inside it."""
+used inside it; README's library example prints what its comments say."""
 
 import ast
 from pathlib import Path
 
 import doilyspace
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_names_resolve():
@@ -41,3 +43,14 @@ def test_every_public_name_is_used_inside_the_package():
                     used.add(node.attr)
     assert sorted(set(doilyspace.__all__) - used - UNUSED_BY_THE_PACKAGE) == []
     assert UNUSED_BY_THE_PACKAGE <= set(doilyspace.__all__) - used
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    # the python block under *Library example*: each print's output is the
+    # comment on its line
+    section = README.read_text(encoding="utf-8").split("## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    expected = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert expected == ["g_146", "235", "31 155"]
+    assert capsys.readouterr().out.splitlines() == expected

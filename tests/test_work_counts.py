@@ -1,8 +1,9 @@
 """A cold ``verify all`` must compute each magic-line trace, each Veldkamp
 line's family, each permuted hyperplane and the doily's Veldkamp space once,
 search for one isomorphism only (the core onto the doily: the sector models
-are certified by the labels' bijection) and polarize each form once, and a
-warm process must not build that space again.  Searches against one target
+are certified by the labels' bijection), polarize each quadric once and
+evaluate theta only for the nucleus check of verify, and a warm process must
+not build that space again.  Searches against one target
 compute the target's point invariants once.
 
 The cold run happens in a fresh process, so no cache is warm.  The helpers
@@ -27,7 +28,7 @@ from contextlib import redirect_stdout
 from doilyspace import checks, cli, gf2, magicline, veldkamp
 
 counts = {"trace": 0, "member": 0, "permute": 0, "space": 0, "search": 0,
-          "bilinear": 0, "family": 0}
+          "bilinear": 0, "family": 0, "theta": 0}
 
 def counted(module, name, key):
     original = getattr(module, name)
@@ -51,6 +52,7 @@ for module in (veldkamp, magicline):
     counted(module, "family_of", "family")
 counted(checks, "apply_duad_permutation", "permute")
 counted(gf2.BilinearForm, "__init__", "bilinear")
+counted(gf2.SymplecticForm, "evaluate", "theta")
 with redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "all", "--format", "structured"])
 print(json.dumps({"exit": code, "traces": counts["trace"],
@@ -59,7 +61,8 @@ print(json.dumps({"exit": code, "traces": counts["trace"],
                   "permutations": counts["permute"],
                   "veldkamp_spaces": counts["space"],
                   "isomorphism_searches": counts["search"],
-                  "bilinear_forms": counts["bilinear"]}))
+                  "bilinear_forms": counts["bilinear"],
+                  "theta_evaluations": counts["theta"]}))
 """
 
 
@@ -75,7 +78,8 @@ def test_cold_verify_all_does_each_piece_of_work_once():
         "permutations": 62,  # 31 hyperplanes under each of 2 generators
         "veldkamp_spaces": 1,  # the doily's, shared by both suites that read it
         "isomorphism_searches": 1,  # the core onto the doily
-        "bilinear_forms": 3,  # one polarization each of Q+, Q- and the cone
+        "bilinear_forms": 2,  # one polarization each of Q+ and Q-
+        "theta_evaluations": 31,  # verify's check that the nucleus is the cone's radical
     }
 
 
