@@ -17,14 +17,6 @@ ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
 DEGENERATE = "degenerate"
 
-# projective zero counts of the non-degenerate forms, confirmed by the
-# exhaustive enumerations in the test suite
-_NONDEGENERATE_ZEROS = {
-    4: {9: HYPERBOLIC, 5: ELLIPTIC},
-    6: {35: HYPERBOLIC, 27: ELLIPTIC},
-}
-_PARABOLIC_ZEROS = {3: 3, 5: 15}
-
 
 class BinaryVector:
     """Fixed-length bit vector; addition is bitwise xor (^)."""
@@ -225,35 +217,43 @@ class BilinearForm:
         return tuple(v for v in range(1, len(sums)) if not sums[v])
 
 
+def _quadratic(form: QuadraticForm) -> QuadraticForm:
+    """form itself if it is a QuadraticForm; else TypeError naming its type."""
+    if not isinstance(form, QuadraticForm):
+        raise TypeError(f"form must be a QuadraticForm, got {type(form).__name__}")
+    return form
+
+
 def polarize(form: QuadraticForm) -> BilinearForm:
     """The bilinear form B(x,y) = Q(x+y) + Q(x) + Q(y), computed once per form."""
-    return form._polarization
+    return _quadratic(form)._polarization
 
 
 def classify_form(form: QuadraticForm) -> str:
-    """Classify a form by counting its projective zeros exhaustively.
+    """Classify a form by counting its projective zeros exhaustively, which
+    scans 2^dim vectors: dimensions above 10 raise ValueError.
 
-    Even dimension with non-degenerate polarization: hyperbolic or elliptic
-    by zero count.  Odd dimension: parabolic when the polarized form has a
+    Even dimension 2m with non-degenerate polarization: hyperbolic with
+    2^(2m-1) - 1 + 2^(m-1) zeros, elliptic with 2^(2m-1) - 1 - 2^(m-1).
+    Odd dimension 2m+1: parabolic when the polarized form has a
     one-dimensional radical on which the form does not vanish (the nucleus
-    direction) and the zero count matches; anything else is degenerate.
+    direction) and the form has 2^(2m) - 1 zeros; anything else is degenerate.
     """
-    if form.dim not in (4, 5, 6):
+    if _quadratic(form).dim > 10:
         raise ValueError(f"unsupported dimension for classification: {form.dim}")
     zeros = len(form.zero_points())
     radical = polarize(form).radical()
-    if form.dim % 2 == 0:
-        if radical:
-            return DEGENERATE
-        kind = _NONDEGENERATE_ZEROS[form.dim].get(zeros)
-        if kind is None:
-            raise RuntimeError(
-                f"non-degenerate form in dimension {form.dim} with {zeros} zeros")
-        return kind
-    if (len(radical) == 1 and form.evaluate(radical[0]) == 1
-            and zeros == _PARABOLIC_ZEROS[form.dim]):
-        return PARABOLIC
-    return DEGENERATE
+    m, odd = divmod(form.dim, 2)
+    mean = (1 << form.dim - 1) - 1  # the parabolic count, and the mean of the other two
+    if odd:
+        parabolic = len(radical) == 1 and form.evaluate(radical[0]) == 1 and zeros == mean
+        return PARABOLIC if parabolic else DEGENERATE
+    if radical:
+        return DEGENERATE
+    kind = {1 << m - 1: HYPERBOLIC, -(1 << m - 1): ELLIPTIC}.get(zeros - mean)
+    if kind is None:
+        raise RuntimeError(f"non-degenerate form in dimension {form.dim} with {zeros} zeros")
+    return kind
 
 
 def hyperbolic_form(dim: int) -> QuadraticForm:

@@ -267,8 +267,58 @@ def test_classify_degenerate_forms():
 
 
 def test_classify_unsupported_dimension():
-    with pytest.raises(ValueError):
-        classify_form(QuadraticForm(8, {(0, 1)}))
+    # the zero count scans 2^dim vectors, so classification stops at dimension 10
+    with pytest.raises(ValueError, match="^unsupported dimension for classification: 11$"):
+        classify_form(QuadraticForm(11, {(0, 1)}))
+
+
+def standard_form(dim, kind):
+    """x1x2 + x3x4 + ... on dim coordinates, plus x1^2 + x2^2 for ELLIPTIC
+    and x_dim^2 when dim is odd: the standard form of each kind."""
+    monomials = {(k, k + 1) for k in range(0, dim - 1, 2)}
+    if kind == ELLIPTIC:
+        monomials |= {(0, 0), (1, 1)}
+    if dim % 2:
+        monomials.add((dim - 1, dim - 1))
+    return QuadraticForm(dim, monomials)
+
+
+def reference_zero_count(q):
+    """The projective zeros of q, each monomial of each vector read on its own."""
+    return sum(1 for v in range(1, 1 << q.dim)
+               if sum(v >> i & v >> j & 1 for i, j in q.monomials) % 2 == 0)
+
+
+# the zero counts gf2 once kept in tables for dimensions 3 to 6
+TABLED_ZEROS = {(4, HYPERBOLIC): 9, (4, ELLIPTIC): 5, (6, HYPERBOLIC): 35,
+                (6, ELLIPTIC): 27, (3, PARABOLIC): 3, (5, PARABOLIC): 15}
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_classify_reads_the_closed_form_zero_counts(dim):
+    m = dim // 2
+    closed = ({PARABOLIC: 2 ** (2 * m) - 1} if dim % 2 else
+              {HYPERBOLIC: 2 ** (2 * m - 1) - 1 + 2 ** (m - 1),
+               ELLIPTIC: 2 ** (2 * m - 1) - 1 - 2 ** (m - 1)})
+    for kind, zeros in closed.items():
+        q = standard_form(dim, kind)
+        assert reference_zero_count(q) == len(q.zero_points()) == zeros
+        assert TABLED_ZEROS.get((dim, kind), zeros) == zeros
+        assert classify_form(q) == kind
+    if dim % 2 == 0 and dim >= 4:
+        assert hyperbolic_form(dim) == standard_form(dim, HYPERBOLIC)
+        assert elliptic_form(dim) == standard_form(dim, ELLIPTIC)
+    if dim >= 2:  # x1x2 dropped puts e1 and e2 in the radical
+        dropped = QuadraticForm(dim, standard_form(dim, HYPERBOLIC).monomials - {(0, 1)})
+        assert classify_form(dropped) == DEGENERATE
+
+
+def test_classify_names_a_non_degenerate_count_off_both_closed_forms(monkeypatch):
+    q = hyperbolic_form(8)
+    monkeypatch.setattr(q, "zero_points", lambda: (1,))
+    with pytest.raises(RuntimeError,
+                       match="^non-degenerate form in dimension 8 with 1 zeros$"):
+        classify_form(q)
 
 
 def test_classify_invariant_under_coordinate_permutation():

@@ -10,7 +10,7 @@ TypeError names the value too, and a monomial listed twice is a ValueError,
 as is one of a length other than two; a monomial that is not a tuple or
 list is a TypeError.  A function that takes a doily hyperplane raises
 TypeError naming the argument for anything else, a mask included, and so
-does one that takes a Veldkamp line.
+do one that takes a Veldkamp line and one that takes a quadratic form.
 A structure's line that is not iterable raises TypeError naming the line,
 and a label that is not a str TypeError naming its index, type and value.
 
@@ -39,6 +39,7 @@ from doilyspace.gf2 import (
     BinaryVector,
     QuadraticForm,
     SymplecticForm,
+    classify_form,
     coordinate_masks,
     elliptic_form,
     hyperbolic_form,
@@ -235,6 +236,10 @@ CASES = [
           ("classify_veldkamp_line", classify_veldkamp_line),
           ("veldkamp_line_image", lambda line: veldkamp_line_image(build_magic_line(), line)),
           ("family_census", lambda line: family_census([line])))],
+    *[pytest.param(call, bad, (TypeError, f"form must be a QuadraticForm, got {kind}"),
+                   id=f"{name}-{kind}")
+      for bad, kind in ((3, "int"), (None, "NoneType"), (GRAM, "BilinearForm"))
+      for name, call in (("classify_form", classify_form), ("polarize", polarize))],
     *_form_int("BilinearForm", lambda b: BilinearForm(((0, b), (b, 0))), "gram entry (0,1)",
                [(b, (ValueError, f"gram entry (0,1) must be 0 or 1: {b}")) for b in (-1, 2)]),
     *_form_int("hyperbolic_form", hyperbolic_form, "hyperbolic form dimension",
@@ -288,6 +293,7 @@ def test_each_entry_point_still_takes_its_good_input():
     assert str(BinaryVector((1, 0))) == "10" and BinaryVector.from_int(2, 2).to_int() == 2
     assert BilinearForm(((0, 1), (1, 0))).radical() == ()
     assert elliptic_form(4).evaluate(0b11) == 1 and check_gq(DOILY, 2, 2)
+    assert classify_form(elliptic_form(4)) == "elliptic" and polarize(hyperbolic_form(2)).dim == 2
 
 
 def test_a_label_that_is_not_a_str_fails_before_the_veldkamp_builder():

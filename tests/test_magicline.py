@@ -211,6 +211,42 @@ def test_nucleus_identification():
     assert ml.q_minus_form.evaluate(space.points[n]) == 1
 
 
+def eight_set(label):
+    """The even subset of {1,...,8}, as a bit mask (element e at bit e - 1),
+    that a W(5,2) label stands for in the 8-set model of Sp(6,2) = S8: an
+    odd unprimed label L is L u {8}, i' is {i, 7}, a duad or 4-subset L is
+    L u {7, 8}, and the nucleus 123456 is {7, 8}."""
+    if label == NUCLEUS_LABEL:
+        elems = {7, 8}
+    elif label.endswith("'"):
+        elems = {int(label[0]), 7}
+    else:
+        elems = label_elements(label) | ({8} if len(label) % 2 else {7, 8})
+    return sum(1 << e - 1 for e in elems)
+
+
+def modulo_complement(m):
+    """One representative of {m, its complement in {1,...,8}}."""
+    return min(m, m ^ 0xFF)
+
+
+def test_labels_are_an_isomorphism_onto_the_eight_set_model():
+    # the points of the model are the 63 nonzero even subsets modulo
+    # complement, its lines the {A, B, A + B} with |A n B| even; W(5,2)'s
+    # 120 lines in no constituent are checked here and nowhere else
+    ml = build_magic_line()
+    image = {w: modulo_complement(eight_set(lab)) for w, lab in ml.label_of.items()}
+    classes = set(image.values())
+    assert len(image) == len(classes) == 63 and 0 not in classes
+    model = {frozenset({a, b, modulo_complement(a ^ b)}) for a, b in combinations(classes, 2)
+             if (a & b).bit_count() % 2 == 0}
+    struct = ml.space.structure
+    assert {frozenset(image[w] for w in line) for line in struct.lines} == model
+    assert len(model) == 315
+    masks = [c.mask for c in ml.constituents.values()]
+    assert sum(not any(lm & ~m == 0 for m in masks) for lm in struct.line_masks) == 120
+
+
 def test_labels_cover_everything():
     ml = build_magic_line()
     labels = ml.label_of
@@ -686,6 +722,26 @@ def test_construction_names_the_deep_points_of_the_cone(monkeypatch):
                    f"got {re.escape(named(ml, *deep) or 'none')}$")
         with pytest.raises(ConsistencyError, match=message):
             build_magic_line.__wrapped__()
+
+
+def test_construction_names_a_nucleus_whose_perp_is_not_the_cone(monkeypatch):
+    ml = build_magic_line()
+    other = next(w for w in ml.cone.w_points if w != ml.nucleus_w and w not in ml.core_set)
+    monkeypatch.setattr(magicline, "deep_points_mask", lambda g, m: 1 << other)
+    message = f"^the cone must be the perp of its nucleus {re.escape(named(ml, other))}$"
+    with pytest.raises(ConsistencyError, match=message):
+        build_magic_line.__wrapped__()
+
+
+def test_construction_needs_a_core_isomorphic_to_the_doily(monkeypatch):
+    # the core's size is not counted: a target with one line fewer has other
+    # line sizes, so the isomorphism search alone turns the core down
+    doily = build_doily()
+    fewer = IncidenceStructure(doily.point_count, doily.lines[1:], doily.labels)
+    monkeypatch.setattr(magicline, "build_doily", lambda: fewer)
+    with pytest.raises(ConsistencyError,
+                       match="^core must be isomorphic to the duad-syntheme doily$"):
+        build_magic_line.__wrapped__()
 
 
 @pytest.mark.parametrize("sector, swapped, line", [
